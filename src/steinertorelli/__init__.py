@@ -12,8 +12,8 @@ characteristic zero uses Fractions, and no floating point number appears
 anywhere in a mathematical statement.
 """
 
-from .exactfield import GF, QQ, Matrix, make_field, rank, rank_kernel
+from .exactfield import GF, QQ, Matrix, rank, rank_kernel
 
-__all__ = ["GF", "QQ", "Matrix", "make_field", "rank", "rank_kernel"]
+__all__ = ["GF", "QQ", "Matrix", "rank", "rank_kernel"]
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from .koszul import (duality_check, green_kp1, green_points_test, koszul_dim,
 from .scenes import load_scene
 from .steiner import valles_locus, validate_presentation
 from .torelli import (PRIMES_DEFAULT, dk_check, dk_presentation,
-                      random_point_set, recover_embedding_check,
+                      hypothesis_defect, random_point_set,
+                      recover_embedding_check,
                       scroll_invariance, tautological_presentation,
                       torelli_check)
 
@@ -84,7 +85,7 @@ def resolve_label(scene, text):
     if kind == "adjoint":
         return scene.label_add(scene.canonical_label(),
                                scene.label_scale(scene.label_A(), value))
-    graded_by_pairs = isinstance(scene.canonical_label(), tuple)
+    graded_by_pairs = isinstance(scene.label_A(), tuple)
     if (kind == "pair") != graded_by_pairs:
         raise UsageError(
             f"scene {scene.name!r} grades its bundles by "
@@ -109,7 +110,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _primes_from(args):
-    if getattr(args, "primes", None) and getattr(args, "prime", None):
+    prime = getattr(args, "prime", None)
+    if getattr(args, "primes", None) and prime is not None:
         raise UsageError("give --prime or --primes, not both")
     if getattr(args, "primes", None):
         try:
@@ -118,15 +120,15 @@ def _primes_from(args):
             raise UsageError(
                 f"cannot parse prime list {args.primes!r}") from exc
         return primes
-    if getattr(args, "prime", None):
-        return (args.prime,)
+    if prime is not None:
+        return (prime,)
     return PRIMES_DEFAULT
 
 
 def _field_from(args):
     """GF(p) when a prime is requested, exact rationals otherwise."""
     prime = getattr(args, "prime", None)
-    return GF(prime) if prime else QQ
+    return QQ if prime is None else GF(prime)
 
 
 def _b_label(scene, args):
@@ -160,7 +162,8 @@ def _run_build(args):
         "prime": args.prime,
         "dims": {"a": pres.dim_u1, "m": pres.dim_v, "b": pres.dim_u0},
         "bundle_rank": pres.bundle_rank,
-        "h1_defect": getattr(pres, "h1_defect", None),
+        "h1_defect": (None if b_label is None else
+                      hypothesis_defect(scene, b_label, GF(args.prime))),
         "validation": validate_presentation(pres, args.prime).to_json_dict(),
     }
     return report
@@ -228,7 +231,7 @@ def _run_dk(args):
         if args.N is None:
             raise UsageError(
                 "dk without a scene file generates points and needs --N")
-        prime = args.prime or 11
+        prime = 11 if args.prime is None else args.prime
         points, used = random_point_set(args.N, prime, args.seed)
         rep = dk_check(points, primes=(prime,)).to_json_dict()
         return {"seed": args.seed, "used_seed": used,
@@ -377,7 +380,7 @@ def _cell_text(v):
 
 
 def _table_lines(name, rows):
-    cols = list(rows[0])
+    cols = list(dict.fromkeys(c for row in rows for c in row))
     cells = [[_cell_text(row.get(c)) for c in cols] for row in rows]
     widths = [max(len(c), *(len(line[i]) for line in cells))
               for i, c in enumerate(cols)]

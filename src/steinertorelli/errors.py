@@ -78,11 +78,6 @@ class NonUniqueQuotient(SteinerTorelliError):
     """Expected a one dimensional trivial quotient; cokernel dimension != 1."""
 
 
-class HypothesisFailed(SteinerTorelliError):
-    """A cohomological hypothesis required by the requested strict mode does
-    not hold for this scene and label."""
-
-
 class ClassMismatch(SteinerTorelliError):
     """Two scenes expected to share discrete invariants do not."""
 

@@ -153,16 +153,6 @@ def GF(p: int) -> PrimeField:
     return fld
 
 
-def make_field(kind: str, p: int | None = None):
-    if kind == "prime":
-        if p is None:
-            raise NonPrimeModulus("prime field needs a modulus")
-        return GF(p)
-    if kind == "rationals":
-        return RationalField()
-    raise FieldMismatch(f"unknown field kind {kind!r}")
-
-
 @dataclass(frozen=True)
 class Matrix:
     """Immutable dense matrix; entries is a tuple of row tuples."""
@@ -260,14 +250,6 @@ class Matrix:
             out.append(acc)
         return tuple(out)
 
-    def hstack(self, other):
-        self._check_field(other)
-        if self.nrows != other.nrows:
-            raise ShapeMismatch("hstack needs equal row counts")
-        return Matrix(self.field, self.nrows, self.ncols + other.ncols,
-                      tuple(a + b for a, b in
-                            zip(self.entries, other.entries)))
-
     def column(self, j):
         return tuple(row[j] for row in self.entries)
 
@@ -295,75 +277,62 @@ class Echelon:
         return len(self.pivots)
 
 
-def _rref_prime(entries, nrows, ncols, p):
-    work = [list(row) for row in entries]
+def eliminate(work, ncols, p, full=True):
+    """Gauss-Jordan elimination of the row lists `work`, in place.
+
+    Entries are canonical residues mod p, or Fractions when p is 0.  The
+    pivot rows end up first, scaled to a leading 1; the pivot columns are
+    returned, so their count is the rank.  With full=False only the
+    entries below each pivot are cleared, which is all a rank needs.
+    """
+    nrows = len(work)
     pivots = []
     r = 0
     for c in range(ncols):
+        if r == nrows:
+            break
         pivot = None
         for i in range(r, nrows):
-            if work[i][c] % p:
+            if work[i][c]:
                 pivot = i
                 break
         if pivot is None:
             continue
         work[r], work[pivot] = work[pivot], work[r]
         row = work[r]
-        inv = pow(row[c], p - 2, p)
-        for j in range(c, ncols):
-            row[j] = row[j] * inv % p
-        for i in range(nrows):
-            if i != r and work[i][c]:
-                f = work[i][c]
+        if p:
+            inv = pow(row[c], p - 2, p)
+            for j in range(c, ncols):
+                row[j] = row[j] * inv % p
+        else:
+            inv = 1 / Fraction(row[c])
+            for j in range(c, ncols):
+                row[j] = row[j] * inv
+        for i in range(0 if full else r + 1, nrows):
+            f = work[i][c]
+            if f and i != r:
                 tgt = work[i]
-                for j in range(c, ncols):
-                    tgt[j] = (tgt[j] - f * row[j]) % p
+                if p:
+                    for j in range(c, ncols):
+                        tgt[j] = (tgt[j] - f * row[j]) % p
+                else:
+                    for j in range(c, ncols):
+                        tgt[j] -= f * row[j]
         pivots.append(c)
         r += 1
-        if r == nrows:
-            break
-    return Echelon(tuple(tuple(work[i]) for i in range(r)), tuple(pivots))
-
-
-def _rref_generic(entries, nrows, ncols, fld):
-    work = [list(row) for row in entries]
-    zero = fld.zero
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c] != zero:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row = work[r]
-        inv = fld.inv(row[c])
-        for j in range(c, ncols):
-            row[j] = fld.mul(row[j], inv)
-        for i in range(nrows):
-            if i != r and work[i][c] != zero:
-                f = work[i][c]
-                tgt = work[i]
-                for j in range(c, ncols):
-                    tgt[j] = fld.sub(tgt[j], fld.mul(f, row[j]))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return Echelon(tuple(tuple(work[i]) for i in range(r)), tuple(pivots))
+    return pivots
 
 
 def rref(m: Matrix) -> Echelon:
-    if isinstance(m.field, PrimeField):
-        return _rref_prime(m.entries, m.nrows, m.ncols, m.field.p)
-    return _rref_generic(m.entries, m.nrows, m.ncols, m.field)
+    work = [list(row) for row in m.entries]
+    pivots = eliminate(work, m.ncols, m.field.characteristic)
+    return Echelon(tuple(tuple(row) for row in work[:len(pivots)]),
+                   tuple(pivots))
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    work = [list(row) for row in m.entries]
+    return len(eliminate(work, m.ncols, m.field.characteristic, full=False))
 
 
 @dataclass(frozen=True)
@@ -416,7 +385,6 @@ class SpanReduction:
     pivots: tuple
     complement: tuple
     reduce: Matrix
-    echelon: Echelon
 
     @property
     def dim(self):
@@ -424,20 +392,11 @@ class SpanReduction:
 
 
 def span_reduction(rows: Matrix) -> SpanReduction:
-    ech = rref(rows)
-    fld = rows.field
-    pivotset = set(ech.pivots)
+    kd = rank_kernel(rows)
+    pivotset = set(kd.pivots)
     complement = tuple(j for j in range(rows.ncols) if j not in pivotset)
-    zero, one = fld.zero, fld.one
-    red_rows = []
-    for c in complement:
-        row = [zero] * rows.ncols
-        row[c] = one
-        for i, pc in enumerate(ech.pivots):
-            row[pc] = fld.neg(ech.rows[i][c])
-        red_rows.append(tuple(row))
-    reduce = Matrix(fld, len(complement), rows.ncols, tuple(red_rows))
-    return SpanReduction(rows.ncols, ech.pivots, complement, reduce, ech)
+    reduce = Matrix(rows.field, len(complement), rows.ncols, kd.kernel)
+    return SpanReduction(rows.ncols, kd.pivots, complement, reduce)
 
 
 # -- projective enumeration ----------------------------------------------

@@ -58,25 +58,6 @@ def exterior_rank(dim_u, indices):
     return code
 
 
-def exterior_unrank(dim_u, p, code):
-    if not 0 <= code < exterior_dim(dim_u, p):
-        raise BadTuple(f"code {code} out of range for "
-                       f"C({dim_u},{p}) = {exterior_dim(dim_u, p)}")
-    out = []
-    prev = -1
-    for k in range(p):
-        j = prev + 1
-        while True:
-            block = comb(dim_u - 1 - j, p - 1 - k)
-            if code < block:
-                break
-            code -= block
-            j += 1
-        out.append(j)
-        prev = j
-    return tuple(out)
-
-
 def exterior_tuples(dim_u, p):
     return itertools.combinations(range(dim_u), p)
 

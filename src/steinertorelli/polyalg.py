@@ -49,26 +49,6 @@ def monomial_product(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def free_multiplication(field, num_vars: int, d1: int, d2: int) -> Matrix:
-    """Multiplication S_d1 (x) S_d2 -> S_{d1+d2} in monomial coordinates.
-
-    Columns run over pairs (i, j) with the left factor major: column
-    index t = i * dim(S_d2) + j.
-    """
-    b1 = monomial_basis(num_vars, d1)
-    b2 = monomial_basis(num_vars, d2)
-    idx = monomial_index(num_vars, d1 + d2)
-    nrows = len(idx)
-    zero, one = field.zero, field.one
-    cols = []
-    for m1 in b1:
-        for m2 in b2:
-            col = [zero] * nrows
-            col[idx[monomial_product(m1, m2)]] = one
-            cols.append(col)
-    return Matrix.from_cols(field, cols, nrows)
-
-
 @dataclass(frozen=True)
 class QuotientPiece:
     """Degree-k piece of S/I: representative monomials plus the reduction
@@ -164,7 +144,3 @@ class GradedQuotientRing:
         self._mults[(k, l)] = out
         return out
 
-
-def free_ring(field, num_vars: int) -> GradedQuotientRing:
-    """The polynomial ring itself, as a quotient by the zero ideal."""
-    return GradedQuotientRing(field, num_vars, ())

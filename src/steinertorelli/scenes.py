@@ -144,7 +144,24 @@ def _poly_gcd(a, b):
     return a
 
 
-class P1Series:
+class IntegerLabels:
+    """Label algebra of the integer-graded scenes: k stands for O(k), the
+    k-th power of the hyperplane class."""
+
+    def label_A(self):
+        return 1
+
+    def label_add(self, l1, l2):
+        return l1 + l2
+
+    def label_scale(self, l, c):
+        return l * c
+
+    def label_str(self, label):
+        return f"O({label})"
+
+
+class P1Series(IntegerLabels):
     """P^1 polarized by O(a) with V spanned by given binary forms
     (V = all of H0(O(a)) when no basis is supplied)."""
 
@@ -179,15 +196,6 @@ class P1Series:
 
     def canonical_label(self):
         return -2
-
-    def label_add(self, l1, l2):
-        return l1 + l2
-
-    def label_scale(self, l, c):
-        return l * c
-
-    def label_str(self, label):
-        return f"O({label})"
 
     def degree_A(self):
         return self.a
@@ -280,7 +288,7 @@ class P1Series:
 # ---- complete intersections ----------------------------------------------
 
 
-class CompleteIntersection:
+class CompleteIntersection(IntegerLabels):
     """X in P^N cut out by c < N homogeneous forms, polarized by O_X(1),
     with V = H0(O_X(1)).  Arithmetically Cohen-Macaulay recipes: twists of
     the structure sheaf have cohomology only at the ends."""
@@ -321,20 +329,8 @@ class CompleteIntersection:
 
     # -- labels --
 
-    def label_A(self):
-        return 1
-
     def canonical_label(self):
         return self.sigma
-
-    def label_add(self, l1, l2):
-        return l1 + l2
-
-    def label_scale(self, l, c):
-        return l * c
-
-    def label_str(self, label):
-        return f"O({label})"
 
     def degree_A(self):
         out = 1
@@ -441,7 +437,7 @@ class CompleteIntersection:
 # ---- monomial varieties ---------------------------------------------------
 
 
-class MonomialVariety:
+class MonomialVariety(IntegerLabels):
     """Image of P^m under distinct degree-a monomials.  Section spaces are
     the full monomial spaces upstairs, so label k stands for all degree
     k*a forms on the source; cohomology is deliberately unsupported."""
@@ -478,21 +474,9 @@ class MonomialVariety:
             f"monomial(m={source_vars - 1}, a={degree}, "
             f"len={len(monos)})")
 
-    def label_A(self):
-        return 1
-
     def canonical_label(self):
         raise UnsupportedScene(
             "monomial scenes do not carry a canonical bundle recipe")
-
-    def label_add(self, l1, l2):
-        return l1 + l2
-
-    def label_scale(self, l, c):
-        return l * c
-
-    def label_str(self, label):
-        return f"O({label})"
 
     def degree_A(self):
         raise UnsupportedScene(
@@ -824,7 +808,7 @@ class ScrollCurve:
 # ---- labelled point sets ---------------------------------------------------
 
 
-class PointSet:
+class PointSet(IntegerLabels):
     """d labelled points in P^r with fixed coordinate representatives."""
 
     kind = "point_set"
@@ -856,18 +840,6 @@ class PointSet:
     @property
     def count(self):
         return len(self.points)
-
-    def label_A(self):
-        return 1
-
-    def label_add(self, l1, l2):
-        return l1 + l2
-
-    def label_scale(self, l, c):
-        return l * c
-
-    def label_str(self, label):
-        return f"O({label})"
 
     def canonical_label(self):
         raise UnsupportedScene("point sets have no canonical bundle recipe")
@@ -931,25 +903,6 @@ class PointSet:
 
 
 # ---- construction and serialization ---------------------------------------
-
-
-def build_scene(kind, **fields):
-    if kind == "p1_series":
-        return P1Series(fields["a"], fields.get("basis"),
-                        fields.get("name"))
-    if kind == "complete_intersection":
-        return CompleteIntersection(fields["N"], fields["generators"],
-                                    fields.get("name"))
-    if kind == "monomial_variety":
-        return MonomialVariety(fields["source_vars"], fields["degree"],
-                               fields["monomials"], fields.get("name"))
-    if kind == "scroll_curve":
-        return ScrollCurve(fields["a"], fields["b"], fields["d"],
-                           fields["e"], fields["section"],
-                           fields.get("name"))
-    if kind == "point_set":
-        return PointSet(fields["r"], fields["points"], fields.get("name"))
-    raise SchemaError(f"unknown scene kind {kind!r}")
 
 
 def _scalar_json(x):

@@ -19,16 +19,8 @@ from dataclasses import dataclass
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
                      ZeroPoint)
-from .exactfield import (GF, Matrix, PrimeField, left_kernel,
-                         normalize_projective, projective_count,
-                         projective_reps, rank_kernel, rref)
-
-
-@dataclass
-class ValidityState:
-    status: str = "assumed"          # assumed | verified | invalid
-    primes: tuple = ()
-    witness: object = None
+from .exactfield import (GF, Matrix, eliminate, left_kernel,
+                         normalize_projective, projective_reps, rank_kernel)
 
 
 class SteinerPresentation:
@@ -49,7 +41,6 @@ class SteinerPresentation:
         self.dim_u0 = dim_u0
         self.tensor = tensor
         self.name = name
-        self.validity = ValidityState()
 
     @property
     def bundle_rank(self):
@@ -58,35 +49,21 @@ class SteinerPresentation:
     def column(self, i, j):
         return self.tensor.column(i * self.dim_v + j)
 
-    def fiber_matrix(self, v):
-        """b x a matrix of u |-> mu(u (x) v)."""
+    def fiber_rows(self, v):
+        """Rows of the b x a matrix of u |-> mu(u (x) v), as lists."""
         fld = self.field
         v = [fld.normalize(x) for x in v]
         a, m = self.dim_u1, self.dim_v
-        rows = []
-        for row in self.tensor.entries:
-            rows.append(tuple(
-                _dot(fld, row, i * m, v) for i in range(a)))
-        return Matrix(fld, self.dim_u0, a, tuple(rows))
+        return [[_dot(fld, row, i * m, v) for i in range(a)]
+                for row in self.tensor.entries]
 
-    def apply(self, u, v):
-        """mu(u (x) v) as a U0-coordinate vector."""
-        fld = self.field
-        u = [fld.normalize(x) for x in u]
-        v = [fld.normalize(x) for x in v]
-        m = self.dim_v
-        out = []
-        for row in self.tensor.entries:
-            acc = fld.zero
-            for i, uc in enumerate(u):
-                if uc != fld.zero:
-                    acc = fld.add(acc, fld.mul(uc, _dot(fld, row, i * m,
-                                                        v)))
-            out.append(acc)
-        return tuple(out)
+    def fiber_matrix(self, v):
+        return Matrix(self.field, self.dim_u0, self.dim_u1,
+                      self.fiber_rows(v))
 
     def restricted_rows(self, lam):
-        """Rows of the b x (a*(m-1)) restriction of mu to U1 (x) ker(lam).
+        """Rows of the b x (a*(m-1)) restriction of mu to U1 (x) ker(lam),
+        as lists.
 
         ker(lam) gets its canonical basis e_j - lam_j e_c0 (j != c0, c0
         the first nonzero position of the normalized functional), so each
@@ -108,25 +85,23 @@ class SteinerPresentation:
                 for j in free:
                     out.append(fld.sub(row[base + j],
                                        fld.mul(lam[j], pivot)))
-            rows.append(tuple(out))
+            rows.append(out)
         return rows
 
     def restricted_matrix(self, lam):
-        rows = self.restricted_rows(lam)
         return Matrix(self.field, self.dim_u0,
-                      self.dim_u1 * (self.dim_v - 1), tuple(rows))
+                      self.dim_u1 * (self.dim_v - 1),
+                      self.restricted_rows(lam))
 
     def map_to(self, field):
         """The same tensor over another field (e.g. QQ data mod p)."""
-        other = SteinerPresentation(field, self.dim_u1, self.dim_v,
-                                    self.dim_u0,
-                                    self.tensor.map_to(field), self.name)
-        return other
+        return SteinerPresentation(field, self.dim_u1, self.dim_v,
+                                   self.dim_u0, self.tensor.map_to(field),
+                                   self.name)
 
     def __repr__(self):
         return (f"SteinerPresentation(a={self.dim_u1}, m={self.dim_v}, "
-                f"b={self.dim_u0}, field={self.field}, "
-                f"validity={self.validity.status})")
+                f"b={self.dim_u0}, field={self.field})")
 
 
 def _dot(fld, row, base, v):
@@ -140,28 +115,6 @@ def _dot(fld, row, base, v):
 def make_presentation(tensor: Matrix, a, m, b, name="") -> \
         SteinerPresentation:
     return SteinerPresentation(tensor.field, a, m, b, tensor, name)
-
-
-def direct_sum(first: SteinerPresentation, second: SteinerPresentation) \
-        -> SteinerPresentation:
-    """Block sum acting on the same V: (U1+U1') (x) V -> U0+U0'."""
-    if first.field != second.field:
-        raise FieldMismatch("direct sum needs a common field")
-    if first.dim_v != second.dim_v:
-        raise ShapeMismatch("direct sum needs a common V")
-    fld = first.field
-    m = first.dim_v
-    b = first.dim_u0 + second.dim_u0
-    a = first.dim_u1 + second.dim_u1
-    zero = fld.zero
-    rows = []
-    for row in first.tensor.entries:
-        rows.append(tuple(row) + (zero,) * (second.dim_u1 * m))
-    for row in second.tensor.entries:
-        rows.append((zero,) * (first.dim_u1 * m) + tuple(row))
-    return SteinerPresentation(
-        fld, a, m, b, Matrix(fld, b, a * m, tuple(rows)),
-        name=f"{first.name}+{second.name}")
 
 
 # ---- validity --------------------------------------------------------------
@@ -185,31 +138,16 @@ class ValidationReport:
 def validate_presentation(pres: SteinerPresentation, p: int) -> \
         ValidationReport:
     """Scan all fibers over P(V)(F_p); valid iff every fiber map has full
-    rank a.  A rank drop yields a witness pair (u, v) with mu(u(x)v) = 0.
-    Records the outcome on the presentation's validity state."""
+    rank a.  A rank drop yields a witness pair (u, v) with mu(u(x)v) = 0."""
     work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    fld = work.field
+    a = work.dim_u1
     scanned = 0
-    witness = None
     for v in projective_reps(p, work.dim_v):
         scanned += 1
-        fib = work.fiber_matrix(v)
-        kd = rank_kernel(fib)
-        if kd.rank != work.dim_u1:
-            witness = (kd.kernel[0], v)
-            break
-    valid = witness is None
-    if valid:
-        if pres.validity.status != "invalid":
-            pres.validity.status = "verified"
-            if p not in pres.validity.primes:
-                pres.validity.primes = pres.validity.primes + (p,)
-    else:
-        pres.validity.status = "invalid"
-        pres.validity.witness = witness
-    total = projective_count(p, work.dim_v)
-    return ValidationReport(p, valid, scanned if not valid else total,
-                            witness)
+        if len(eliminate(work.fiber_rows(v), a, p, full=False)) != a:
+            witness = (rank_kernel(work.fiber_matrix(v)).kernel[0], v)
+            return ValidationReport(p, False, scanned, witness)
+    return ValidationReport(p, True, scanned, None)
 
 
 # ---- instability -----------------------------------------------------------
@@ -217,10 +155,10 @@ def validate_presentation(pres: SteinerPresentation, p: int) -> \
 
 def unstable_test(pres: SteinerPresentation, lam):
     """(is_unstable, coker_dim) for the hyperplane ker(lam)."""
-    rows = pres.restricted_rows(lam)
-    m = Matrix(pres.field, pres.dim_u0, pres.dim_u1 * (pres.dim_v - 1),
-               tuple(rows))
-    coker = pres.dim_u0 - rref(m).rank
+    rank = len(eliminate(pres.restricted_rows(lam),
+                         pres.dim_u1 * (pres.dim_v - 1),
+                         pres.field.characteristic, full=False))
+    coker = pres.dim_u0 - rank
     return coker > 0, coker
 
 
@@ -267,43 +205,11 @@ def valles_locus(pres: SteinerPresentation, p: int) -> VallesReport:
     """Apply unstable_test to every canonical point of P(V)(F_p), in
     enumeration order."""
     work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    b = work.dim_u0
-    ncols = work.dim_u1 * (work.dim_v - 1)
     found = []
     scanned = 0
     for lam in projective_reps(p, work.dim_v):
         scanned += 1
-        rows = work.restricted_rows(lam)
-        r = _rank_rows(rows, b, ncols, p)
-        if r < b:
-            found.append((lam, b - r))
+        unstable, coker = unstable_test(work, lam)
+        if unstable:
+            found.append((lam, coker))
     return VallesReport(p, scanned, tuple(found))
-
-
-def _rank_rows(rows, nrows, ncols, p):
-    """Row rank mod p without Matrix packaging; the scan's hot loop."""
-    work = [list(r) for r in rows]
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if work[i][c] % p:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        work[r], work[pivot] = work[pivot], work[r]
-        row = work[r]
-        inv = pow(row[c], p - 2, p)
-        for j in range(c, ncols):
-            row[j] = row[j] * inv % p
-        for i in range(r + 1, nrows):
-            if work[i][c]:
-                f = work[i][c]
-                tgt = work[i]
-                for j in range(c, ncols):
-                    tgt[j] = (tgt[j] - f * row[j]) % p
-        r += 1
-        if r == nrows:
-            break
-    return r

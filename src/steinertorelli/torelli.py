@@ -7,10 +7,14 @@ with the scene's own rational points.  The headline verdicts are
     EQUAL     the unstable set is exactly the image of the scene,
     SUPERSET  it strictly contains the image,
     INVALID   the presentation failed validation, or an enumerated
-              image point escaped the unstable set.
+              image point escaped the unstable set,
+    BAD_PRIME the scene data does not reduce well mod p (BadPrime or
+              NotGeneralPosition); the row carries the error name.
 
-Multi-prime runs never average: primes that disagree with the rest are
-listed so a bad reduction is visible instead of silently absorbed.
+Multi-prime runs never average: primes that disagree with the rest, and
+primes of bad reduction, are listed so a bad reduction is visible
+instead of silently absorbed, and it does not end the run.  The
+consensus is taken over the primes that reduced well.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import random
 import warnings
 from dataclasses import dataclass
 
-from .errors import (ClassMismatch, HypothesisFailed, NonUniqueQuotient,
+from .errors import (BadPrime, ClassMismatch, NonUniqueQuotient,
                      NotGeneralPosition, UnsupportedScene, ZeroScale)
 from .exactfield import GF, QQ, Matrix, projective_reps, rank, span_reduction
 from .koszul import green_points_test
@@ -29,6 +33,7 @@ from .steiner import (SteinerPresentation, make_presentation,
                       valles_locus)
 
 PRIMES_DEFAULT = (5, 7, 11)
+BAD_PRIME = "BAD_PRIME"
 
 
 def _vec_json(vec):
@@ -47,28 +52,21 @@ def hypothesis_defect(scene, b_label, field=QQ):
     return scene.cohomology_dim(sub, 1, field)
 
 
-def tautological_presentation(scene, b_label, field=QQ, strict=False):
+def tautological_presentation(scene, b_label, field=QQ):
     """mu: H0(B-A) (x) V -> H0(B) from the scene's multiplication.
 
     The construction succeeds whenever both section spaces exist; the
     cohomological hypothesis h1(B-A) = 0 that makes the cokernel a
-    vector bundle resolution is recorded on the result as `h1_defect`
-    and only enforced when strict=True.
+    vector bundle resolution is not enforced here, see hypothesis_defect.
     """
     a_label = scene.label_A()
     sub_label = scene.label_add(b_label, scene.label_scale(a_label, -1))
-    defect = hypothesis_defect(scene, b_label, field)
-    if strict and defect:
-        raise HypothesisFailed(
-            f"h1 of B-A is {defect}, not 0, for {scene.name}")
     u1 = scene.section_space(sub_label, field)
     u0 = scene.section_space(b_label, field)
     m = scene.series_dim(field)
     tensor = scene.multiplication_map(sub_label, a_label, field)
     name = f"{scene.name} | B={scene.label_str(b_label)}"
-    pres = make_presentation(tensor, u1.dim, m, u0.dim, name)
-    pres.h1_defect = defect
-    return pres
+    return make_presentation(tensor, u1.dim, m, u0.dim, name)
 
 
 def vanishing_check(scene, b_label, field=QQ):
@@ -105,29 +103,45 @@ class RecoveryRow:
 
 
 @dataclass(frozen=True)
-class PrimeResult:
+class PrimeComparison:
+    """The unstable set against the image at one prime, the part that
+    torelli_check and dk_check share.  `error` names the exception of a
+    BAD_PRIME row."""
+
     prime: int
     verdict: str
-    scanned: int
-    unstable_count: int
-    image_count: int
-    extra: tuple
-    missing: tuple
-    recovery: tuple
+    scanned: int = 0
+    unstable_count: int = 0
+    image_count: int = 0
+    extra: tuple = ()
+    missing: tuple = ()
+    error: str | None = None
+
+    def _json(self, image_key, **tail):
+        out = {"prime": self.prime, "verdict": self.verdict,
+               "scanned": self.scanned,
+               "unstable_count": self.unstable_count,
+               image_key: self.image_count,
+               "extra": [_vec_json(lam) for lam in self.extra],
+               "missing": [_vec_json(lam) for lam in self.missing],
+               **tail}
+        if self.error is not None:
+            out["error"] = self.error
+        return out
+
+
+@dataclass(frozen=True)
+class PrimeResult(PrimeComparison):
+    recovery: tuple = ()
 
     @property
     def recovery_ok(self):
         return bool(self.recovery) and all(r.match for r in self.recovery)
 
     def to_json_dict(self):
-        return {"prime": self.prime, "verdict": self.verdict,
-                "scanned": self.scanned,
-                "unstable_count": self.unstable_count,
-                "image_count": self.image_count,
-                "extra": [_vec_json(lam) for lam in self.extra],
-                "missing": [_vec_json(lam) for lam in self.missing],
-                "recovery": [r.to_json_dict() for r in self.recovery],
-                "recovery_ok": self.recovery_ok}
+        return self._json("image_count",
+                          recovery=[r.to_json_dict() for r in self.recovery],
+                          recovery_ok=self.recovery_ok)
 
 
 @dataclass(frozen=True)
@@ -148,31 +162,36 @@ class TorelliReport:
 
 
 def _consensus(verdicts):
-    """Majority verdict plus the dissenting primes; DISAGREEMENT when the
-    primes split."""
-    if not verdicts:
-        return "EMPTY", ()
-    tally = {}
-    for _, v in verdicts:
-        tally[v] = tally.get(v, 0) + 1
-    top = max(tally.values())
-    lead = next(v for _, v in verdicts if tally[v] == top)
+    """Majority verdict over the primes that reduced well, plus the primes
+    to flag: bad reductions and dissenters.  DISAGREEMENT when the good
+    primes split, EMPTY when there are none."""
+    good = [v for _, v in verdicts if v != BAD_PRIME]
+    lead = max(good, key=good.count, default="EMPTY")
     bad = tuple(p for p, v in verdicts if v != lead)
-    if bad:
-        return "DISAGREEMENT", bad
-    return lead, ()
+    return ("DISAGREEMENT" if len(set(good)) > 1 else lead), bad
 
 
-def _prime_result(scene, b_label, p, with_recovery=True):
-    field = GF(p)
-    pres = tautological_presentation(scene, b_label, field)
-    report = validate_presentation(pres, p)
-    if not report.valid:
-        return PrimeResult(p, "INVALID", report.fibers_scanned, 0, 0,
-                           (), (), ())
+def _compare_prime(scene, p, build):
+    """Validate, scan, and compare the unstable set with the image.
+
+    build(field) gives the presentation over GF(p); the image is the set
+    of the scene's enumerated points.  A BadPrime or NotGeneralPosition
+    while reducing at p gives a BAD_PRIME comparison instead of ending the
+    run.  Returns the comparison, the presentation and the enumeration,
+    the last two None unless the scan ran.
+    """
+    try:
+        pres = build(GF(p))
+        report = validate_presentation(pres, p)
+        if not report.valid:
+            return PrimeComparison(p, "INVALID",
+                                   report.fibers_scanned), None, None
+        enum = scene.enumerate_points(p)
+    except (BadPrime, NotGeneralPosition) as exc:
+        return PrimeComparison(p, BAD_PRIME,
+                               error=type(exc).__name__), None, None
     scan = valles_locus(pres, p)
     unstable = scan.unstable_set()
-    enum = scene.enumerate_points(p)
     image = enum.phi_set()
     extra = tuple(sorted(unstable - image))
     missing = tuple(sorted(image - unstable))
@@ -182,11 +201,19 @@ def _prime_result(scene, b_label, p, with_recovery=True):
         verdict = "SUPERSET"
     else:
         verdict = "EQUAL"
+    return PrimeComparison(p, verdict, scan.scanned, len(unstable),
+                           len(image), extra, missing), pres, enum
+
+
+def _prime_result(scene, b_label, p, with_recovery=True):
+    comparison, pres, enum = _compare_prime(
+        scene, p, lambda field: tautological_presentation(scene, b_label,
+                                                          field))
     rows = []
-    if with_recovery and not missing:
+    if with_recovery and pres is not None and not comparison.missing:
         for rec in enum.records:
             expected = scene.evaluation_functional(rec.params, b_label,
-                                                   field)
+                                                   pres.field)
             try:
                 psi = recover_section_point(pres, rec.phi)
             except NonUniqueQuotient:
@@ -194,8 +221,7 @@ def _prime_result(scene, b_label, p, with_recovery=True):
                 continue
             rows.append(RecoveryRow(rec.params, expected, psi,
                                     psi == expected))
-    return PrimeResult(p, verdict, scan.scanned, len(unstable),
-                       len(image), extra, missing, tuple(rows))
+    return PrimeResult(**vars(comparison), recovery=tuple(rows))
 
 
 def torelli_check(scene, b_label, primes=PRIMES_DEFAULT,
@@ -268,6 +294,15 @@ def scroll_invariance(scene_x, scene_y, n=1, field=QQ) -> bool:
 # ---- point sets: the Dolgachev-Kapranov style bundle --------------------------
 
 
+def _require_general_position(points, field):
+    if points.count < points.r + 1:
+        raise NotGeneralPosition(
+            f"need at least r+1 = {points.r + 1} points, got {points.count}")
+    if not points.in_general_position(field):
+        raise NotGeneralPosition(
+            "points are not in linear general position")
+
+
 def dk_presentation(points, field=QQ) -> SteinerPresentation:
     """Presentation whose unstable locus should recover a general point
     set.
@@ -278,14 +313,9 @@ def dk_presentation(points, field=QQ) -> SteinerPresentation:
     d = r + 1 is allowed but the bundle degenerates to a trivial one
     (U1 = 0), which is reported as a warning, not an error.
     """
+    _require_general_position(points, field)
     r = points.r
     d = points.count
-    if d < r + 1:
-        raise NotGeneralPosition(
-            f"need at least r+1 = {r + 1} points, got {d}")
-    if not points.in_general_position(field):
-        raise NotGeneralPosition(
-            "points are not in linear general position")
     if d == r + 1:
         warnings.warn(
             "d = r+1 points give U1 = 0: the presentation is degenerate "
@@ -318,26 +348,13 @@ def dk_presentation(points, field=QQ) -> SteinerPresentation:
 
 
 @dataclass(frozen=True)
-class DKPrimeResult:
-    prime: int
-    verdict: str
-    scanned: int
-    unstable_count: int
-    point_count: int
-    extra: tuple
-    missing: tuple
-    rnc_flag: bool
-    implication_ok: bool
+class DKPrimeResult(PrimeComparison):
+    rnc_flag: bool = False
+    implication_ok: bool = True
 
     def to_json_dict(self):
-        return {"prime": self.prime, "verdict": self.verdict,
-                "scanned": self.scanned,
-                "unstable_count": self.unstable_count,
-                "point_count": self.point_count,
-                "extra": [_vec_json(lam) for lam in self.extra],
-                "missing": [_vec_json(lam) for lam in self.missing],
-                "rnc_flag": self.rnc_flag,
-                "implication_ok": self.implication_ok}
+        return self._json("point_count", rnc_flag=self.rnc_flag,
+                          implication_ok=self.implication_ok)
 
 
 @dataclass(frozen=True)
@@ -359,33 +376,17 @@ def dk_check(points, primes=PRIMES_DEFAULT) -> DKReport:
     """Scan the point-set presentation prime by prime.  The point set
     itself always sits inside the unstable locus; a SUPERSET verdict is
     expected to coincide with the points lying on a rational normal
-    curve, and that implication is re-checked per prime."""
+    curve, and that implication is re-checked per prime.  Points not in
+    general position over QQ are refused before any prime is tried."""
+    _require_general_position(points, QQ)
     results = []
     for p in primes:
-        field = GF(p)
-        pres = dk_presentation(points, field)
-        report = validate_presentation(pres, p)
-        if not report.valid:
-            results.append(DKPrimeResult(p, "INVALID",
-                                         report.fibers_scanned, 0, 0,
-                                         (), (), False, True))
-            continue
-        scan = valles_locus(pres, p)
-        unstable = scan.unstable_set()
-        image = set(points.reduced_points(field))
-        extra = tuple(sorted(unstable - image))
-        missing = tuple(sorted(image - unstable))
-        if missing:
-            verdict = "INVALID"
-        elif extra:
-            verdict = "SUPERSET"
-        else:
-            verdict = "EQUAL"
-        rnc = green_points_test(points, field).on_rnc
-        implication = verdict != "SUPERSET" or rnc
-        results.append(DKPrimeResult(p, verdict, scan.scanned,
-                                     len(unstable), len(image), extra,
-                                     missing, rnc, implication))
+        comparison, pres, _ = _compare_prime(
+            points, p, lambda field: dk_presentation(points, field))
+        rnc = pres is not None and green_points_test(points, GF(p)).on_rnc
+        results.append(DKPrimeResult(
+            **vars(comparison), rnc_flag=rnc,
+            implication_ok=comparison.verdict != "SUPERSET" or rnc))
     consensus, bad = _consensus([(r.prime, r.verdict) for r in results])
     return DKReport(points.name, tuple(primes), tuple(results),
                     consensus, bad)

@@ -22,6 +22,7 @@ SEVEN_CUBIC_PATH = str(SCENEDIR / "seven_on_twisted_cubic.json")
 SEVEN_FREE_PATH = str(SCENEDIR / "seven_general_f11.json")
 SCROLL_A_PATH = str(SCENEDIR / "scroll_member_a.json")
 SCROLL_B_PATH = str(SCENEDIR / "scroll_member_b.json")
+CONIC_PATH = str(SCENEDIR / "conic_monomials.json")
 
 
 # ---- label grammar --------------------------------------------------------------
@@ -57,6 +58,21 @@ def test_resolve_label_against_scene_grading():
     assert resolve_label(scroll, "K+A") == k_plus_a
     with pytest.raises(UsageError):
         resolve_label(scroll, "O(5)")
+
+
+def test_explicit_twist_on_monomial_scene(capsys):
+    # no canonical class is needed to read O(4) on an integer-graded scene
+    assert resolve_label(load_scene(CONIC_PATH), "O(4)") == 4
+    code, rep = run_json(capsys, ["torelli", CONIC_PATH, "--B", "O(4)",
+                                  "--primes", "5,7,11"])
+    assert code == 0
+    assert rep["consensus"] == "EQUAL"
+    assert all(r["verdict"] == "EQUAL" and r["recovery_ok"]
+               for r in rep["results"])
+    code, rep = run_json(capsys, ["torelli", CONIC_PATH, "--B", "K",
+                                  "--primes", "5"])
+    assert code == 5
+    assert rep["error"] == "UnsupportedScene"
 
 
 def test_default_label_is_adjoint_plus_n_plus_one():
@@ -137,6 +153,19 @@ def test_dk_verb_file_mode(capsys):
     assert rep["results"][0]["rnc_flag"] is False
 
 
+def test_dk_verb_isolates_a_bad_prime(capsys):
+    # the seven points fall out of general position mod 19 only
+    code, rep = run_json(capsys, ["dk", SEVEN_FREE_PATH, "--primes",
+                                  "11,13,19"])
+    assert code == 0
+    assert [(r["prime"], r["verdict"]) for r in rep["results"]] == \
+        [(11, "EQUAL"), (13, "EQUAL"), (19, "BAD_PRIME")]
+    assert rep["results"][2]["error"] == "NotGeneralPosition"
+    assert "error" not in rep["results"][0]
+    assert rep["consensus"] == "EQUAL"
+    assert rep["bad_primes"] == [19]
+
+
 def test_dk_verb_generation_mode_records_seed(capsys):
     code, rep = run_json(capsys, ["dk", "--N", "7", "--seed", "0"])
     assert code == 0
@@ -167,6 +196,17 @@ def test_usage_errors_exit_two(capsys):
     assert main(["dk", TC_PATH]) == 2
     assert main(["frobnicate", TC_PATH]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["torelli", TC_PATH, "--prime", "0"],
+    ["koszul", TC_PATH, "--p", "1", "--q", "1", "--prime", "0"],
+    ["dk", "--N", "6", "--prime", "0"],
+])
+def test_prime_zero_is_refused(capsys, argv):
+    code, rep = run_json(capsys, argv)
+    assert code == 5
+    assert rep["error"] == "NonPrimeModulus"
 
 
 def test_missing_file_exits_three(capsys):

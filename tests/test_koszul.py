@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from steinertorelli.exactfield import GF, QQ, Matrix, rank_kernel
 from steinertorelli.koszul import (BadTuple, WindowTooSmall, duality_check,
                                    exterior_dim, exterior_rank,
-                                   exterior_tuples, exterior_unrank,
+                                   exterior_tuples,
                                    green_kp1, green_points_test,
                                    koszul_differential, koszul_dim,
                                    pointset_ideal_window, scene_window)
@@ -56,17 +56,12 @@ def test_exterior_rank_unrank_bijection():
             assert len(tups) == exterior_dim(n, p)
             for code, tup in enumerate(tups):
                 assert exterior_rank(n, tup) == code
-                assert exterior_unrank(n, p, code) == tup
 
 
 def test_exterior_rank_rejects_malformed():
     for bad in [(0, 0), (1, 0), (-1, 2), (0, 4), (0, True)]:
         with pytest.raises(BadTuple):
             exterior_rank(4, bad)
-    with pytest.raises(BadTuple):
-        exterior_unrank(4, 2, 6)
-    with pytest.raises(BadTuple):
-        exterior_unrank(4, 2, -1)
 
 
 # ---- windows -----------------------------------------------------------------

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from steinertorelli.errors import ShapeMismatch, ZeroSection
 from steinertorelli.exactfield import GF, QQ, Matrix
-from steinertorelli.polyalg import (GradedQuotientRing, free_multiplication,
-                                    free_ring, monomial_basis,
+from steinertorelli.polyalg import (GradedQuotientRing, monomial_basis,
                                     monomial_index, monomial_product,
                                     space_dim)
 
@@ -55,14 +54,14 @@ def test_monomial_index_roundtrip():
 # ---- free multiplication -------------------------------------------------
 
 def test_free_multiplication_binary_linear():
-    m = free_multiplication(QQ, 2, 1, 1)
+    m = GradedQuotientRing(QQ, 2, ()).multiplication(1, 1)
     # columns s*s, s*t, t*s, t*t against rows s^2, s*t, t^2
     assert [m.column(j) for j in range(4)] == [
         (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)]
 
 
 def test_free_multiplication_left_major_ordering():
-    m = free_multiplication(GF(5), 2, 2, 1)
+    m = GradedQuotientRing(GF(5), 2, ()).multiplication(2, 1)
     b1 = monomial_basis(2, 2)
     b2 = monomial_basis(2, 1)
     idx = monomial_index(2, 3)
@@ -143,15 +142,9 @@ def test_quotient_piece_reduction():
 
 
 def test_negative_degree_piece_is_zero():
-    ring = free_ring(QQ, 3)
+    ring = GradedQuotientRing(QQ, 3, ())
     assert ring.dim(-1) == 0
     assert ring.piece(-3).monomials == ()
-
-
-def test_free_ring_matches_free_multiplication():
-    ring = free_ring(GF(5), 2)
-    assert ring.multiplication(2, 1).entries == \
-        free_multiplication(GF(5), 2, 2, 1).entries
 
 
 def test_multiplication_commutes():

@@ -22,8 +22,8 @@ from steinertorelli.exactfield import GF, QQ, Matrix, rank
 from steinertorelli.polyalg import monomial_index
 from steinertorelli.scenes import (CompleteIntersection, MonomialVariety,
                                    P1Series, PointSet, ScrollCurve,
-                                   build_scene, load_scene, parse_scalar,
-                                   save_scene, scene_from_dict, scroll_basis)
+                                   load_scene, parse_scalar, save_scene,
+                                   scene_from_dict, scroll_basis)
 
 
 # ---- shared fixtures -----------------------------------------------------
@@ -467,12 +467,6 @@ class TestSceneIO:
             scene_from_dict({"kind": "p1_series"})       # missing a
         with pytest.raises(SchemaError):
             scene_from_dict([1, 2])
-
-    def test_build_scene_dispatch(self):
-        sc = build_scene("p1_series", a=3)
-        assert isinstance(sc, P1Series)
-        with pytest.raises(SchemaError):
-            build_scene("nope")
 
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -3,8 +3,8 @@ several primes, scroll invariance, and the point-set bundle."""
 
 import pytest
 
-from steinertorelli.errors import (ClassMismatch, HypothesisFailed,
-                                   NotGeneralPosition, UnsupportedLabel,
+from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
+                                   UnsupportedLabel,
                                    UnsupportedScene, ZeroEvaluation,
                                    ZeroScale)
 from steinertorelli.exactfield import GF
@@ -39,29 +39,20 @@ def test_twisted_cubic_presentation_dims():
     pres = tautological_presentation(TC, 5, GF(5))
     assert (pres.dim_u1, pres.dim_v, pres.dim_u0) == (3, 4, 6)
     assert pres.bundle_rank == 3
-    assert pres.h1_defect == 0
     assert pres.name == "p1_series(a=3) | B=O(5)"
 
 
 def test_presentation_hypothesis_defects():
     assert hypothesis_defect(TC, 5) == 0
     assert hypothesis_defect(fermat_quartic(), 3) == 0
-    # adjoint-plus-polarization choices leave one obstruction
+    # adjoint-plus-polarization choices leave one obstruction, and the
+    # presentation is still built
     assert hypothesis_defect(diagonal_ci(), 2, GF(5)) == 1
+    pres = tautological_presentation(diagonal_ci(), 2, GF(5))
+    assert (pres.dim_u1, pres.dim_v, pres.dim_u0) == (5, 5, 12)
     sc = ScrollCurve(1, 1, 2, 1, SCROLL_F1)
     assert hypothesis_defect(sc, (1, 1), GF(5)) == 1
     assert hypothesis_defect(monomial_conic(), 2) is None
-
-
-def test_strict_mode_enforces_the_defect():
-    ci = diagonal_ci()
-    pres = tautological_presentation(ci, 2, GF(5))
-    assert (pres.dim_u1, pres.dim_v, pres.dim_u0) == (5, 5, 12)
-    assert pres.h1_defect == 1
-    with pytest.raises(HypothesisFailed):
-        tautological_presentation(ci, 2, GF(5), strict=True)
-    # defect zero passes strict mode untouched
-    tautological_presentation(TC, 5, GF(5), strict=True)
 
 
 def test_presentation_rejects_unsupported_labels():
@@ -242,6 +233,34 @@ def test_dk_check_points_on_cubic_superset():
     assert len(eleven.extra) == 5
     for res in rep.results:
         assert res.rnc_flag and res.implication_ok and res.missing == ()
+
+
+def test_dk_check_lists_bad_reductions_and_carries_on():
+    # two of the points collide mod 5; p = 7 still gets its verdict
+    rep = dk_check(CUBIC_POINTS, primes=(5, 7))
+    five, seven = rep.results
+    assert (five.verdict, five.error) == ("BAD_PRIME", "BadPrime")
+    assert five.to_json_dict()["error"] == "BadPrime"
+    assert seven.verdict == "SUPERSET" and seven.error is None
+    assert rep.consensus == "SUPERSET"
+    assert rep.bad_primes == (5,)
+    # no prime reduces well
+    rep = dk_check(CUBIC_POINTS, primes=(5,))
+    assert (rep.consensus, rep.bad_primes) == ("EMPTY", (5,))
+
+
+def test_dk_check_refuses_points_degenerate_over_qq():
+    coplanar = PointSet(3, [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+                            (1, 1, 1, 0), (0, 0, 0, 1)])
+    with pytest.raises(NotGeneralPosition):
+        dk_check(coplanar, primes=(7, 11))
+
+
+def test_consensus_skips_bad_primes():
+    assert _consensus([(5, "BAD_PRIME"), (7, "EQUAL"), (11, "EQUAL")]) == \
+        ("EQUAL", (5,))
+    assert _consensus([(5, "BAD_PRIME"), (7, "EQUAL"),
+                       (11, "SUPERSET")]) == ("DISAGREEMENT", (5, 11))
 
 
 def test_dk_check_six_points_see_their_cubic():
