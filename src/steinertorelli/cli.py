@@ -111,9 +111,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _primes_from(args):
     prime = getattr(args, "prime", None)
-    if getattr(args, "primes", None) and prime is not None:
-        raise UsageError("give --prime or --primes, not both")
-    if getattr(args, "primes", None):
+    if getattr(args, "primes", None) is not None:
+        if prime is not None:
+            raise UsageError("give --prime or --primes, not both")
         try:
             primes = tuple(int(tok) for tok in args.primes.split(","))
         except ValueError as exc:

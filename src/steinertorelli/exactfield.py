@@ -6,6 +6,14 @@ rest of the package asks eventually becomes a rank / kernel computation
 here, so kernels come out in a fixed reduced-echelon canonical form (each
 basis vector carries a leading 1 in a distinct non-pivot coordinate) and
 identical inputs always produce identical output.
+
+Arithmetic convention: the field classes do no arithmetic.  Callers
+combine canonical entries with Python's own operators and canonicalize
+the result once, either with one `field.normalize` per scalar they
+produce or by handing the raw values to the `Matrix` constructor, which
+is the one boundary that normalizes.  Accumulators start from the
+shared `field.zero`, so over QQ an untouched entry is that one Fraction
+rather than an int the boundary has to convert.
 """
 
 from __future__ import annotations
@@ -13,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import BadPrime, FieldMismatch, NonPrimeModulus, ShapeMismatch
 
@@ -57,10 +66,12 @@ class PrimeField:
         self.p = p
 
     characteristic = property(lambda self: self.p)
-    zero = property(lambda self: 0)
-    one = property(lambda self: 1)
+    zero = 0
+    one = 1
 
     def normalize(self, x):
+        if type(x) is int:
+            return x % self.p
         if isinstance(x, int) and not isinstance(x, bool):
             return x % self.p
         if isinstance(x, Fraction):
@@ -70,18 +81,6 @@ class PrimeField:
                     f"denominator of {x} is divisible by {self.p}")
             return x.numerator * pow(den, -1, self.p) % self.p
         raise FieldMismatch(f"cannot coerce {x!r} into GF({self.p})")
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return a * b % self.p
-
-    def neg(self, a):
-        return -a % self.p
 
     def inv(self, a):
         if a % self.p == 0:
@@ -104,8 +103,8 @@ class RationalField:
     __slots__ = ()
 
     characteristic = property(lambda self: 0)
-    zero = property(lambda self: Fraction(0))
-    one = property(lambda self: Fraction(1))
+    zero = Fraction(0)
+    one = Fraction(1)
 
     def normalize(self, x):
         if isinstance(x, Fraction):
@@ -113,18 +112,6 @@ class RationalField:
         if isinstance(x, int) and not isinstance(x, bool):
             return Fraction(x)
         raise FieldMismatch(f"cannot coerce {x!r} into QQ")
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def inv(self, a):
         if a == 0:
@@ -163,7 +150,7 @@ class Matrix:
     entries: tuple
 
     def __post_init__(self):
-        fld = self.field
+        normalize = self.field.normalize
         if len(self.entries) != self.nrows:
             raise ShapeMismatch(
                 f"expected {self.nrows} rows, got {len(self.entries)}")
@@ -172,7 +159,7 @@ class Matrix:
             if len(row) != self.ncols:
                 raise ShapeMismatch(
                     f"expected {self.ncols} cols, got {len(row)}")
-            norm.append(tuple(fld.normalize(x) for x in row))
+            norm.append(tuple(map(normalize, row)))
         object.__setattr__(self, "entries", tuple(norm))
 
     # -- constructors -------------------------------------------------
@@ -222,33 +209,20 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} "
                 f"by {other.nrows}x{other.ncols}")
-        fld = self.field
         cols = list(zip(*other.entries)) if other.nrows else \
             [()] * other.ncols
-        zero = fld.zero
-        out = []
-        for row in self.entries:
-            out_row = []
-            for col in cols:
-                acc = zero
-                for a, b in zip(row, col):
-                    acc = fld.add(acc, fld.mul(a, b))
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Matrix(fld, self.nrows, other.ncols, tuple(out))
+        zero = self.field.zero
+        return Matrix(self.field, self.nrows, other.ncols, tuple(
+            tuple(sum(map(mul, row, col), zero) for col in cols)
+            for row in self.entries))
 
     def mul_vec(self, vec):
         if len(vec) != self.ncols:
             raise ShapeMismatch(f"vector length {len(vec)} != {self.ncols}")
         fld = self.field
         vec = [fld.normalize(x) for x in vec]
-        out = []
-        for row in self.entries:
-            acc = fld.zero
-            for a, b in zip(row, vec):
-                acc = fld.add(acc, fld.mul(a, b))
-            out.append(acc)
-        return tuple(out)
+        return tuple(fld.normalize(sum(map(mul, row, vec), fld.zero))
+                     for row in self.entries)
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
@@ -258,8 +232,7 @@ class Matrix:
         return Matrix(field, self.nrows, self.ncols, self.entries)
 
     def is_zero(self):
-        z = self.field.zero
-        return all(x == z for row in self.entries for x in row)
+        return not any(map(any, self.entries))
 
 
 # -- reduction -----------------------------------------------------------
@@ -357,13 +330,12 @@ def rank_kernel(m: Matrix) -> KernelData:
     fld = m.field
     pivotset = set(ech.pivots)
     free = [j for j in range(m.ncols) if j not in pivotset]
-    zero, one = fld.zero, fld.one
     basis = []
     for f in free:
-        v = [zero] * m.ncols
-        v[f] = one
+        v = [fld.zero] * m.ncols
+        v[f] = fld.one
         for i, pc in enumerate(ech.pivots):
-            v[pc] = fld.neg(ech.rows[i][f])
+            v[pc] = fld.normalize(-ech.rows[i][f])
         basis.append(tuple(v))
     return KernelData(ech.rank, tuple(basis), ech.pivots)
 
@@ -414,13 +386,25 @@ def projective_reps(p: int, m: int):
             yield (0,) * lead + (1,) + tail
 
 
+def projective_unrank(p: int, m: int, index: int):
+    """The representative at position `index` of projective_reps(p, m)."""
+    tail = 0
+    while index >= p ** tail:
+        index -= p ** tail
+        tail += 1
+    digits = []
+    for _ in range(tail):
+        index, d = divmod(index, p)
+        digits.append(d)
+    return (0,) * (m - 1 - tail) + (1,) + tuple(reversed(digits))
+
+
 def normalize_projective(field, vec):
     """Scale so the first nonzero coordinate is 1.  None for the zero
     vector."""
     vec = [field.normalize(x) for x in vec]
-    zero = field.zero
     for x in vec:
-        if x != zero:
+        if x:
             inv = field.inv(x)
-            return tuple(field.mul(inv, y) for y in vec)
+            return tuple(field.normalize(inv * y) for y in vec)
     return None

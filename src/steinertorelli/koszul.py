@@ -20,8 +20,7 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import (BadTuple, NotGeneralPosition, UnsupportedScene,
-                     WindowTooSmall)
+from .errors import BadTuple, UnsupportedScene, WindowTooSmall
 from .exactfield import Matrix, QQ, rank, rank_kernel
 from .polyalg import monomial_basis, monomial_index
 
@@ -133,11 +132,10 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
                 for j in range(dm):
                     acc = [field.zero] * raw.nrows
                     for w, c in enumerate(vec):
-                        if c != field.zero:
+                        if c:
                             col = raw.column(j * full_u + w)
-                            acc = [field.add(x, field.mul(c, y))
-                                   for x, y in zip(acc, col)]
-                    cols.append(tuple(acc))
+                            acc = [x + c * y for x, y in zip(acc, col)]
+                    cols.append(acc)
             mults.append(Matrix.from_cols(field, cols, raw.nrows))
     name = getattr(scene, "name", "scene")
     return GradedModuleWindow(field, dim_u, lo, hi, dims, tuple(mults),
@@ -178,12 +176,11 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
             for g in kd[k].kernel:
                 prod = [field.zero] * len(idx_out)
                 for t, c in enumerate(g):
-                    if c != field.zero:
+                    if c:
                         m = list(basis_in[t])
                         m[i] += 1
-                        w = idx_out[tuple(m)]
-                        prod[w] = field.add(prod[w], c)
-                cols.append(tuple(prod[f] for f in free_out))
+                        prod[idx_out[tuple(m)]] += c
+                cols.append([prod[f] for f in free_out])
         mults.append(Matrix.from_cols(field, cols, dout))
     return GradedModuleWindow(field, nvars, k_lo, k_hi, dims,
                               tuple(mults),
@@ -214,12 +211,12 @@ def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
                 base = exterior_rank(n, dropped) * dm_out
                 action = mult.column(i * dm_in + t)
                 if j % 2 == 0:
-                    for w, x in enumerate(action):
-                        col[base + w] = fld.add(col[base + w], x)
+                    for w, x in enumerate(action, base):
+                        col[w] += x
                 else:
-                    for w, x in enumerate(action):
-                        col[base + w] = fld.sub(col[base + w], x)
-            out_cols.append(tuple(col))
+                    for w, x in enumerate(action, base):
+                        col[w] -= x
+            out_cols.append(col)
     return Matrix.from_cols(fld, out_cols, rows_out)
 
 
@@ -353,12 +350,7 @@ def green_points_test(points, field=QQ) -> GreenPointsReport:
     """dim K_{r-2,2}(P^r, I; V) for d >= r+1 points in linear general
     position; nonzero iff the points lie on a rational normal curve."""
     r = points.r
-    if points.count < r + 1:
-        raise NotGeneralPosition(
-            f"need at least r+1 = {r + 1} points, got {points.count}")
-    if not points.in_general_position(field):
-        raise NotGeneralPosition(
-            "points are not in linear general position")
+    points.require_general_position(field)
     window = pointset_ideal_window(points, 1, 3, field)
     group = koszul_dim(window, r - 2, 2)
     return GreenPointsReport(points.count, r, group.dim, group.dim != 0,

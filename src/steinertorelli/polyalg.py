@@ -84,10 +84,9 @@ class GradedQuotientRing:
                     f"degree {degree} form needs {len(basis)} coefficients, "
                     f"got {len(coeffs)}")
             coeffs = tuple(field.normalize(c) for c in coeffs)
-            if all(c == field.zero for c in coeffs):
+            if not any(coeffs):
                 raise ZeroSection(f"degree {degree} generator is zero")
-            terms = tuple((m, c) for m, c in zip(basis, coeffs)
-                          if c != field.zero)
+            terms = tuple((m, c) for m, c in zip(basis, coeffs) if c)
             gens.append((degree, coeffs, terms))
         self.generators = tuple(gens)
         self._pieces: dict[int, QuotientPiece] = {}

@@ -28,9 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
-                     BasepointedSeries, SchemaError, ShapeMismatch,
-                     UnsupportedLabel, UnsupportedScene, ZeroEvaluation,
-                     ZeroPoint, ZeroSection)
+                     BasepointedSeries, NotGeneralPosition, SchemaError,
+                     ShapeMismatch, UnsupportedLabel, UnsupportedScene,
+                     ZeroEvaluation, ZeroPoint, ZeroSection)
 from .exactfield import (GF, QQ, Matrix, normalize_projective,
                          projective_reps, rank, span_reduction)
 from .polyalg import (GradedQuotientRing, monomial_basis, monomial_index,
@@ -79,9 +79,8 @@ class PointEnumeration:
 def evaluate_monomial(field, expts, params):
     acc = field.one
     for x, e in zip(params, expts):
-        for _ in range(e):
-            acc = field.mul(acc, x)
-    return acc
+        acc *= x ** e
+    return field.normalize(acc)
 
 
 def _normalized_phi(field, values, what):
@@ -239,9 +238,7 @@ class P1Series(IntegerLabels):
                 for form in right:
                     col = [field.zero] * nrows
                     for m2, c in zip(b2, form):
-                        if c != field.zero:
-                            j = out_idx[monomial_product(m1, m2)]
-                            col[j] = field.add(col[j], c)
+                        col[out_idx[monomial_product(m1, m2)]] += c
                     cols.append(col)
         else:
             b2 = monomial_basis(2, l2) if l2 >= 0 else ()
@@ -366,9 +363,8 @@ class CompleteIntersection(IntegerLabels):
         out = []
         for degree, coeffs in self.generators:
             basis = monomial_basis(self.N + 1, degree)
-            out.append(tuple(
-                (m, field.normalize(c)) for m, c in zip(basis, coeffs)
-                if field.normalize(c) != field.zero))
+            terms = zip(basis, map(field.normalize, coeffs))
+            out.append(tuple((m, c) for m, c in terms if c))
         return out
 
     def _jacobian_terms(self, field):
@@ -382,8 +378,8 @@ class CompleteIntersection(IntegerLabels):
                     if m[j]:
                         dm = list(m)
                         dm[j] -= 1
-                        cc = field.mul(c, field.normalize(m[j]))
-                        if cc != field.zero:
+                        cc = field.normalize(c * m[j])
+                        if cc:
                             parts.append((tuple(dm), cc))
                 row.append(tuple(parts))
             rows.append(tuple(row))
@@ -670,10 +666,9 @@ class ScrollCurve:
             # row = section * (j-th basis element of H0(Y, L - X))
             acc = [field.zero] * len(amb)
             for t, c in enumerate(sec):
-                if c != field.zero:
+                if c:
                     col = mult.column(j * nsec + t)
-                    acc = [field.add(x, field.mul(c, y))
-                           for x, y in zip(acc, col)]
+                    acc = [x + c * y for x, y in zip(acc, col)]
             rows.append(tuple(acc))
         red = span_reduction(Matrix(field, len(rows), len(amb),
                                     tuple(rows)))
@@ -737,20 +732,13 @@ class ScrollCurve:
 
     def _section_terms(self, field):
         basis = scroll_basis(self.a, self.b, self.d, self.e)
-        return tuple(((i, m), field.normalize(c))
-                     for (i, m), c in zip(basis, self.section)
-                     if field.normalize(c) != field.zero)
+        terms = zip(basis, map(field.normalize, self.section))
+        return tuple((elt, c) for elt, c in terms if c)
 
     def _eval_label_elt(self, field, alpha, elt, params):
         """Value of u^i v^(alpha-i) * monomial at (s, t, u, v)."""
-        s, t, u, v = params
         i, m = elt
-        val = evaluate_monomial(field, m, (s, t))
-        for _ in range(i):
-            val = field.mul(val, u)
-        for _ in range(alpha - i):
-            val = field.mul(val, v)
-        return val
+        return evaluate_monomial(field, m + (i, alpha - i), params)
 
     def enumerate_points(self, p):
         field = GF(p)
@@ -876,6 +864,16 @@ class PointSet(IntegerLabels):
             tuple(evaluate_monomial(field, m, pt) for m in basis)
             for pt in pts)
         return Matrix(field, len(pts), len(basis), rows)
+
+    def require_general_position(self, field=QQ):
+        """Refuse, with NotGeneralPosition, fewer than r+1 points or points
+        not in linear general position over the field."""
+        if self.count < self.r + 1:
+            raise NotGeneralPosition(
+                f"need at least r+1 = {self.r + 1} points, got {self.count}")
+        if not self.in_general_position(field):
+            raise NotGeneralPosition(
+                "points are not in linear general position")
 
     def in_general_position(self, field=QQ):
         """Every subset of min(r+1, d) points spans."""

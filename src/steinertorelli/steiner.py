@@ -16,6 +16,7 @@ carries the recovery data.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
                      ZeroPoint)
@@ -51,10 +52,11 @@ class SteinerPresentation:
 
     def fiber_rows(self, v):
         """Rows of the b x a matrix of u |-> mu(u (x) v), as lists."""
-        fld = self.field
-        v = [fld.normalize(x) for x in v]
-        a, m = self.dim_u1, self.dim_v
-        return [[_dot(fld, row, i * m, v) for i in range(a)]
+        norm, zero = self.field.normalize, self.field.zero
+        v = [norm(x) for x in v]
+        m = self.dim_v
+        bases = range(0, self.dim_u1 * m, m)
+        return [[norm(sum(map(mul, row[i:i + m], v), zero)) for i in bases]
                 for row in self.tensor.entries]
 
     def fiber_matrix(self, v):
@@ -73,20 +75,15 @@ class SteinerPresentation:
         lam = normalize_projective(fld, lam)
         if lam is None:
             raise ZeroPoint("the zero functional defines no hyperplane")
-        c0 = next(j for j, x in enumerate(lam) if x != fld.zero)
-        free = [j for j in range(self.dim_v) if j != c0]
-        a, m = self.dim_u1, self.dim_v
-        rows = []
-        for row in self.tensor.entries:
-            out = []
-            for i in range(a):
-                base = i * m
-                pivot = row[base + c0]
-                for j in free:
-                    out.append(fld.sub(row[base + j],
-                                       fld.mul(lam[j], pivot)))
-            rows.append(out)
-        return rows
+        c0 = next(j for j, x in enumerate(lam) if x)
+        m = self.dim_v
+        # (tensor column, its pivot column, lam_j) per restricted column
+        terms = [(base + j, base + c0, x)
+                 for base in range(0, self.dim_u1 * m, m)
+                 for j, x in enumerate(lam) if j != c0]
+        norm = fld.normalize
+        return [[norm(row[t] - x * row[s]) for t, s, x in terms]
+                for row in self.tensor.entries]
 
     def restricted_matrix(self, lam):
         return Matrix(self.field, self.dim_u0,
@@ -102,14 +99,6 @@ class SteinerPresentation:
     def __repr__(self):
         return (f"SteinerPresentation(a={self.dim_u1}, m={self.dim_v}, "
                 f"b={self.dim_u0}, field={self.field})")
-
-
-def _dot(fld, row, base, v):
-    acc = fld.zero
-    for j, vc in enumerate(v):
-        if vc != fld.zero:
-            acc = fld.add(acc, fld.mul(row[base + j], vc))
-    return acc
 
 
 def make_presentation(tensor: Matrix, a, m, b, name="") -> \

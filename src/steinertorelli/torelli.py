@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 from .errors import (BadPrime, ClassMismatch, NonUniqueQuotient,
                      NotGeneralPosition, UnsupportedScene, ZeroScale)
-from .exactfield import GF, QQ, Matrix, projective_reps, rank, span_reduction
+from .exactfield import (GF, QQ, Matrix, projective_count,
+                         projective_unrank, rank, span_reduction)
 from .koszul import green_points_test
 from .scenes import PointSet, _scalar_json
 from .steiner import (SteinerPresentation, make_presentation,
@@ -294,15 +295,6 @@ def scroll_invariance(scene_x, scene_y, n=1, field=QQ) -> bool:
 # ---- point sets: the Dolgachev-Kapranov style bundle --------------------------
 
 
-def _require_general_position(points, field):
-    if points.count < points.r + 1:
-        raise NotGeneralPosition(
-            f"need at least r+1 = {points.r + 1} points, got {points.count}")
-    if not points.in_general_position(field):
-        raise NotGeneralPosition(
-            "points are not in linear general position")
-
-
 def dk_presentation(points, field=QQ) -> SteinerPresentation:
     """Presentation whose unstable locus should recover a general point
     set.
@@ -313,7 +305,7 @@ def dk_presentation(points, field=QQ) -> SteinerPresentation:
     d = r + 1 is allowed but the bundle degenerates to a trivial one
     (U1 = 0), which is reported as a warning, not an error.
     """
-    _require_general_position(points, field)
+    points.require_general_position(field)
     r = points.r
     d = points.count
     if d == r + 1:
@@ -321,27 +313,18 @@ def dk_presentation(points, field=QQ) -> SteinerPresentation:
             "d = r+1 points give U1 = 0: the presentation is degenerate "
             "and every hyperplane is unstable", RuntimeWarning,
             stacklevel=2)
-    points.reduced_points(field)        # zero/collision guard mod p
     reps = tuple(tuple(field.normalize(c) for c in row)
                  for row in points.points)
-    ones = Matrix(field, 1, d, (tuple(field.one for _ in range(d)),))
+    ones = Matrix(field, 1, d, ((1,) * d,))
     quot0 = span_reduction(ones)
     lin = Matrix.from_rows(field, reps).transpose()   # (r+1) x d
     quot1 = span_reduction(lin)
     a, m, b = quot1.dim, r + 1, quot0.dim
-    cols = [None] * (a * m)
-    for j in range(m):
-        # mult by x_j: quotient-by-constants -> quotient-by-linears,
-        # then transposed into mu columns
-        action_cols = []
-        for c in quot0.complement:
-            scale = reps[c][j]
-            col = tuple(field.mul(scale, x)
-                        for x in quot1.reduce.column(c))
-            action_cols.append(col)
-        mj = Matrix.from_cols(field, action_cols, a)
-        for i in range(a):
-            cols[i * m + j] = tuple(mj.entries[i])
+    # mult by x_j maps the quotient by constants to the quotient by
+    # linears; column i*m + j of mu is row i of that map, transposed
+    red = quot1.reduce.entries
+    cols = [[reps[c][j] * red[i][c] for c in quot0.complement]
+            for i in range(a) for j in range(m)]
     tensor = Matrix.from_cols(field, cols, b)
     return make_presentation(tensor, a, m, b,
                              f"dk({points.name})")
@@ -378,7 +361,7 @@ def dk_check(points, primes=PRIMES_DEFAULT) -> DKReport:
     expected to coincide with the points lying on a rational normal
     curve, and that implication is re-checked per prime.  Points not in
     general position over QQ are refused before any prime is tried."""
-    _require_general_position(points, QQ)
+    points.require_general_position(QQ)
     results = []
     for p in primes:
         comparison, pres, _ = _compare_prime(
@@ -428,19 +411,11 @@ def bpf_image_check(scene, b_label, params, prime) -> BpfReport:
     lam = scene.evaluation_functional(params, scene.label_A(), field)
     ev_b = scene.evaluation_functional(params, b_label, field)
     restricted = pres.restricted_matrix(lam)
-    contained = all(
-        _dot_vec(field, ev_b, restricted.column(t)) == field.zero
-        for t in range(restricted.ncols))
+    contained = Matrix(field, 1, len(ev_b), (ev_b,)).mul(
+        restricted).is_zero()
     image_rank = rank(restricted)
     return BpfReport(scene.name, scene.label_str(b_label), prime, params,
                      contained, image_rank, pres.dim_u0 - 1)
-
-
-def _dot_vec(field, u, v):
-    acc = field.zero
-    for x, y in zip(u, v):
-        acc = field.add(acc, field.mul(x, y))
-    return acc
 
 
 # ---- representative invariance -------------------------------------------------
@@ -483,15 +458,16 @@ def random_point_set(count, prime, seed, r=3, max_tries=256):
     any report built from them.
     """
     field = GF(prime)
-    reps = list(projective_reps(prime, r + 1))
-    if count > len(reps):
+    total = projective_count(prime, r + 1)
+    if count > total:
         raise NotGeneralPosition(
-            f"P^{r}(F_{prime}) has only {len(reps)} points, "
+            f"P^{r}(F_{prime}) has only {total} points, "
             f"cannot draw {count}")
     for attempt in range(max_tries):
         used = seed + attempt
         rng = random.Random(used)
-        rows = rng.sample(reps, count)
+        rows = [projective_unrank(prime, r + 1, i)
+                for i in rng.sample(range(total), count)]
         points = PointSet(
             r, rows, name=f"random(d={count}, p={prime}, seed={used})")
         if not points.in_general_position(field):

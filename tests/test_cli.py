@@ -209,6 +209,15 @@ def test_prime_zero_is_refused(capsys, argv):
     assert rep["error"] == "NonPrimeModulus"
 
 
+@pytest.mark.parametrize("argv", [
+    ["torelli", TC_PATH, "--primes", ""],
+    ["dk", SIX_PATH, "--primes", ""],
+])
+def test_empty_prime_list_is_refused(capsys, argv):
+    assert main(argv) == 2
+    assert "prime list" in capsys.readouterr().err
+
+
 def test_missing_file_exits_three(capsys):
     assert main(["valles", "nowhere/missing.json"]) == 3
     assert "missing" in capsys.readouterr().err

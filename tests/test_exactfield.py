@@ -9,8 +9,8 @@ from steinertorelli.errors import (BadPrime, FieldMismatch, NonPrimeModulus,
 from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
                                        left_kernel, normalize_projective,
                                        projective_count, projective_reps,
-                                       rank, rank_kernel, rref,
-                                       span_reduction)
+                                       projective_unrank, rank, rank_kernel,
+                                       rref, span_reduction)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -25,12 +25,13 @@ def test_inverse_in_f7():
 def test_scalar_arithmetic_exhaustive(p):
     fld = GF(p)
     for a in range(p):
-        assert fld.add(a, fld.neg(a)) == 0
+        assert fld.normalize(-a) == (p - a) % p
+        assert fld.normalize(a - 3 * p) == a
         if a:
-            assert fld.mul(a, fld.inv(a)) == 1
-        for b in range(p):
-            assert fld.add(a, b) == (a + b) % p
-            assert fld.mul(a, b) == (a * b) % p
+            assert fld.normalize(a * fld.inv(a)) == 1
+        for b in range(1, p):
+            assert fld.normalize(Fraction(a, b)) * b % p == a
+            assert fld.normalize(Fraction(-a, b)) * b % p == (-a) % p
 
 
 @pytest.mark.parametrize("n", [1, 4, 6, 9, 15, 2 ** 31, 2 ** 31 + 11])
@@ -293,6 +294,13 @@ def test_projective_reps(p, m):
         assert normalize_projective(fld, v) == v
         lead = next(x for x in v if x != 0)
         assert lead == 1
+
+
+@pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 3), (5, 3), (7, 2),
+                                 (11, 3)])
+def test_projective_unrank_follows_enumeration_order(p, m):
+    reps = list(projective_reps(p, m))
+    assert [projective_unrank(p, m, i) for i in range(len(reps))] == reps
 
 
 def test_normalize_projective():

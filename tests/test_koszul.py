@@ -203,7 +203,7 @@ def test_nonvanishing_descends_from_hyperplanes(lam):
             continue
         vec = [QQ.zero] * 4
         vec[j] = lam_q[c0]
-        vec[c0] = QQ.neg(lam_q[j])
+        vec[c0] = -lam_q[j]
         sub.append(tuple(vec))
     w = scene_window(TC, 0, -1, 3, QQ, subspace=sub)
     if koszul_dim(w, 1, 0).dim == 0 and koszul_dim(w, 1, 1).dim != 0:

@@ -1,13 +1,17 @@
 """Pipeline tests: tautological presentations, Torelli comparisons over
 several primes, scroll invariance, and the point-set bundle."""
 
+import random
+
 import pytest
 
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
                                    UnsupportedLabel,
                                    UnsupportedScene, ZeroEvaluation,
                                    ZeroScale)
-from steinertorelli.exactfield import GF
+from steinertorelli.exactfield import (GF, projective_reps,
+                                       projective_unrank)
+from steinertorelli.koszul import green_points_test
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
 from steinertorelli.steiner import unstable_test
@@ -363,3 +367,41 @@ def test_random_point_set_exhaustion():
         random_point_set(7, 7, seed=0, max_tries=30)
     with pytest.raises(NotGeneralPosition):
         random_point_set(8, 2, seed=0, r=1)
+
+
+def _list_based_point_set(count, prime, seed, r=3, max_tries=256):
+    """random_point_set drawing from the list of all of P^r(F_p): the
+    reference for its index-based draws."""
+    field = GF(prime)
+    reps = list(projective_reps(prime, r + 1))
+    for attempt in range(max_tries):
+        used = seed + attempt
+        rows = random.Random(used).sample(reps, count)
+        points = PointSet(r, rows)
+        if not points.in_general_position(field):
+            continue
+        if count >= r + 4 and green_points_test(points, field).on_rnc:
+            continue
+        return points, used
+    return None
+
+
+@pytest.mark.parametrize("p,m", [(5, 3), (5, 4), (11, 4), (101, 3)])
+def test_sampling_by_index_matches_sampling_the_list(p, m):
+    # both branches of rng.sample (pool and set) pick the same indices
+    # from a range as from the list of representatives
+    reps = list(projective_reps(p, m))
+    for seed in range(40):
+        for count in (5, 6, 7, 20):
+            want = random.Random(seed).sample(reps, count)
+            idx = random.Random(seed).sample(range(len(reps)), count)
+            assert [projective_unrank(p, m, i) for i in idx] == want
+
+
+@pytest.mark.parametrize("count,prime", [(5, 5), (6, 11), (7, 11)])
+def test_random_point_set_matches_list_based_draws(count, prime):
+    for seed in range(4):
+        pts, used = random_point_set(count, prime, seed)
+        ref, ref_used = _list_based_point_set(count, prime, seed)
+        assert used == ref_used
+        assert pts.points == ref.points
