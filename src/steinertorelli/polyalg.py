@@ -49,6 +49,20 @@ def monomial_product(a: tuple, b: tuple) -> tuple:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def products(field, left, right, index) -> list:
+    """m*f for each monomial m of `left` (major) and each form f of
+    `right`, as coordinate lists over `index` (monomial -> position).
+    A form is a term list of (exponents, coefficient) pairs."""
+    out = []
+    for m in left:
+        for form in right:
+            row = [field.zero] * len(index)
+            for e, c in form:
+                row[index[monomial_product(m, e)]] += c
+            out.append(row)
+    return out
+
+
 @dataclass(frozen=True)
 class QuotientPiece:
     """Degree-k piece of S/I: representative monomials plus the reduction
@@ -83,30 +97,24 @@ class GradedQuotientRing:
                 raise ShapeMismatch(
                     f"degree {degree} form needs {len(basis)} coefficients, "
                     f"got {len(coeffs)}")
-            coeffs = tuple(field.normalize(c) for c in coeffs)
-            if not any(coeffs):
+            terms = tuple((m, c) for m, c in
+                          zip(basis, map(field.normalize, coeffs)) if c)
+            if not terms:
                 raise ZeroSection(f"degree {degree} generator is zero")
-            terms = tuple((m, c) for m, c in zip(basis, coeffs) if c)
-            gens.append((degree, coeffs, terms))
-        self.generators = tuple(gens)
+            gens.append((degree, terms))
+        self.generators = tuple(gens)   # (degree, term list) pairs
         self._pieces: dict[int, QuotientPiece] = {}
         self._mults: dict[tuple, Matrix] = {}
 
     def ideal_rows(self, k: int) -> Matrix:
         """Spanning set of I_k: all monomial shifts of the generators."""
-        fld = self.field
-        amb = monomial_basis(self.num_vars, k)
         idx = monomial_index(self.num_vars, k)
         rows = []
-        for degree, _, terms in self.generators:
-            if degree > k:
-                continue
-            for shift in monomial_basis(self.num_vars, k - degree):
-                row = [fld.zero] * len(amb)
-                for mono, c in terms:
-                    row[idx[monomial_product(shift, mono)]] = c
-                rows.append(tuple(row))
-        return Matrix(fld, len(rows), len(amb), tuple(rows))
+        for degree, terms in self.generators:
+            rows += products(self.field,
+                             monomial_basis(self.num_vars, k - degree),
+                             (terms,), idx)
+        return Matrix(self.field, len(rows), len(idx), tuple(rows))
 
     def piece(self, k: int) -> QuotientPiece:
         got = self._pieces.get(k)

@@ -16,6 +16,14 @@ class, or O(k) on P^1) except for scrolls, where a label is a pair
 
 Scene data is stored exactly over the rationals; every computation takes
 the working field as an argument and reduces on demand.
+
+Forms are term lists of (exponents, coefficient) pairs.  On a scroll the
+basis element u^i v^(alpha-i) m(s, t) of H0(Y, alpha H + beta F) is the
+exponent tuple m + (i, alpha - i) of (s, t, u, v), so its products and
+values are those of a plain monomial.  Each job has one helper:
+`polyalg.products` builds the products of monomials with forms,
+`_functional` evaluates monomials at a point, and `_zero_locus`
+enumerates the points where forms vanish, with their smoothness.
 """
 
 from __future__ import annotations
@@ -34,7 +42,7 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
 from .exactfield import (GF, QQ, Matrix, normalize_projective,
                          projective_reps, rank, span_reduction)
 from .polyalg import (GradedQuotientRing, monomial_basis, monomial_index,
-                      monomial_product, space_dim)
+                      monomial_product, products, space_dim)
 
 
 # ---- shared small types --------------------------------------------------
@@ -90,6 +98,45 @@ def _normalized_phi(field, values, what):
     return phi
 
 
+def _functional(field, monomials, params):
+    """Evaluation functional of the span of the monomials at params: their
+    values, normalized projectively."""
+    return _normalized_phi(
+        field, [evaluate_monomial(field, m, params) for m in monomials],
+        params)
+
+
+def _partials(field, form, nvars):
+    """The partial derivatives of a form, one term list per variable."""
+    return [tuple((m[:j] + (m[j] - 1,) + m[j + 1:], field.normalize(c * m[j]))
+                  for m, c in form if m[j])
+            for j in range(nvars)]
+
+
+def _zero_locus(field, candidates, nvars, forms, series):
+    """Records of the candidate points where every form vanishes, each
+    with the functional of the series monomials.  A point is smooth when
+    the Jacobian of the forms has rank len(forms) there."""
+    jacobian = [_partials(field, form, nvars) for form in forms]
+    p = field.p
+
+    def value(form, params):
+        acc = 0
+        for m, c in form:
+            acc += c * evaluate_monomial(field, m, params)
+        return acc % p
+
+    for params in candidates:
+        for form in forms:
+            if value(form, params):
+                break
+        else:
+            rows = [[value(d, params) for d in row] for row in jacobian]
+            smooth = rank(Matrix.from_rows(field, rows)) == len(forms)
+            yield PointRecord(p, params, _functional(field, series, params),
+                              smooth)
+
+
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
@@ -99,48 +146,6 @@ def _as_fraction(x):
 
 
 # ---- P^1 with a series of binary forms -----------------------------------
-
-
-def _strip_poly(cs):
-    cs = list(cs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-    return cs
-
-
-def _poly_mod(a, b):
-    """Remainder of a by b; both lists of Fractions, leading coeff first."""
-    a = _strip_poly(a)
-    b = _strip_poly(b)
-    while len(a) >= len(b):
-        f = a[0] / b[0]
-        a = [x - f * y for x, y in zip(a, b + [Fraction(0)] * len(a))][1:]
-        a = _strip_poly(a)
-        if not a:
-            break
-    return a
-
-
-def _binary_forms_have_basepoint(vectors):
-    """Common projective zero (over the algebraic closure) of binary forms
-    given by coefficient vectors in descending s powers."""
-    if all(v[0] == 0 for v in vectors):
-        return True           # all divisible by t: common zero at [1:0]
-    g = None
-    for v in vectors:
-        cs = _strip_poly(v)   # f(s, 1) with highest s power first
-        if not cs:
-            continue
-        g = cs if g is None else _poly_gcd(g, cs)
-        if len(g) == 1:
-            return False
-    return g is not None and len(g) > 1
-
-
-def _poly_gcd(a, b):
-    while b:
-        a, b = b, _poly_mod(a, b)
-    return a
 
 
 class IntegerLabels:
@@ -183,7 +188,15 @@ class P1Series(IntegerLabels):
                 raise BadClass("a series needs dimension at least 2")
             if rank(Matrix.from_rows(QQ, basis)) != len(basis):
                 raise DependentBasis("series basis is linearly dependent")
-            if _binary_forms_have_basepoint(basis):
+            # degree-a forms have no common zero over the algebraic
+            # closure exactly when their multiples span S_{2a-1}: two
+            # general members are then coprime, and a complete
+            # intersection of type (a, a) in two variables holds every
+            # form of degree >= 2a-1
+            forms = [tuple(zip(monomial_basis(2, a), row)) for row in basis]
+            shifts = products(QQ, monomial_basis(2, a - 1), forms,
+                              monomial_index(2, 2 * a - 1))
+            if rank(Matrix.from_rows(QQ, shifts)) < 2 * a:
                 raise BasepointedSeries("series has a common zero")
         self.basis = basis
         self.name = name or f"p1_series(a={a})"
@@ -227,27 +240,15 @@ class P1Series(IntegerLabels):
         """H0(O(l1)) (x) H0(O(l2)) -> H0(O(l1+l2)), left factor major.
         When l2 is the series degree and V is proper, the right factor
         runs over the series basis."""
-        b1 = monomial_basis(2, l1) if l1 >= 0 else ()
-        out_idx = monomial_index(2, l1 + l2) if l1 + l2 >= 0 else {}
-        nrows = max(0, l1 + l2 + 1)
-        cols = []
+        index = monomial_index(2, l1 + l2)
         if l2 == self.a and self.basis is not None:
-            right = self.series_matrix(field).entries
-            b2 = monomial_basis(2, l2)
-            for m1 in b1:
-                for form in right:
-                    col = [field.zero] * nrows
-                    for m2, c in zip(b2, form):
-                        col[out_idx[monomial_product(m1, m2)]] += c
-                    cols.append(col)
+            right = [tuple(zip(monomial_basis(2, l2), form))
+                     for form in self.series_matrix(field).entries]
         else:
-            b2 = monomial_basis(2, l2) if l2 >= 0 else ()
-            for m1 in b1:
-                for m2 in b2:
-                    col = [field.zero] * nrows
-                    col[out_idx[monomial_product(m1, m2)]] = field.one
-                    cols.append(col)
-        return Matrix.from_cols(field, cols, nrows)
+            right = [((m, field.one),) for m in monomial_basis(2, l2)]
+        return Matrix.from_cols(
+            field, products(field, monomial_basis(2, l1), right, index),
+            len(index))
 
     def cohomology_dim(self, label, i, field=QQ):
         if i == 0:
@@ -261,19 +262,16 @@ class P1Series(IntegerLabels):
     def enumerate_points(self, p):
         field = GF(p)
         series = self.series_matrix(field)
+        monomials = monomial_basis(2, self.a)
         records = []
         for params in projective_reps(p, 2):
-            values = tuple(
-                evaluate_monomial(field, m, params)
-                for m in monomial_basis(2, self.a))
-            phi = _normalized_phi(field, series.mul_vec(values), params)
+            values = series.mul_vec(_functional(field, monomials, params))
+            phi = _normalized_phi(field, values, params)
             records.append(PointRecord(p, params, phi))
         return PointEnumeration(p, tuple(records), False)
 
     def evaluation_functional(self, params, label, field):
-        values = tuple(evaluate_monomial(field, m, params)
-                       for m in monomial_basis(2, label))
-        return _normalized_phi(field, values, params)
+        return _functional(field, monomial_basis(2, label), params)
 
     def to_json_dict(self):
         d = {"kind": self.kind, "name": self.name, "a": self.a}
@@ -359,67 +357,17 @@ class CompleteIntersection(IntegerLabels):
 
     # -- points --
 
-    def _gen_terms(self, field):
-        out = []
-        for degree, coeffs in self.generators:
-            basis = monomial_basis(self.N + 1, degree)
-            terms = zip(basis, map(field.normalize, coeffs))
-            out.append(tuple((m, c) for m, c in terms if c))
-        return out
-
-    def _jacobian_terms(self, field):
-        """Partial derivative term lists, one row of terms per generator."""
-        rows = []
-        for terms in self._gen_terms(field):
-            row = []
-            for j in range(self.N + 1):
-                parts = []
-                for m, c in terms:
-                    if m[j]:
-                        dm = list(m)
-                        dm[j] -= 1
-                        cc = field.normalize(c * m[j])
-                        if cc:
-                            parts.append((tuple(dm), cc))
-                row.append(tuple(parts))
-            rows.append(tuple(row))
-        return rows
-
     def enumerate_points(self, p):
         field = GF(p)
-        gen_terms = self._gen_terms(field)
-        jac = self._jacobian_terms(field)
-        piece1 = self.ring(field).piece(1)
-        records = []
-        for params in projective_reps(p, self.N + 1):
-            ok = True
-            for terms in gen_terms:
-                acc = 0
-                for m, c in terms:
-                    acc = (acc + c * evaluate_monomial(field, m, params)) % p
-                if acc:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            jrows = []
-            for row in jac:
-                jrows.append(tuple(
-                    sum(c * evaluate_monomial(field, m, params)
-                        for m, c in parts) % p if parts else 0
-                    for parts in row))
-            smooth = rank(Matrix.from_rows(field, jrows)) == self.codim
-            values = tuple(evaluate_monomial(field, m, params)
-                           for m in piece1.monomials)
-            phi = _normalized_phi(field, values, params)
-            records.append(PointRecord(p, params, phi, smooth))
+        ring = self.ring(field)
+        records = _zero_locus(field, projective_reps(p, self.N + 1),
+                              self.N + 1, [t for _, t in ring.generators],
+                              ring.piece(1).monomials)
         return PointEnumeration(p, tuple(records), True)
 
     def evaluation_functional(self, params, label, field):
-        piece = self.ring(field).piece(label)
-        values = tuple(evaluate_monomial(field, m, params)
-                       for m in piece.monomials)
-        return _normalized_phi(field, values, params)
+        return _functional(field, self.ring(field).piece(label).monomials,
+                           params)
 
     def to_json_dict(self):
         return {
@@ -494,18 +442,12 @@ class MonomialVariety(IntegerLabels):
 
     def multiplication_map(self, l1, l2, field=QQ):
         d1, d2 = l1 * self.degree, l2 * self.degree
-        b1 = monomial_basis(self.source_vars, d1) if d1 >= 0 else ()
-        b2 = self.monomials if l2 == 1 else (
-            monomial_basis(self.source_vars, d2) if d2 >= 0 else ())
-        idx = monomial_index(self.source_vars, d1 + d2)
-        nrows = space_dim(self.source_vars, d1 + d2)
-        cols = []
-        for m1 in b1:
-            for m2 in b2:
-                col = [field.zero] * nrows
-                col[idx[monomial_product(m1, m2)]] = field.one
-                cols.append(col)
-        return Matrix.from_cols(field, cols, nrows)
+        right = self.monomials if l2 == 1 else \
+            monomial_basis(self.source_vars, d2)
+        index = monomial_index(self.source_vars, d1 + d2)
+        cols = products(field, monomial_basis(self.source_vars, d1),
+                        [((m, field.one),) for m in right], index)
+        return Matrix.from_cols(field, cols, len(index))
 
     def cohomology_dim(self, label, i, field=QQ):
         raise UnsupportedScene(
@@ -517,19 +459,16 @@ class MonomialVariety(IntegerLabels):
         seen = {}
         order = []
         for params in projective_reps(p, self.source_vars):
-            values = tuple(evaluate_monomial(field, m, params)
-                           for m in self.monomials)
-            phi = _normalized_phi(field, values, params)
+            phi = _functional(field, self.monomials, params)
             if phi not in seen:
                 seen[phi] = PointRecord(p, params, phi)
                 order.append(phi)
         return PointEnumeration(p, tuple(seen[k] for k in order), False)
 
     def evaluation_functional(self, params, label, field):
-        values = tuple(evaluate_monomial(field, m, params)
-                       for m in monomial_basis(self.source_vars,
-                                               label * self.degree))
-        return _normalized_phi(field, values, params)
+        return _functional(
+            field, monomial_basis(self.source_vars, label * self.degree),
+            params)
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name,
@@ -553,6 +492,12 @@ def scroll_basis(a, b, alpha, beta):
         for m in monomial_basis(2, deg) if deg >= 0 else ():
             out.append((i, m))
     return tuple(out)
+
+
+def _scroll_exponents(basis, alpha):
+    """Scroll basis pairs (i, m) of a label with first entry alpha as
+    exponent tuples of (s, t, u, v)."""
+    return [m + (i, alpha - i) for i, m in basis]
 
 
 class ScrollCurve:
@@ -585,6 +530,8 @@ class ScrollCurve:
         if all(c == 0 for c in section):
             raise ZeroSection("curve section is identically zero")
         self.section = section
+        self._form = tuple((m, c) for m, c in zip(
+            _scroll_exponents(basis, d), section) if c)
         self.name = name or f"scroll(S({a},{b}), X in |{d}H+{e}F|)"
         self._spaces = {}
         self._mults = {}
@@ -630,20 +577,6 @@ class ScrollCurve:
     def h2_Y(self, label):
         return self.h0_Y((-2 - label[0], self.q - 2 - label[1]))
 
-    def _mult_Y(self, l1, l2, field):
-        """Multiplication of scroll section spaces on Y, left major."""
-        b1 = scroll_basis(self.a, self.b, *l1)
-        b2 = scroll_basis(self.a, self.b, *l2)
-        out = scroll_basis(self.a, self.b, l1[0] + l2[0], l1[1] + l2[1])
-        idx = {lab: i for i, lab in enumerate(out)}
-        cols = []
-        for i1, m1 in b1:
-            for i2, m2 in b2:
-                col = [field.zero] * len(out)
-                col[idx[(i1 + i2, monomial_product(m1, m2))]] = field.one
-                cols.append(col)
-        return Matrix.from_cols(field, cols, len(out))
-
     # -- section spaces on the curve --
 
     def _piece(self, label, field):
@@ -657,19 +590,12 @@ class ScrollCurve:
                 f"label {label}: restriction model needs "
                 f"H1(Y, L - X) = 0, but h1{down} = {self.h1_Y(down)}")
         amb = scroll_basis(self.a, self.b, *label)
-        sub = scroll_basis(self.a, self.b, *down)
-        sec = [field.normalize(c) for c in self.section]
-        mult = self._mult_Y(down, (self.d, self.e), field)
-        nsec = len(self.section)
-        rows = []
-        for j in range(len(sub)):
-            # row = section * (j-th basis element of H0(Y, L - X))
-            acc = [field.zero] * len(amb)
-            for t, c in enumerate(sec):
-                if c:
-                    col = mult.column(j * nsec + t)
-                    acc = [x + c * y for x, y in zip(acc, col)]
-            rows.append(tuple(acc))
+        index = {m: j for j, m in
+                 enumerate(_scroll_exponents(amb, label[0]))}
+        section = [(m, field.normalize(c)) for m, c in self._form]
+        # the section times each basis element of H0(Y, L - X)
+        rows = products(field, _scroll_exponents(
+            scroll_basis(self.a, self.b, *down), down[0]), (section,), index)
         red = span_reduction(Matrix(field, len(rows), len(amb),
                                     tuple(rows)))
         piece = (tuple(amb[c] for c in red.complement), red)
@@ -730,62 +656,19 @@ class ScrollCurve:
 
     # -- points --
 
-    def _section_terms(self, field):
-        basis = scroll_basis(self.a, self.b, self.d, self.e)
-        terms = zip(basis, map(field.normalize, self.section))
-        return tuple((elt, c) for elt, c in terms if c)
-
-    def _eval_label_elt(self, field, alpha, elt, params):
-        """Value of u^i v^(alpha-i) * monomial at (s, t, u, v)."""
-        i, m = elt
-        return evaluate_monomial(field, m + (i, alpha - i), params)
-
     def enumerate_points(self, p):
         field = GF(p)
-        terms = self._section_terms(field)
+        section = [(m, field.normalize(c)) for m, c in self._form]
         series, _ = self._piece((1, 0), field)
-        records = []
-        for st in projective_reps(p, 2):
-            for uv in projective_reps(p, 2):
-                params = st + uv
-                val = 0
-                for elt, c in terms:
-                    val = (val + c * self._eval_label_elt(
-                        field, self.d, elt, params)) % p
-                if val:
-                    continue
-                smooth = self._smooth_at(field, params)
-                values = tuple(self._eval_label_elt(field, 1, elt, params)
-                               for elt in series)
-                phi = _normalized_phi(field, values, params)
-                records.append(PointRecord(p, params, phi, smooth))
+        candidates = (st + uv for st in projective_reps(p, 2)
+                      for uv in projective_reps(p, 2))
+        records = _zero_locus(field, candidates, 4, (section,),
+                              _scroll_exponents(series, 1))
         return PointEnumeration(p, tuple(records), True)
-
-    def _smooth_at(self, field, params):
-        """The curve is singular at the point iff all four partial
-        derivatives of the defining form vanish at the lift."""
-        p = field.p
-        for var in range(4):
-            acc = 0
-            for (i, m), c in self._section_terms(field):
-                exps = [m[0], m[1], i, self.d - i]
-                if not exps[var]:
-                    continue
-                k = exps[var]
-                exps[var] -= 1
-                term = c * k % p
-                for x, e in zip(params, exps):
-                    term = term * pow(x, e, p) % p
-                acc = (acc + term) % p
-            if acc:
-                return True
-        return False
 
     def evaluation_functional(self, params, label, field):
         basis, _ = self._piece(label, field)
-        values = tuple(self._eval_label_elt(field, label[0], elt, params)
-                       for elt in basis)
-        return _normalized_phi(field, values, params)
+        return _functional(field, _scroll_exponents(basis, label[0]), params)
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name, "a": self.a,

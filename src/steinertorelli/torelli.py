@@ -446,7 +446,7 @@ def rescaling_invariance(points, scaling, primes=PRIMES_DEFAULT) -> bool:
 # ---- seeded generic configurations ---------------------------------------------
 
 
-def random_point_set(count, prime, seed, r=3, max_tries=256):
+def random_point_set(count, prime, seed, r=3, max_tries=1024):
     """Seeded point sets with a recorded genericity certificate.
 
     Draws ``count`` distinct canonical representatives of P^r(F_p) and

@@ -176,6 +176,16 @@ def test_dk_verb_generation_mode_records_seed(capsys):
     assert rep["consensus"] == "EQUAL"
 
 
+def test_dk_verb_certifies_a_seed_that_needs_many_draws(capsys):
+    # 270 draws from seed 389241 fail the certificate at p = 11, more
+    # than an earlier budget of 256 allowed
+    code, rep = run_json(capsys, ["dk", "--N", "7", "--seed", "389241",
+                                  "--prime", "11"])
+    assert code == 0
+    assert (rep["seed"], rep["used_seed"]) == (389241, 389512)
+    assert rep["consensus"] == "EQUAL"
+
+
 def test_scroll_invariance_verb(capsys):
     code, rep = run_json(capsys, ["scroll-invariance", SCROLL_A_PATH,
                                   SCROLL_B_PATH])

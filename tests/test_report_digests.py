@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from steinertorelli.cli import main
+from steinertorelli.cli import emit, main
+from steinertorelli.scenes import P1Series
+from steinertorelli.torelli import torelli_check
 
 SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
 SCENES = {p.stem: str(p) for p in SCENEDIR.glob("*.json")}
@@ -63,6 +65,8 @@ CASES = [
      "51fd77ec2114657f033ac13346ec07a8feab06226faccb1020bce268abe2250b"),
     ("torelli conic_monomials --B O(4) --primes 5,7", 0,
      "ead67bc439101e5f277fcd1ff044a162841a57734f09e43c1b6c3efa10e3857c"),
+    ("torelli diagonal_quartic_123 --B O(3) --primes 5", 0,
+     "ace670abcc45142ff604a5ee0f27248800eea79a4d9dac2bc70595904022ef20"),
     ("torelli fermat_quartic --B O(3) --primes 5", 0,
      "4a4c3720a2ccffe42d95025a7a11a3708885ba825914474300197a1dd8bb82f8"),
     ("torelli diagonal_ci --B K+A --primes 5", 0,
@@ -101,3 +105,20 @@ def test_report_bytes_are_pinned(capsysbinary, line, code, digest):
     assert main(argv) == code
     out = capsysbinary.readouterr().out
     assert hashlib.sha256(out).hexdigest() == digest
+
+
+# the twisted cubic embedded by a basis of determinant 1, so the series
+# is proper as a basis and stays whole at every prime; no scene file
+# takes the proper-series branch of the P^1 scene
+UNIMODULAR_CUBIC = [[1, 1, 0, -1], [2, 3, -2, -2], [-1, 0, -1, 3],
+                    [0, -2, 5, 3]]
+
+
+@pytest.mark.parametrize("b,digest", [
+    (5, "3620e94f48964fc1b2913e117e2ca9d27d8bdc1fe39e35a7b3a86a341ad61ad1"),
+    (4, "df055c45ca1b49cbe89fc6d4fa4483d22cf50bbd7368b0e94c93543a50a83c04"),
+])
+def test_proper_series_report_bytes_are_pinned(b, digest):
+    scene = P1Series(3, UNIMODULAR_CUBIC, name="twisted_cubic_unimodular")
+    report = torelli_check(scene, b, (5, 7)).to_json_dict()
+    assert hashlib.sha256(emit(report, "json")).hexdigest() == digest

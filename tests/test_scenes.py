@@ -10,7 +10,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinertorelli.errors import (BadClass, BadPrime, BasepointedSeries,
@@ -69,6 +69,57 @@ def scroll(coeffs=SCROLL_F1):
 # ---- P^1 series ----------------------------------------------------------
 
 
+def _strip_poly(cs):
+    cs = list(cs)
+    while cs and cs[0] == 0:
+        cs.pop(0)
+    return cs
+
+
+def _poly_mod(a, b):
+    """Remainder of a by b; both lists of Fractions, leading coeff first."""
+    a = _strip_poly(a)
+    b = _strip_poly(b)
+    while len(a) >= len(b):
+        f = a[0] / b[0]
+        a = [x - f * y for x, y in zip(a, b + [Fraction(0)] * len(a))][1:]
+        a = _strip_poly(a)
+        if not a:
+            break
+    return a
+
+
+def _poly_gcd(a, b):
+    while b:
+        a, b = b, _poly_mod(a, b)
+    return a
+
+
+def gcd_basepoint_oracle(vectors):
+    """Common projective zero (over the algebraic closure) of binary forms
+    given by coefficient vectors in descending s powers, by a polynomial
+    gcd of the dehomogenized forms."""
+    if all(v[0] == 0 for v in vectors):
+        return True           # all divisible by t: common zero at [1:0]
+    g = None
+    for v in vectors:
+        cs = _strip_poly([Fraction(c) for c in v])   # f(s, 1)
+        if not cs:
+            continue
+        g = cs if g is None else _poly_gcd(g, cs)
+        if len(g) == 1:
+            return False
+    return g is not None and len(g) > 1
+
+
+def _binary_product(f, g):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] += x * y
+    return out
+
+
 class TestP1Series:
     def test_twisted_cubic_dims(self):
         tc = P1Series(3)
@@ -121,6 +172,42 @@ class TestP1Series:
             P1Series(2, [(1, 0), (0, 1)])
         # s^2 + t^2 and st have no common zero over any extension
         P1Series(2, [(1, 0, 1), (0, 1, 0)])
+
+    @pytest.mark.parametrize("a,root", [
+        (a, root) for a in range(1, 6)
+        for root in ("none", "finite", "infinity")
+        if a > 1 or root == "none"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_basepoint_test_matches_gcd_oracle(self, a, root, data):
+        """P1Series refuses a basis exactly when the gcd oracle finds a
+        common zero; `root` forces one at a finite point p/q or at [1:0]
+        by multiplying every form by the same linear factor."""
+        coeff = st.integers(-3, 3)
+        if root == "none":
+            count = data.draw(st.integers(2, a + 1))
+            rows = [data.draw(st.lists(coeff, min_size=a + 1,
+                                       max_size=a + 1))
+                    for _ in range(count)]
+        else:
+            if root == "finite":
+                num = data.draw(st.integers(-3, 3))
+                den = data.draw(st.integers(1, 3))
+                factor = (den, -num)            # den*s - num*t
+            else:
+                factor = (0, 1)                 # t
+            count = data.draw(st.integers(2, a))
+            rows = [_binary_product(factor, data.draw(
+                st.lists(coeff, min_size=a, max_size=a)))
+                for _ in range(count)]
+        assume(rank(Matrix.from_rows(QQ, rows)) == count)
+        expected = gcd_basepoint_oracle(rows)
+        assert expected or root == "none"
+        if expected:
+            with pytest.raises(BasepointedSeries):
+                P1Series(a, rows)
+        else:
+            assert P1Series(a, rows).series_dim() == count
 
     @given(st.integers(0, 5), st.integers(0, 5), st.integers(1, 4))
     def test_multiplication_is_evaluation_compatible(self, k1, k2, t):
@@ -200,6 +287,20 @@ class TestCompleteIntersection:
             en = ci.enumerate_points(p)
             assert len(en.records) == npts
             assert en.all_smooth
+
+    def test_nodal_cubic_is_singular_only_at_the_node(self):
+        # y^2 z - x^3 - x^2 z: a plane cubic with a node at [0:0:1]
+        idx = monomial_index(3, 3)
+        v = [0] * 10
+        v[idx[(0, 2, 1)]] = 1
+        v[idx[(3, 0, 0)]] = -1
+        v[idx[(2, 0, 1)]] = -1
+        nodal = CompleteIntersection(2, [(3, v)])
+        for p in (5, 7, 11):
+            en = nodal.enumerate_points(p)
+            assert not en.all_smooth
+            assert [r.params for r in en.records
+                    if not r.smooth_ok] == [(0, 0, 1)]
 
     def test_chi_matches_koszul_sum(self):
         for c in (diagonal_ci(), fermat_quartic()):
