@@ -399,6 +399,16 @@ def projective_unrank(p: int, m: int, index: int):
     return (0,) * (m - 1 - tail) + (1,) + tuple(reversed(digits))
 
 
+def projective_rank(p: int, vec):
+    """The position of the canonical representative `vec` in
+    projective_reps(p, len(vec)); the inverse of projective_unrank."""
+    tail = vec[vec.index(1) + 1:]
+    index = 0
+    for d in tail:
+        index = index * p + d
+    return projective_count(p, len(tail)) + index
+
+
 def normalize_projective(field, vec):
     """Scale so the first nonzero coordinate is 1.  None for the zero
     vector."""

@@ -117,21 +117,35 @@ def _zero_locus(field, candidates, nvars, forms, series):
     """Records of the candidate points where every form vanishes, each
     with the functional of the series monomials.  A point is smooth when
     the Jacobian of the forms has rank len(forms) there."""
-    jacobian = [_partials(field, form, nvars) for form in forms]
     p = field.p
+    top = max((e for form in forms for m, _ in form for e in m), default=0)
 
-    def value(form, params):
+    def factored(form):
+        """Each term as its coefficient and its (variable, exponent)
+        factors of positive exponent."""
+        return [([(k, e) for k, e in enumerate(m) if e], c) for m, c in form]
+
+    def value(terms, powers):
         acc = 0
-        for m, c in form:
-            acc += c * evaluate_monomial(field, m, params)
+        for factors, c in terms:
+            for k, e in factors:
+                c *= powers[k][e]
+            acc += c
         return acc % p
 
+    jacobian = [[factored(d) for d in _partials(field, form, nvars)]
+                for form in forms]
+    forms = [factored(form) for form in forms]
+    # table[x][e] = x^e for every residue x, p rows against at least p + 1
+    # candidates; each form is reduced once per point
+    table = [[x ** e for e in range(top + 1)] for x in range(p)]
     for params in candidates:
+        powers = [table[x] for x in params]
         for form in forms:
-            if value(form, params):
+            if value(form, powers):
                 break
         else:
-            rows = [[value(d, params) for d in row] for row in jacobian]
+            rows = [[value(d, powers) for d in row] for row in jacobian]
             smooth = rank(Matrix.from_rows(field, rows)) == len(forms)
             yield PointRecord(p, params, _functional(field, series, params),
                               smooth)

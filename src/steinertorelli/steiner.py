@@ -1,27 +1,44 @@
 """Steiner presentations and the unstable-hyperplane calculus.
 
 A presentation is a tensor mu: U1 (x) V -> U0 stored as a b x (a*m)
-matrix over a field, with column t = i*m + j holding mu(u1_i (x) v_j).
+matrix T over a field, with column t = i*m + j holding mu(u1_i (x) v_j).
 It presents a vector bundle of rank b - a on the projective space of V
-exactly when mu(u1 (x) v) != 0 for every pair of nonzero vectors, which
-over a finite field is checked by scanning fibers: for each point [v] of
-P(V) the b x a matrix u |-> mu(u (x) v) must have rank a.
+exactly when mu(u1 (x) v) != 0 for every pair of nonzero vectors, that
+is when ker T holds no rank-one tensor u (x) v.
 
 A functional lam on V is *unstable* for mu when the restriction of mu to
 U1 (x) ker(lam) fails to surject onto U0; the cokernel dimension is the
 basic numerical output and the left kernel of the restricted matrix
-carries the recovery data.
+carries the recovery data.  A functional psi on U0 kills that image
+exactly when every row of psi T, read as an a x m matrix, is a multiple
+of lam, so with K a basis of ker T and r the rank of T
+
+    coker(lam) = (b - r) + dim {phi in U1* : K (phi (x) lam) = 0}:
+
+the unstable locus is a linear section of the Segre variety
+P(U1*) x P(V*) (Ancona-Ottaviani, Adv. Geom. 2001).
+
+Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
+walks one projective factor, contracts a set of tensors by each point
+and hands back the kernel of the small matrix that results.  It walks
+the smaller factor.  When a < m, validation contracts T over P(U1) and
+the instability scan contracts K over P(U1*) (when r = b), which is
+p^(a-1) small eliminations instead of p^(m-1).  Otherwise both contract
+over P(V), the fibers of T and the maps lam |-> K (. (x) lam).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from operator import mul
+from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
                      ZeroPoint)
 from .exactfield import (GF, Matrix, eliminate, left_kernel,
-                         normalize_projective, projective_reps, rank_kernel)
+                         normalize_projective, projective_count,
+                         projective_rank, projective_reps, rank,
+                         rank_kernel)
 
 
 class SteinerPresentation:
@@ -50,22 +67,18 @@ class SteinerPresentation:
     def column(self, i, j):
         return self.tensor.column(i * self.dim_v + j)
 
-    def fiber_rows(self, v):
-        """Rows of the b x a matrix of u |-> mu(u (x) v), as lists."""
-        norm, zero = self.field.normalize, self.field.zero
-        v = [norm(x) for x in v]
+    def fiber_matrix(self, v):
+        """The b x a matrix of u |-> mu(u (x) v)."""
+        fld = self.field
+        v = [fld.normalize(x) for x in v]
         m = self.dim_v
         bases = range(0, self.dim_u1 * m, m)
-        return [[norm(sum(map(mul, row[i:i + m], v), zero)) for i in bases]
-                for row in self.tensor.entries]
+        return Matrix(fld, self.dim_u0, self.dim_u1,
+                      [[sum(map(mul, row[i:i + m], v), fld.zero)
+                        for i in bases] for row in self.tensor.entries])
 
-    def fiber_matrix(self, v):
-        return Matrix(self.field, self.dim_u0, self.dim_u1,
-                      self.fiber_rows(v))
-
-    def restricted_rows(self, lam):
-        """Rows of the b x (a*(m-1)) restriction of mu to U1 (x) ker(lam),
-        as lists.
+    def restricted_matrix(self, lam):
+        """The b x (a*(m-1)) matrix of mu restricted to U1 (x) ker(lam).
 
         ker(lam) gets its canonical basis e_j - lam_j e_c0 (j != c0, c0
         the first nonzero position of the normalized functional), so each
@@ -81,14 +94,9 @@ class SteinerPresentation:
         terms = [(base + j, base + c0, x)
                  for base in range(0, self.dim_u1 * m, m)
                  for j, x in enumerate(lam) if j != c0]
-        norm = fld.normalize
-        return [[norm(row[t] - x * row[s]) for t, s, x in terms]
-                for row in self.tensor.entries]
-
-    def restricted_matrix(self, lam):
-        return Matrix(self.field, self.dim_u0,
-                      self.dim_u1 * (self.dim_v - 1),
-                      self.restricted_rows(lam))
+        return Matrix(fld, self.dim_u0, len(terms),
+                      [[row[t] - x * row[s] for t, s, x in terms]
+                       for row in self.tensor.entries])
 
     def map_to(self, field):
         """The same tensor over another field (e.g. QQ data mod p)."""
@@ -104,6 +112,56 @@ class SteinerPresentation:
 def make_presentation(tensor: Matrix, a, m, b, name="") -> \
         SteinerPresentation:
     return SteinerPresentation(tensor.field, a, m, b, tensor, name)
+
+
+# ---- the rank-one engine ----------------------------------------------------
+
+
+def _rank_one_scan(rows, a, m, p, over_u1):
+    """Contract tensors in U1 (x) V by every point of one factor.
+
+    `rows` are sequences of a*m residues mod p, entry i*m + j the
+    coefficient of u1_i (x) v_j.  For each canonical point x of P(U1)
+    when `over_u1`, else of P(V), in enumeration order, yield x and the
+    reduced echelon basis of the vectors y with row(x (x) y) = 0 for every
+    row (resp. row(y (x) x) = 0), a tuple of tuples, empty when there are
+    none.
+    """
+    # images[t]: the rows contracted by the t-th basis vector, row-major;
+    # the contraction by x is the sum of x_t images[t]
+    if over_u1:
+        n, width = a, m
+        images = [[y for row in rows for y in row[t * m:t * m + m]]
+                  for t in range(a)]
+    else:
+        n, width = m, a
+        images = [[y for row in rows for y in row[t::m]] for t in range(m)]
+    starts = [k * width for k in range(len(rows))]
+    field = GF(p)
+    flat, prev = [0] * (len(rows) * width), (0,) * n
+    for x in projective_reps(p, n):
+        # the tail of x runs like an odometer, so the sum is updated only
+        # at the few coordinates that moved
+        for t, d in enumerate(map(sub, x, prev)):
+            if d:
+                flat = [(s + d * y) % p for s, y in zip(flat, images[t])]
+        prev = x
+        work = [flat[s:s + width] for s in starts]
+        if len(eliminate(work, width, p, full=False)) == width:
+            yield x, ()
+            continue
+        basis = [list(y) for y in rank_kernel(
+            Matrix(field, len(work), width, work)).kernel]
+        eliminate(basis, width, p)
+        yield x, tuple(map(tuple, basis))
+
+
+def _span_points(basis, p):
+    """The canonical points of the span of a reduced echelon basis: a
+    combination whose first nonzero coefficient is 1 has leading entry 1
+    at that row's pivot."""
+    for c in projective_reps(p, len(basis)):
+        yield tuple(sum(map(mul, c, col)) % p for col in zip(*basis))
 
 
 # ---- validity --------------------------------------------------------------
@@ -126,17 +184,30 @@ class ValidationReport:
 
 def validate_presentation(pres: SteinerPresentation, p: int) -> \
         ValidationReport:
-    """Scan all fibers over P(V)(F_p); valid iff every fiber map has full
-    rank a.  A rank drop yields a witness pair (u, v) with mu(u(x)v) = 0."""
+    """Valid iff every fiber map over P(V)(F_p) has full rank a.
+
+    The report reads as a fiber scan in enumeration order:
+    `fibers_scanned` is the position of the first bad fiber v plus one
+    (all of P(V) when valid), and the witness is the first kernel vector
+    u of that fiber, so mu(u (x) v) = 0.
+    """
     work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    a = work.dim_u1
-    scanned = 0
-    for v in projective_reps(p, work.dim_v):
-        scanned += 1
-        if len(eliminate(work.fiber_rows(v), a, p, full=False)) != a:
-            witness = (rank_kernel(work.fiber_matrix(v)).kernel[0], v)
-            return ValidationReport(p, False, scanned, witness)
-    return ValidationReport(p, True, scanned, None)
+    a, m = work.dim_u1, work.dim_v
+    rows = work.tensor.entries
+    if a < m:
+        # canonical points sort in enumeration order, and the least
+        # point of a subspace is the last row of its reduced echelon basis
+        bad = min((kernel[-1] for _, kernel in
+                   _rank_one_scan(rows, a, m, p, over_u1=True) if kernel),
+                  default=None)
+    else:
+        bad = next((v for v, kernel in
+                    _rank_one_scan(rows, a, m, p, over_u1=False) if kernel),
+                   None)
+    if bad is None:
+        return ValidationReport(p, True, projective_count(p, m), None)
+    witness = (rank_kernel(work.fiber_matrix(bad)).kernel[0], bad)
+    return ValidationReport(p, False, projective_rank(p, bad) + 1, witness)
 
 
 # ---- instability -----------------------------------------------------------
@@ -144,10 +215,7 @@ def validate_presentation(pres: SteinerPresentation, p: int) -> \
 
 def unstable_test(pres: SteinerPresentation, lam):
     """(is_unstable, coker_dim) for the hyperplane ker(lam)."""
-    rank = len(eliminate(pres.restricted_rows(lam),
-                         pres.dim_u1 * (pres.dim_v - 1),
-                         pres.field.characteristic, full=False))
-    coker = pres.dim_u0 - rank
+    coker = pres.dim_u0 - rank(pres.restricted_matrix(lam))
     return coker > 0, coker
 
 
@@ -191,14 +259,24 @@ class VallesReport:
 
 
 def valles_locus(pres: SteinerPresentation, p: int) -> VallesReport:
-    """Apply unstable_test to every canonical point of P(V)(F_p), in
-    enumeration order."""
+    """Every unstable point of P(V)(F_p) with its cokernel dimension, in
+    enumeration order; `scanned` counts the hyperplanes decided."""
     work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    found = []
-    scanned = 0
-    for lam in projective_reps(p, work.dim_v):
-        scanned += 1
-        unstable, coker = unstable_test(work, lam)
-        if unstable:
-            found.append((lam, coker))
-    return VallesReport(p, scanned, tuple(found))
+    a, m, b = work.dim_u1, work.dim_v, work.dim_u0
+    kd = rank_kernel(work.tensor)
+    if a < m and kd.rank == b:
+        seen = Counter(lam for _, kernel in
+                       _rank_one_scan(kd.kernel, a, m, p, over_u1=True)
+                       for lam in _span_points(kernel, p))
+        # lam turns up once per point of P(ker N(lam)), N(lam) the map
+        # phi |-> K (phi (x) lam), and coker(lam) = dim ker N(lam) <= a
+        dims = {projective_count(p, c): c for c in range(1, a + 1)}
+        found = [(lam, dims[count]) for lam, count in sorted(seen.items())]
+    else:
+        found = []
+        for lam, kernel in _rank_one_scan(kd.kernel, a, m, p,
+                                          over_u1=False):
+            coker = b - kd.rank + len(kernel)
+            if coker:
+                found.append((lam, coker))
+    return VallesReport(p, projective_count(p, m), tuple(found))

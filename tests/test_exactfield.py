@@ -8,9 +8,10 @@ from steinertorelli.errors import (BadPrime, FieldMismatch, NonPrimeModulus,
                                    ShapeMismatch)
 from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
                                        left_kernel, normalize_projective,
-                                       projective_count, projective_reps,
-                                       projective_unrank, rank, rank_kernel,
-                                       rref, span_reduction)
+                                       projective_count, projective_rank,
+                                       projective_reps, projective_unrank,
+                                       rank, rank_kernel, rref,
+                                       span_reduction)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
 
@@ -296,11 +297,12 @@ def test_projective_reps(p, m):
         assert lead == 1
 
 
-@pytest.mark.parametrize("p,m", [(2, 1), (2, 4), (3, 3), (5, 3), (7, 2),
-                                 (11, 3)])
+@pytest.mark.parametrize("p,m", [(p, m) for p in (2, 3, 5)
+                                 for m in (1, 2, 3, 4)] + [(7, 2), (11, 3)])
 def test_projective_unrank_follows_enumeration_order(p, m):
     reps = list(projective_reps(p, m))
     assert [projective_unrank(p, m, i) for i in range(len(reps))] == reps
+    assert [projective_rank(p, v) for v in reps] == list(range(len(reps)))
 
 
 def test_normalize_projective():

@@ -5,19 +5,25 @@ for the loci expected to equal the image, the Segre quadric equation for
 the scroll locus, and hand dimension counts for the rest.
 """
 
+import random
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinertorelli.cli import resolve_label
 from steinertorelli.errors import (NonUniqueQuotient, ShapeMismatch,
                                    ZeroPoint)
-from steinertorelli.exactfield import (GF, QQ, Matrix, projective_reps,
-                                       rank)
-from steinertorelli.scenes import P1Series
-from steinertorelli.steiner import (make_presentation,
+from steinertorelli.exactfield import (GF, QQ, Matrix, projective_count,
+                                       projective_reps, rank, rank_kernel)
+from steinertorelli.scenes import P1Series, PointSet, load_scene
+from steinertorelli.steiner import (ValidationReport, VallesReport,
+                                    make_presentation,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
                                     validate_presentation, valles_locus)
+from steinertorelli.torelli import dk_presentation, tautological_presentation
 
 from test_scenes import SCROLL_F1, SCROLL_F2, diagonal_ci, fermat_quartic, \
     scroll
@@ -262,3 +268,104 @@ class TestVallesLocus:
         assert d["unstable"][0] == {"lambda": [0, 0, 0, 1], "coker": 1}
         import json
         json.dumps(d)
+
+
+# ---- the rank-one engine against the plain scans ---------------------------
+#
+# The per-fiber and per-hyperplane loops that the rank-one engine replaced,
+# kept as oracles: one elimination at every point of P(V)(F_p).
+
+
+def reference_validation(pres, p):
+    work = pres if pres.field == GF(p) else pres.map_to(GF(p))
+    for scanned, v in enumerate(projective_reps(p, work.dim_v), 1):
+        kernel = rank_kernel(work.fiber_matrix(v)).kernel
+        if kernel:
+            return ValidationReport(p, False, scanned, (kernel[0], v))
+    return ValidationReport(p, True, projective_count(p, work.dim_v), None)
+
+
+def reference_valles(pres, p):
+    work = pres if pres.field == GF(p) else pres.map_to(GF(p))
+    found = []
+    for lam in projective_reps(p, work.dim_v):
+        unstable, coker = unstable_test(work, lam)
+        if unstable:
+            found.append((lam, coker))
+    return VallesReport(p, projective_count(p, work.dim_v), tuple(found))
+
+
+def assert_engine_matches_reference(pres, p):
+    assert validate_presentation(pres, p) == reference_validation(pres, p)
+    assert valles_locus(pres, p) == reference_valles(pres, p)
+
+
+SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
+
+# labels on both sides of a < m, and dk presentations (a = 2 or 3, m = 4)
+# at primes where their points stay in general position
+CATALOGUE = [
+    ("twisted_cubic", ("O(4)", "O(5)", "O(6)", "O(7)"), (5, 7)),
+    ("conic_monomials", ("O(3)", "O(4)"), (5, 7)),
+    ("diagonal_ci", ("K+A", "K+2A"), (5, 7)),
+    ("fermat_quartic", ("O(3)", "O(4)"), (5, 7)),
+    ("diagonal_quartic_123", ("O(3)", "O(4)"), (5, 7)),
+    ("scroll_member_a", ("K+2A", "K+3A"), (5, 7)),
+    ("scroll_member_b", ("K+2A", "K+3A"), (5, 7)),
+    ("six_general_points", (None,), (5, 7)),
+    ("seven_on_twisted_cubic", (None,), (7, 11)),
+    ("seven_general_f11", (None,), (11, 13)),
+]
+
+
+@pytest.mark.parametrize("stem,label,p", [
+    (stem, label, p) for stem, labels, primes in CATALOGUE
+    for label in labels for p in primes])
+def test_engine_matches_reference_on_the_catalogue(stem, label, p):
+    scene = load_scene(str(SCENEDIR / f"{stem}.json"))
+    if isinstance(scene, PointSet):
+        pres = dk_presentation(scene, GF(p))
+    else:
+        pres = tautological_presentation(
+            scene, resolve_label(scene, label), GF(p))
+    assert_engine_matches_reference(pres, p)
+
+
+SHAPES = st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(0, 5))
+
+
+def low_rank_tensor(p, a, m, b, r, seed):
+    """A b x am tensor over GF(p) of rank at most r: a b x r times an
+    r x am random matrix."""
+    rng = random.Random(seed)
+    left = [[rng.randrange(p) for _ in range(r)] for _ in range(b)]
+    right = [[rng.randrange(p) for _ in range(a * m)] for _ in range(r)]
+    rows = tuple(tuple(sum(row[k] * right[k][c] for k in range(r))
+                       for c in range(a * m)) for row in left)
+    return make_presentation(Matrix(GF(p), b, a * m, rows), a, m, b)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), SHAPES, st.integers(0, 10 ** 6))
+@settings(max_examples=150, deadline=None)
+def test_engine_matches_reference_on_random_tensors(p, shape, seed):
+    a, m, b = shape
+    assert_engine_matches_reference(random_tensor(GF(p), a, m, b, seed), p)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), SHAPES, st.data())
+@settings(max_examples=100, deadline=None)
+def test_engine_matches_reference_on_rank_deficient_tensors(p, shape,
+                                                            data):
+    a, m, b = shape
+    r = data.draw(st.integers(0, max(0, min(b, a * m) - 1)))
+    pres = low_rank_tensor(p, a, m, b, r, data.draw(st.integers(0, 10 ** 6)))
+    assert rank(pres.tensor) < b or b == 0
+    assert_engine_matches_reference(pres, p)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("a,m,b", [(0, 3, 2), (1, 3, 2), (2, 4, 3),
+                                   (3, 2, 4), (2, 2, 1), (2, 1, 3)])
+def test_engine_matches_reference_on_the_zero_tensor(p, a, m, b):
+    pres = make_presentation(Matrix.zero(GF(p), b, a * m), a, m, b)
+    assert_engine_matches_reference(pres, p)

@@ -9,12 +9,12 @@ from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
                                    UnsupportedLabel,
                                    UnsupportedScene, ZeroEvaluation,
                                    ZeroScale)
-from steinertorelli.exactfield import (GF, projective_reps,
-                                       projective_unrank)
+from steinertorelli.exactfield import (GF, projective_count,
+                                       projective_reps, projective_unrank)
 from steinertorelli.koszul import green_points_test
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
-from steinertorelli.steiner import unstable_test
+from steinertorelli.steiner import unstable_test, valles_locus
 from steinertorelli.torelli import (_consensus, bpf_image_check, dk_check,
                                     dk_presentation, hypothesis_defect,
                                     random_point_set,
@@ -88,6 +88,19 @@ def test_torelli_twisted_cubic_positive():
         assert res.unstable_count == res.image_count == p + 1
         assert res.extra == () and res.missing == ()
         assert res.recovery_ok
+
+
+def test_torelli_twisted_cubic_at_large_primes():
+    # p^3 + p^2 + p + 1 hyperplanes, about 10^6 at p = 101, decided from
+    # p^2 + p + 1 contractions over P(U1*)
+    rep = torelli_check(TC, 5, (53, 101))
+    assert rep.consensus == "EQUAL"
+    for res, p in zip(rep.results, (53, 101)):
+        assert res.scanned == projective_count(p, 4)
+        assert res.unstable_count == res.image_count == p + 1
+        assert len(res.recovery) == p + 1 and res.recovery_ok
+        scan = valles_locus(tautological_presentation(TC, 5, GF(p)), p)
+        assert [coker for _, coker in scan.unstable] == [1] * (p + 1)
 
 
 def test_torelli_adjoint_twist_still_equal():
