@@ -183,6 +183,9 @@ def _run_koszul(args):
     field = _field_from(args)
     lo, hi = KOSZUL_WINDOW
     if scene.kind == "point_set":
+        if args.N is not None:
+            raise UsageError("--N twists a section module; on a point set "
+                             "the koszul verb reads the ideal")
         window = pointset_ideal_window(scene, lo, hi, field)
         n_str = "ideal"
     else:

@@ -90,10 +90,6 @@ class WindowTooSmall(SteinerTorelliError):
     """A graded window does not cover the degrees needed by the request."""
 
 
-class BadTuple(SteinerTorelliError):
-    """An exterior algebra index tuple is not strictly increasing in range."""
-
-
 class ZeroScale(SteinerTorelliError):
     """A rescaling vector contains a zero entry."""
 

@@ -199,9 +199,7 @@ class Matrix:
             raise FieldMismatch(f"{self.field} vs {other.field}")
 
     def transpose(self):
-        return Matrix(self.field, self.ncols, self.nrows,
-                      tuple(zip(*self.entries)) if self.nrows else
-                      tuple(() for _ in range(self.ncols)))
+        return Matrix(self.field, self.ncols, self.nrows, self.columns())
 
     def mul(self, other):
         self._check_field(other)
@@ -209,11 +207,9 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} "
                 f"by {other.nrows}x{other.ncols}")
-        cols = list(zip(*other.entries)) if other.nrows else \
-            [()] * other.ncols
         zero = self.field.zero
         return Matrix(self.field, self.nrows, other.ncols, tuple(
-            tuple(sum(map(mul, row, col), zero) for col in cols)
+            tuple(sum(map(mul, row, col), zero) for col in other.columns())
             for row in self.entries))
 
     def mul_vec(self, vec):
@@ -226,6 +222,10 @@ class Matrix:
 
     def column(self, j):
         return tuple(row[j] for row in self.entries)
+
+    def columns(self):
+        return tuple(zip(*self.entries)) if self.nrows else \
+            ((),) * self.ncols
 
     def map_to(self, field):
         """Re-normalize entries into another field (e.g. QQ -> GF(p))."""
@@ -327,17 +327,24 @@ def rank_kernel(m: Matrix) -> KernelData:
     this basis can be read off at the free positions.
     """
     ech = rref(m)
-    fld = m.field
-    pivotset = set(ech.pivots)
-    free = [j for j in range(m.ncols) if j not in pivotset]
+    return KernelData(ech.rank,
+                      kernel_basis(ech.rows, ech.pivots, m.ncols, m.field),
+                      ech.pivots)
+
+
+def kernel_basis(rows, pivots, ncols, field):
+    """The canonical kernel basis of rank_kernel, read off the reduced
+    echelon `rows` and their `pivots`."""
+    pivotset = set(pivots)
     basis = []
-    for f in free:
-        v = [fld.zero] * m.ncols
-        v[f] = fld.one
-        for i, pc in enumerate(ech.pivots):
-            v[pc] = fld.normalize(-ech.rows[i][f])
-        basis.append(tuple(v))
-    return KernelData(ech.rank, tuple(basis), ech.pivots)
+    for f in range(ncols):
+        if f not in pivotset:
+            v = [field.zero] * ncols
+            v[f] = field.one
+            for row, pc in zip(rows, pivots):
+                v[pc] = field.normalize(-row[f])
+            basis.append(tuple(v))
+    return tuple(basis)
 
 
 def left_kernel(m: Matrix) -> KernelData:

@@ -2,16 +2,20 @@
 
 A GradedModuleWindow holds the graded pieces M_lo .. M_hi of a module
 over the polynomial functions of an acting space U, together with the
-multiplication tensors U (x) M_k -> M_{k+1} (U-major columns).  The
-groups K_{p,q} are cohomology of
+action of U out of each piece, stored as columns: column i * dim M_k + t
+of the degree-k table is u_i m_t in the basis of M_{k+1}.  The groups
+K_{p,q} are cohomology of
 
     Lambda^{p+1} U (x) M_{q-1}  ->  Lambda^p U (x) M_q
                                 ->  Lambda^{p-1} U (x) M_{q+1}
 
 with d(u_{i_1} ^ ... ^ u_{i_p} (x) m) = sum_j (-1)^(j+1)
 (drop i_j) (x) u_{i_j} m, so a dimension is one middle dimension and
-two ranks.  Windows are built either from a scene's section ring or
-from the homogeneous ideal of a finite point set.
+two ranks.  The exterior basis of Lambda^p U is ordered as
+itertools.combinations(range(dim U), p) lists it, and a differential's
+row and column blocks follow that order.  Windows are built either from
+a scene's section ring or from the homogeneous ideal of a finite point
+set.
 """
 
 from __future__ import annotations
@@ -20,45 +24,13 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
-from .errors import BadTuple, UnsupportedScene, WindowTooSmall
+from .errors import UnsupportedScene, WindowTooSmall
 from .exactfield import Matrix, QQ, rank, rank_kernel
-from .polyalg import monomial_basis, monomial_index
-
-
-# ---- exterior index calculus ----------------------------------------------
+from .polyalg import monomial_basis, monomial_index, products
 
 
 def exterior_dim(dim_u, p):
     return comb(dim_u, p) if 0 <= p <= dim_u else 0
-
-
-def _check_tuple(dim_u, indices):
-    t = tuple(indices)
-    if any(not isinstance(i, int) or isinstance(i, bool) for i in t):
-        raise BadTuple(f"{t} has non-integer entries")
-    if any(not 0 <= i < dim_u for i in t):
-        raise BadTuple(f"{t} leaves the index range [0, {dim_u})")
-    if any(t[k] >= t[k + 1] for k in range(len(t) - 1)):
-        raise BadTuple(f"{t} is not strictly increasing")
-    return t
-
-
-def exterior_rank(dim_u, indices):
-    """Position of a strictly increasing tuple in the lexicographic list
-    of all such tuples of its length."""
-    t = _check_tuple(dim_u, indices)
-    p = len(t)
-    code = 0
-    prev = -1
-    for k, tk in enumerate(t):
-        for j in range(prev + 1, tk):
-            code += comb(dim_u - 1 - j, p - 1 - k)
-        prev = tk
-    return code
-
-
-def exterior_tuples(dim_u, p):
-    return itertools.combinations(range(dim_u), p)
 
 
 # ---- windows ----------------------------------------------------------------
@@ -66,14 +38,14 @@ def exterior_tuples(dim_u, p):
 
 @dataclass(frozen=True)
 class GradedModuleWindow:
-    """Graded pieces and multiplication tensors over a degree range."""
+    """Graded pieces and action tables over a degree range."""
 
     field: object
     dim_u: int
     lo: int
     hi: int
     dims: tuple       # dims[k - lo] = dim M_k
-    mults: tuple      # mults[k - lo]: U (x) M_k -> M_{k+1}, U-major
+    mults: tuple      # mults[k - lo][i * dim M_k + t] = u_i m_t in M_{k+1}
     label: str = ""
 
     def dim(self, k):
@@ -88,13 +60,6 @@ class GradedModuleWindow:
                 f"no multiplication out of degree {k} in "
                 f"window [{self.lo}, {self.hi}]")
         return self.mults[k - self.lo]
-
-
-def _u_major(mat: Matrix, dim_m, dim_u):
-    """Reorder M-major columns (from scene multiplication) to U-major."""
-    cols = [mat.column(j * dim_u + i)
-            for i in range(dim_u) for j in range(dim_m)]
-    return Matrix.from_cols(mat.field, cols, mat.nrows)
 
 
 def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
@@ -122,21 +87,24 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
         dim_u = len(coords)
     mults = []
     for k in range(lo, hi):
-        raw = scene.multiplication_map(labels[k], a_label, field)
+        # the scene's table is M-major: column t * full_u + w is m_t v_w
+        cols = scene.multiplication_map(labels[k], a_label,
+                                        field).columns()
         dm = dims[k - lo]
         if coords is None:
-            mults.append(_u_major(raw, dm, dim_u))
-        else:
-            cols = []
-            for vec in coords:
-                for j in range(dm):
-                    acc = [field.zero] * raw.nrows
-                    for w, c in enumerate(vec):
-                        if c:
-                            col = raw.column(j * full_u + w)
-                            acc = [x + c * y for x, y in zip(acc, col)]
-                    cols.append(acc)
-            mults.append(Matrix.from_cols(field, cols, raw.nrows))
+            mults.append(tuple(cols[t * full_u + i]
+                               for i in range(dim_u) for t in range(dm)))
+            continue
+        table = []
+        for vec in coords:
+            for t in range(dm):
+                acc = [field.zero] * dims[k + 1 - lo]
+                for w, c in enumerate(vec):
+                    if c:
+                        acc = [x + c * y
+                               for x, y in zip(acc, cols[t * full_u + w])]
+                table.append(tuple(map(field.normalize, acc)))
+        mults.append(tuple(table))
     name = getattr(scene, "name", "scene")
     return GradedModuleWindow(field, dim_u, lo, hi, dims, tuple(mults),
                               label=f"{name}:N={n_label}")
@@ -150,38 +118,27 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
     basis can be read off at the free monomial positions."""
     if k_hi < k_lo + 1:
         raise WindowTooSmall("a window needs at least two degrees")
-    r = points.r
-    nvars = r + 1
-    kd = {}
+    nvars = points.r + 1
+    bases, free = {}, {}
     for k in range(k_lo, k_hi + 1):
         if k < 0:
-            kd[k] = None
+            bases[k], free[k] = (), ()
             continue
-        kd[k] = rank_kernel(points.evaluation_matrix(k, field))
-    dims = tuple(0 if kd[k] is None else len(kd[k].kernel)
-                 for k in range(k_lo, k_hi + 1))
+        kd = rank_kernel(points.evaluation_matrix(k, field))
+        pivots = set(kd.pivots)
+        bases[k] = kd.kernel
+        free[k] = [j for j in range(len(monomial_index(nvars, k)))
+                   if j not in pivots]
+    dims = tuple(len(bases[k]) for k in range(k_lo, k_hi + 1))
+    linear = monomial_basis(nvars, 1)
     mults = []
     for k in range(k_lo, k_hi):
-        dm = dims[k - k_lo]
-        dout = dims[k + 1 - k_lo]
-        if kd[k] is None or dm == 0 or dout == 0:
-            mults.append(Matrix.zero(field, dout, nvars * dm))
-            continue
-        idx_out = monomial_index(nvars, k + 1)
-        basis_in = monomial_basis(nvars, k)
-        free_out = [j for j in range(len(idx_out))
-                    if j not in set(kd[k + 1].pivots)]
-        cols = []
-        for i in range(nvars):
-            for g in kd[k].kernel:
-                prod = [field.zero] * len(idx_out)
-                for t, c in enumerate(g):
-                    if c:
-                        m = list(basis_in[t])
-                        m[i] += 1
-                        prod[idx_out[tuple(m)]] += c
-                cols.append([prod[f] for f in free_out])
-        mults.append(Matrix.from_cols(field, cols, dout))
+        forms = [[(m, c) for m, c in zip(monomial_basis(nvars, k), g) if c]
+                 for g in bases[k]]
+        mults.append(tuple(
+            tuple(prod[f] for f in free[k + 1])
+            for prod in products(field, linear, forms,
+                                 monomial_index(nvars, k + 1))))
     return GradedModuleWindow(field, nvars, k_lo, k_hi, dims,
                               tuple(mults),
                               label=f"ideal:{points.name}")
@@ -201,20 +158,20 @@ def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
     cols_in = exterior_dim(n, p) * dm_in
     if p < 1 or rows_out == 0 or cols_in == 0:
         return Matrix.zero(fld, rows_out, cols_in)
-    mult = window.mult(q)
+    action = window.mult(q)
+    base = {tup: k * dm_out for k, tup in
+            enumerate(itertools.combinations(range(n), p - 1))}
     out_cols = []
-    for tup in exterior_tuples(n, p):
+    for tup in itertools.combinations(range(n), p):
         for t in range(dm_in):
             col = [fld.zero] * rows_out
             for j, i in enumerate(tup):
-                dropped = tup[:j] + tup[j + 1:]
-                base = exterior_rank(n, dropped) * dm_out
-                action = mult.column(i * dm_in + t)
+                start = base[tup[:j] + tup[j + 1:]]
                 if j % 2 == 0:
-                    for w, x in enumerate(action, base):
+                    for w, x in enumerate(action[i * dm_in + t], start):
                         col[w] += x
                 else:
-                    for w, x in enumerate(action, base):
+                    for w, x in enumerate(action[i * dm_in + t], start):
                         col[w] -= x
             out_cols.append(col)
     return Matrix.from_cols(fld, out_cols, rows_out)
@@ -274,6 +231,9 @@ def duality_check(scene, n_label, p, q, field=QQ) -> DualityReport:
     H^i(N (x) A^(q-i)) = H^i(N (x) A^(q-1-i)) = 0 for 0 < i < n are
     evaluated through the scene's cohomology; equality is only a theorem
     when they hold, but both dimensions are always reported."""
+    if scene.kind == "point_set":
+        raise UnsupportedScene("duality needs a linear series, and point "
+                               "sets carry none")
     if not scene.supports_cohomology:
         raise UnsupportedScene(
             f"duality needs cohomology, not modelled for {scene.kind}")
@@ -315,6 +275,9 @@ def green_kp1(scene, field=QQ) -> GreenReport:
     """dim K_{r-n-1,1}(X; V) for the complete series V = H0(A); nonzero
     exactly when X sits on an (n+1)-fold of minimal degree, granted the
     degree bound deg_A(X) >= r - n + 3."""
+    if scene.kind == "point_set":
+        raise UnsupportedScene("the minimal-degree verdict needs a linear "
+                               "series, and point sets carry none")
     if not scene.supports_cohomology:
         raise UnsupportedScene(
             f"minimal-degree verdict unsupported for {scene.kind}")

@@ -20,11 +20,13 @@ P(U1*) x P(V*) (Ancona-Ottaviani, Adv. Geom. 2001).
 
 Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
 walks one projective factor, contracts a set of tensors by each point
-and hands back the kernel of the small matrix that results.  It walks
-the smaller factor.  When a < m, validation contracts T over P(U1) and
-the instability scan contracts K over P(U1*) (when r = b), which is
-p^(a-1) small eliminations instead of p^(m-1).  Otherwise both contract
-over P(V), the fibers of T and the maps lam |-> K (. (x) lam).
+and hands back the small matrix that results in row echelon form; a
+kernel basis is built only where a caller reads more than its
+dimension.  It walks the smaller factor.  When a < m, validation
+contracts T over P(U1) and the instability scan contracts K over P(U1*)
+(when r = b), which is p^(a-1) small eliminations instead of p^(m-1).
+Otherwise both contract over P(V), the fibers of T and the maps
+lam |-> K (. (x) lam).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
                      ZeroPoint)
-from .exactfield import (GF, Matrix, eliminate, left_kernel,
+from .exactfield import (GF, Matrix, eliminate, kernel_basis, left_kernel,
                          normalize_projective, projective_count,
                          projective_rank, projective_reps, rank,
                          rank_kernel)
@@ -122,10 +124,10 @@ def _rank_one_scan(rows, a, m, p, over_u1):
 
     `rows` are sequences of a*m residues mod p, entry i*m + j the
     coefficient of u1_i (x) v_j.  For each canonical point x of P(U1)
-    when `over_u1`, else of P(V), in enumeration order, yield x and the
-    reduced echelon basis of the vectors y with row(x (x) y) = 0 for every
-    row (resp. row(y (x) x) = 0), a tuple of tuples, empty when there are
-    none.
+    when `over_u1`, else of P(V), in enumeration order, yield x, the rows
+    of the contracted matrix y |-> row(x (x) y) (resp. row(y (x) x)) in
+    row echelon form, and their pivot columns; the vectors y killed by
+    every row form the kernel, of dimension width minus the pivot count.
     """
     # images[t]: the rows contracted by the t-th basis vector, row-major;
     # the contraction by x is the sum of x_t images[t]
@@ -137,7 +139,6 @@ def _rank_one_scan(rows, a, m, p, over_u1):
         n, width = m, a
         images = [[y for row in rows for y in row[t::m]] for t in range(m)]
     starts = [k * width for k in range(len(rows))]
-    field = GF(p)
     flat, prev = [0] * (len(rows) * width), (0,) * n
     for x in projective_reps(p, n):
         # the tail of x runs like an odometer, so the sum is updated only
@@ -147,13 +148,16 @@ def _rank_one_scan(rows, a, m, p, over_u1):
                 flat = [(s + d * y) % p for s, y in zip(flat, images[t])]
         prev = x
         work = [flat[s:s + width] for s in starts]
-        if len(eliminate(work, width, p, full=False)) == width:
-            yield x, ()
-            continue
-        basis = [list(y) for y in rank_kernel(
-            Matrix(field, len(work), width, work)).kernel]
-        eliminate(basis, width, p)
-        yield x, tuple(map(tuple, basis))
+        yield x, work, eliminate(work, width, p, full=False)
+
+
+def _reduced_kernel(echelon, width, p):
+    """The reduced echelon basis of the kernel of a matrix the engine
+    left in row echelon form, as a tuple of tuples."""
+    pivots = eliminate(echelon, width, p)
+    basis = [list(v) for v in kernel_basis(echelon, pivots, width, GF(p))]
+    eliminate(basis, width, p)
+    return tuple(map(tuple, basis))
 
 
 def _span_points(basis, p):
@@ -197,13 +201,13 @@ def validate_presentation(pres: SteinerPresentation, p: int) -> \
     if a < m:
         # canonical points sort in enumeration order, and the least
         # point of a subspace is the last row of its reduced echelon basis
-        bad = min((kernel[-1] for _, kernel in
-                   _rank_one_scan(rows, a, m, p, over_u1=True) if kernel),
-                  default=None)
+        bad = min((_reduced_kernel(ech, m, p)[-1] for _, ech, pivots in
+                   _rank_one_scan(rows, a, m, p, over_u1=True)
+                   if len(pivots) < m), default=None)
     else:
-        bad = next((v for v, kernel in
-                    _rank_one_scan(rows, a, m, p, over_u1=False) if kernel),
-                   None)
+        bad = next((v for v, _, pivots in
+                    _rank_one_scan(rows, a, m, p, over_u1=False)
+                    if len(pivots) < a), None)
     if bad is None:
         return ValidationReport(p, True, projective_count(p, m), None)
     witness = (rank_kernel(work.fiber_matrix(bad)).kernel[0], bad)
@@ -265,18 +269,19 @@ def valles_locus(pres: SteinerPresentation, p: int) -> VallesReport:
     a, m, b = work.dim_u1, work.dim_v, work.dim_u0
     kd = rank_kernel(work.tensor)
     if a < m and kd.rank == b:
-        seen = Counter(lam for _, kernel in
+        seen = Counter(lam for _, ech, pivots in
                        _rank_one_scan(kd.kernel, a, m, p, over_u1=True)
-                       for lam in _span_points(kernel, p))
+                       if len(pivots) < m
+                       for lam in _span_points(_reduced_kernel(ech, m, p), p))
         # lam turns up once per point of P(ker N(lam)), N(lam) the map
         # phi |-> K (phi (x) lam), and coker(lam) = dim ker N(lam) <= a
         dims = {projective_count(p, c): c for c in range(1, a + 1)}
         found = [(lam, dims[count]) for lam, count in sorted(seen.items())]
     else:
         found = []
-        for lam, kernel in _rank_one_scan(kd.kernel, a, m, p,
-                                          over_u1=False):
-            coker = b - kd.rank + len(kernel)
+        for lam, _, pivots in _rank_one_scan(kd.kernel, a, m, p,
+                                             over_u1=False):
+            coker = b - kd.rank + a - len(pivots)
             if coker:
                 found.append((lam, coker))
     return VallesReport(p, projective_count(p, m), tuple(found))

@@ -458,6 +458,9 @@ def random_point_set(count, prime, seed, r=3, max_tries=1024):
     any report built from them.
     """
     field = GF(prime)
+    if count < r + 1:
+        raise NotGeneralPosition(
+            f"need at least r+1 = {r + 1} points, got {count}")
     total = projective_count(prime, r + 1)
     if count > total:
         raise NotGeneralPosition(

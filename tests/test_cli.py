@@ -204,6 +204,8 @@ def test_usage_errors_exit_two(capsys):
     assert main(["dk"]) == 2
     assert main(["dk", SIX_PATH, "--N", "6"]) == 2
     assert main(["dk", TC_PATH]) == 2
+    assert main(["koszul", SIX_PATH, "--p", "1", "--q", "1",
+                 "--N", "O(3)"]) == 2
     assert main(["frobnicate", TC_PATH]) == 2
     capsys.readouterr()
 
@@ -217,6 +219,28 @@ def test_prime_zero_is_refused(capsys, argv):
     code, rep = run_json(capsys, argv)
     assert code == 5
     assert rep["error"] == "NonPrimeModulus"
+
+
+SINGLE_SCENE_VERBS = [
+    ["build", "--prime", "5"],
+    ["valles", "--prime", "5"],
+    ["koszul", "--p", "1", "--q", "1", "--prime", "5"],
+    ["green", "--prime", "5"],
+    ["duality", "--p", "1", "--q", "1", "--prime", "5"],
+    ["torelli", "--primes", "5"],
+    ["recover", "--prime", "5"],
+    ["dk", "--primes", "5"],
+]
+
+
+@pytest.mark.parametrize("scene", sorted(p.name for p in
+                                         SCENEDIR.glob("*.json")))
+@pytest.mark.parametrize("verb", SINGLE_SCENE_VERBS, ids=lambda v: v[0])
+def test_every_verb_on_every_scene_ends_in_a_report(capsys, verb, scene):
+    # a run either reports, refuses its arguments, or names its failure
+    code = main([verb[0], str(SCENEDIR / scene), *verb[1:]])
+    assert code in (0, 2, 5)
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("argv", [
@@ -251,6 +275,11 @@ def test_pipeline_errors_exit_five_with_named_report(capsys):
     code, rep = run_json(capsys, ["torelli", SCROLL_A_PATH, "--B", "(0,3)"])
     assert code == 5
     assert rep["error"] == "UnsupportedLabel"
+    # a negative count is refused before any draw
+    code, rep = run_json(capsys, ["dk", "--N", "-1"])
+    assert code == 5
+    assert rep == {"error": "NotGeneralPosition",
+                   "message": "need at least r+1 = 4 points, got -1"}
 
 
 # ---- emission contract ----------------------------------------------------------

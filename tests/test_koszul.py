@@ -7,17 +7,18 @@ general points of P^3 sit on a unique twisted cubic while seven general
 points do not.
 """
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinertorelli.exactfield import GF, QQ, Matrix, rank_kernel
-from steinertorelli.koszul import (BadTuple, WindowTooSmall, duality_check,
-                                   exterior_dim, exterior_rank,
-                                   exterior_tuples,
-                                   green_kp1, green_points_test,
+from steinertorelli.koszul import (WindowTooSmall, duality_check,
+                                   exterior_dim, green_kp1,
+                                   green_points_test,
                                    koszul_differential, koszul_dim,
                                    pointset_ideal_window, scene_window)
 from steinertorelli.errors import NotGeneralPosition, UnsupportedScene
@@ -47,21 +48,6 @@ def test_exterior_dim_is_binomial():
         for p in range(-1, n + 2):
             expect = math.comb(n, p) if 0 <= p <= n else 0
             assert exterior_dim(n, p) == expect
-
-
-def test_exterior_rank_unrank_bijection():
-    for n in range(1, 7):
-        for p in range(n + 1):
-            tups = list(exterior_tuples(n, p))
-            assert len(tups) == exterior_dim(n, p)
-            for code, tup in enumerate(tups):
-                assert exterior_rank(n, tup) == code
-
-
-def test_exterior_rank_rejects_malformed():
-    for bad in [(0, 0), (1, 0), (-1, 2), (0, 4), (0, True)]:
-        with pytest.raises(BadTuple):
-            exterior_rank(4, bad)
 
 
 # ---- windows -----------------------------------------------------------------
@@ -160,6 +146,83 @@ def test_differential_squares_to_zero_on_random_ideals(tails):
         inner = koszul_differential(w, p + 1, q - 1)
         outer = koszul_differential(w, p, q)
         assert outer.mul(inner).is_zero()
+
+
+def reference_differential(window, p, q):
+    """Rows of Lambda^p U (x) M_q -> Lambda^(p-1) U (x) M_(q+1) straight
+    from d(e_T (x) m) = sum_j (-1)^j e_(T - i_j) (x) u_(i_j) m, with
+    exterior blocks in lexicographic order of their index tuples."""
+    fld = window.field
+    dm_in, dm_out = window.dim(q), window.dim(q + 1)
+    n = window.dim_u
+    sources = list(itertools.combinations(range(n), p))
+    targets = list(itertools.combinations(range(n), p - 1)) if p else []
+    rows = [[fld.zero] * (len(sources) * dm_in)
+            for _ in range(len(targets) * dm_out)]
+    for col_block, tup in enumerate(sources):
+        for j, i in enumerate(tup):
+            row_block = targets.index(tup[:j] + tup[j + 1:])
+            for t in range(dm_in):
+                # u_i m_t in the basis of M_(q+1)
+                image = window.mult(q)[i * dm_in + t]
+                for w in range(dm_out):
+                    rows[row_block * dm_out + w][col_block * dm_in + t] += \
+                        (-1) ** j * image[w]
+    return tuple(tuple(fld.normalize(x) for x in row) for row in rows)
+
+
+def assert_differentials_match_reference(window):
+    for q in range(window.lo, window.hi):
+        for p in range(window.dim_u + 2):
+            got = koszul_differential(window, p, q)
+            want = reference_differential(window, p, q)
+            assert (got.nrows, got.ncols) == (
+                exterior_dim(window.dim_u, p - 1) * window.dim(q + 1),
+                exterior_dim(window.dim_u, p) * window.dim(q))
+            assert got.entries == want
+
+
+FIELDS = st.sampled_from([QQ, GF(5), GF(7), GF(101)])
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 5), st.integers(-1, 1), FIELDS)
+def test_differential_matches_reference_on_series(d, lo, field):
+    assert_differentials_match_reference(
+        scene_window(P1Series(d), 0, lo, lo + 2, field))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_differential_matches_reference_on_subspaces(d, seed):
+    rng = random.Random(seed)
+    count = rng.randint(1, d + 1)
+    sub = [tuple(rng.randrange(5) for _ in range(d + 1))
+           for _ in range(count)]
+    assert_differentials_match_reference(
+        scene_window(P1Series(d), 0, -1, 2, GF(5), subspace=sub))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=1, max_size=6, unique=True),
+       st.integers(-1, 1))
+def test_differential_matches_reference_on_ideals(tails, lo):
+    pts = PointSet(2, [(1, a, b) for a, b in tails])
+    assert_differentials_match_reference(
+        pointset_ideal_window(pts, lo, lo + 3, GF(7)))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(101)])
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_eagon_northcott_grid(d, field):
+    # the rational normal curve of degree d has a linear resolution:
+    # K_{p,1} = p C(d, p+1), K_{0,0} = 1, and every other group is 0
+    for q in range(3):
+        window = scene_window(P1Series(d), 0, q - 1, q + 1, field)
+        for p in range(d + 1):
+            want = p * math.comb(d, p + 1) if q == 1 else int(p == q == 0)
+            assert koszul_dim(window, p, q).dim == want, (p, q)
 
 
 # ---- restriction to subspaces of the series ---------------------------------
@@ -264,9 +327,12 @@ def test_duality_json_key_order():
 
 
 def test_duality_rejects_ambient_models():
+    # neither an ambient monomial model nor a point set has the section
+    # ring and cohomology the dual side needs
     mono = MonomialVariety(2, 2, [(2, 0), (1, 1), (0, 2)])
-    with pytest.raises(UnsupportedScene):
-        duality_check(mono, 1, 1, 1, QQ)
+    for scene in (mono, CUBIC_POINTS):
+        with pytest.raises(UnsupportedScene):
+            duality_check(scene, 1, 1, 1, QQ)
 
 
 # ---- minimal-degree verdicts -------------------------------------------------
@@ -301,6 +367,8 @@ def test_minimal_degree_verdict_needs_complete_series():
         green_kp1(sub, QQ)
     with pytest.raises(UnsupportedScene):
         green_kp1(MonomialVariety(2, 2, [(2, 0), (1, 1), (0, 2)]), QQ)
+    with pytest.raises(UnsupportedScene):
+        green_kp1(CUBIC_POINTS, QQ)
 
 
 def test_green_json_key_order():
