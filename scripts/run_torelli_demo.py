@@ -48,7 +48,7 @@ def main(argv=None):
          f"vanishing={vanishing_check(tc, 4)}  recovery_all_match={ok}")
 
     quartic = scene("fermat_quartic")
-    rep = torelli_check(quartic, 3, primes=primes, with_recovery=False)
+    rep = torelli_check(quartic, 3, primes=primes)
     show("plane quartic, B=O_X(3)", rep,
          "every hyperplane is unstable: mu forgets the quartic")
 
@@ -58,7 +58,7 @@ def main(argv=None):
          f"recovery_all_match={rep.results[0].recovery_ok}")
 
     sa, sb = scene("scroll_member_a"), scene("scroll_member_b")
-    rep = torelli_check(sa, (1, 1), primes=(5,), with_recovery=False)
+    rep = torelli_check(sa, (1, 1), primes=(5,))
     show("scroll member, B=K+A", rep,
          f"presentation_shared_with_other_member="
          f"{scroll_invariance(sa, sb, n=1)}")

@@ -137,14 +137,13 @@ def _b_label(scene, args):
     return default_b_label(scene)
 
 
-def _load(path):
-    return load_scene(path)
-
-
 def _presentation_for(scene, args, prime):
     """Point sets get the module-of-points presentation, everything else
     the tautological one; returns (presentation, B label or None)."""
     if scene.kind == "point_set":
+        if args.B is not None:
+            raise UsageError("--B names a line bundle; a point set gets "
+                             "the module-of-points presentation")
         return dk_presentation(scene, GF(prime)), None
     b_label = _b_label(scene, args)
     return tautological_presentation(scene, b_label, GF(prime)), b_label
@@ -154,7 +153,7 @@ def _presentation_for(scene, args, prime):
 
 
 def _run_build(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     pres, b_label = _presentation_for(scene, args, args.prime)
     report = {
         "scene": scene.name,
@@ -170,7 +169,7 @@ def _run_build(args):
 
 
 def _run_valles(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     pres, b_label = _presentation_for(scene, args, args.prime)
     rep = valles_locus(pres, args.prime).to_json_dict()
     return {"scene": scene.name,
@@ -179,7 +178,7 @@ def _run_valles(args):
 
 
 def _run_koszul(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     field = _field_from(args)
     lo, hi = KOSZUL_WINDOW
     if scene.kind == "point_set":
@@ -198,7 +197,7 @@ def _run_koszul(args):
 
 
 def _run_green(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     field = _field_from(args)
     if scene.kind == "point_set":
         rep = green_points_test(scene, field)
@@ -208,7 +207,7 @@ def _run_green(args):
 
 
 def _run_duality(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     field = _field_from(args)
     n_label = resolve_label(scene, args.N) if args.N else \
         scene.label_scale(scene.label_A(), 0)
@@ -218,13 +217,13 @@ def _run_duality(args):
 
 
 def _run_torelli(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     b_label = _b_label(scene, args)
     return torelli_check(scene, b_label, _primes_from(args)).to_json_dict()
 
 
 def _run_recover(args):
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     b_label = _b_label(scene, args)
     return recover_embedding_check(scene, b_label, args.prime).to_json_dict()
 
@@ -234,6 +233,9 @@ def _run_dk(args):
         if args.N is None:
             raise UsageError(
                 "dk without a scene file generates points and needs --N")
+        if args.primes is not None:
+            raise UsageError("generation mode draws and checks at one "
+                             "prime; give --prime, not --primes")
         prime = 11 if args.prime is None else args.prime
         points, used = random_point_set(args.N, prime, args.seed)
         rep = dk_check(points, primes=(prime,)).to_json_dict()
@@ -244,7 +246,7 @@ def _run_dk(args):
     if args.N is not None:
         raise UsageError("--N sets the point count in generation mode; "
                          "drop the scene file to generate")
-    scene = _load(args.scene)
+    scene = load_scene(args.scene)
     if scene.kind != "point_set":
         raise UsageError(
             f"dk works on point_set scenes, {args.scene} holds "
@@ -253,8 +255,8 @@ def _run_dk(args):
 
 
 def _run_scroll_invariance(args):
-    scene_x = _load(args.scene_x)
-    scene_y = _load(args.scene_y)
+    scene_x = load_scene(args.scene_x)
+    scene_y = load_scene(args.scene_y)
     field = _field_from(args)
     flag = scroll_invariance(scene_x, scene_y, n=args.N, field=field)
     return {"scene_x": scene_x.name, "scene_y": scene_y.name,

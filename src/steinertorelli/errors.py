@@ -90,9 +90,5 @@ class WindowTooSmall(SteinerTorelliError):
     """A graded window does not cover the degrees needed by the request."""
 
 
-class ZeroScale(SteinerTorelliError):
-    """A rescaling vector contains a zero entry."""
-
-
 class UsageError(SteinerTorelliError):
     """Command line arguments are structurally invalid."""

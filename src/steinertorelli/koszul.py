@@ -46,7 +46,6 @@ class GradedModuleWindow:
     hi: int
     dims: tuple       # dims[k - lo] = dim M_k
     mults: tuple      # mults[k - lo][i * dim M_k + t] = u_i m_t in M_{k+1}
-    label: str = ""
 
     def dim(self, k):
         if not self.lo <= k <= self.hi:
@@ -105,9 +104,7 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
                                for x, y in zip(acc, cols[t * full_u + w])]
                 table.append(tuple(map(field.normalize, acc)))
         mults.append(tuple(table))
-    name = getattr(scene, "name", "scene")
-    return GradedModuleWindow(field, dim_u, lo, hi, dims, tuple(mults),
-                              label=f"{name}:N={n_label}")
+    return GradedModuleWindow(field, dim_u, lo, hi, dims, tuple(mults))
 
 
 def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
@@ -139,9 +136,7 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
             tuple(prod[f] for f in free[k + 1])
             for prod in products(field, linear, forms,
                                  monomial_index(nvars, k + 1))))
-    return GradedModuleWindow(field, nvars, k_lo, k_hi, dims,
-                              tuple(mults),
-                              label=f"ideal:{points.name}")
+    return GradedModuleWindow(field, nvars, k_lo, k_hi, dims, tuple(mults))
 
 
 # ---- differentials and dimensions -------------------------------------------

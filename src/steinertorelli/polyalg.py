@@ -76,10 +76,6 @@ class QuotientPiece:
     def dim(self):
         return len(self.monomials)
 
-    @property
-    def ambient_dim(self):
-        return self.reduction.ambient
-
 
 class GradedQuotientRing:
     """S/I for S = field[x0..x_{n-1}] and I generated by the given

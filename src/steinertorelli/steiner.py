@@ -66,9 +66,6 @@ class SteinerPresentation:
     def bundle_rank(self):
         return self.dim_u0 - self.dim_u1
 
-    def column(self, i, j):
-        return self.tensor.column(i * self.dim_v + j)
-
     def fiber_matrix(self, v):
         """The b x a matrix of u |-> mu(u (x) v)."""
         fld = self.field

@@ -24,9 +24,9 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import (BadPrime, ClassMismatch, NonUniqueQuotient,
-                     NotGeneralPosition, UnsupportedScene, ZeroScale)
+                     NotGeneralPosition, UnsupportedScene)
 from .exactfield import (GF, QQ, Matrix, projective_count,
-                         projective_unrank, rank, span_reduction)
+                         projective_unrank, span_reduction)
 from .koszul import green_points_test
 from .scenes import PointSet, _scalar_json
 from .steiner import (SteinerPresentation, make_presentation,
@@ -206,34 +206,39 @@ def _compare_prime(scene, p, build):
                            len(image), extra, missing), pres, enum
 
 
-def _prime_result(scene, b_label, p, with_recovery=True):
-    comparison, pres, enum = _compare_prime(
-        scene, p, lambda field: tautological_presentation(scene, b_label,
-                                                          field))
+def _recovery_rows(scene, b_label, pres, records):
+    """Recover, from the presentation alone, the trivial quotient at each
+    enumerated image point and compare it with B's evaluation functional
+    there.  A cokernel of dimension other than 1 leaves no unique quotient
+    and gives an unmatched row with `recovered` None."""
     rows = []
-    if with_recovery and pres is not None and not comparison.missing:
-        for rec in enum.records:
-            expected = scene.evaluation_functional(rec.params, b_label,
-                                                   pres.field)
-            try:
-                psi = recover_section_point(pres, rec.phi)
-            except NonUniqueQuotient:
-                rows.append(RecoveryRow(rec.params, expected, None, False))
-                continue
-            rows.append(RecoveryRow(rec.params, expected, psi,
-                                    psi == expected))
-    return PrimeResult(**vars(comparison), recovery=tuple(rows))
+    for rec in records:
+        expected = scene.evaluation_functional(rec.params, b_label,
+                                               pres.field)
+        try:
+            psi = recover_section_point(pres, rec.phi)
+        except NonUniqueQuotient:
+            psi = None
+        rows.append(RecoveryRow(rec.params, expected, psi, psi == expected))
+    return tuple(rows)
 
 
-def torelli_check(scene, b_label, primes=PRIMES_DEFAULT,
-                  with_recovery=True) -> TorelliReport:
+def torelli_check(scene, b_label, primes=PRIMES_DEFAULT) -> TorelliReport:
     """Compare the unstable-hyperplane locus of the tautological
-    presentation for B with the scene's image points, prime by prime."""
-    results = tuple(_prime_result(scene, b_label, p, with_recovery)
-                    for p in primes)
+    presentation for B with the scene's image points, prime by prime.
+    Where the presentation is valid and no image point is missing from
+    the unstable set, every image point also gets a recovery row."""
+    results = []
+    for p in primes:
+        comparison, pres, enum = _compare_prime(
+            scene, p, lambda field: tautological_presentation(
+                scene, b_label, field))
+        rows = () if pres is None or comparison.missing else \
+            _recovery_rows(scene, b_label, pres, enum.records)
+        results.append(PrimeResult(**vars(comparison), recovery=rows))
     consensus, bad = _consensus([(r.prime, r.verdict) for r in results])
     return TorelliReport(scene.name, scene.label_str(b_label),
-                         tuple(primes), results, consensus, bad)
+                         tuple(primes), tuple(results), consensus, bad)
 
 
 @dataclass(frozen=True)
@@ -255,20 +260,14 @@ class RecoveryReport:
 
 
 def recover_embedding_check(scene, b_label, prime) -> RecoveryReport:
-    """Recover, from the presentation alone, the functional that each
-    image point induces on H0(B), and compare with direct evaluation.
-    A cokernel of dimension > 1 at some point propagates as
-    NonUniqueQuotient."""
-    field = GF(prime)
-    pres = tautological_presentation(scene, b_label, field)
-    rows = []
-    for rec in scene.enumerate_points(prime).records:
-        expected = scene.evaluation_functional(rec.params, b_label, field)
-        psi = recover_section_point(pres, rec.phi)
-        rows.append(RecoveryRow(rec.params, expected, psi,
-                                psi == expected))
-    return RecoveryReport(scene.name, scene.label_str(b_label), prime,
-                          tuple(rows))
+    """The recovery rows of `torelli_check` at one prime, at every
+    enumerated image point, without validating or scanning first: a
+    point whose cokernel is not one-dimensional is an unmatched row, as
+    in `torelli_check`."""
+    pres = tautological_presentation(scene, b_label, GF(prime))
+    rows = _recovery_rows(scene, b_label, pres,
+                          scene.enumerate_points(prime).records)
+    return RecoveryReport(scene.name, scene.label_str(b_label), prime, rows)
 
 
 # ---- scroll members ----------------------------------------------------------
@@ -373,74 +372,6 @@ def dk_check(points, primes=PRIMES_DEFAULT) -> DKReport:
     consensus, bad = _consensus([(r.prime, r.verdict) for r in results])
     return DKReport(points.name, tuple(primes), tuple(results),
                     consensus, bad)
-
-
-# ---- base-point-free style image test -----------------------------------------
-
-
-@dataclass(frozen=True)
-class BpfReport:
-    scene: str
-    b_label: str
-    prime: int
-    params: tuple
-    contained: bool
-    image_rank: int
-    expected_rank: int
-
-    @property
-    def equal(self):
-        return self.contained and self.image_rank == self.expected_rank
-
-    def to_json_dict(self):
-        return {"scene": self.scene, "B": self.b_label,
-                "prime": self.prime,
-                "params": _vec_json(self.params),
-                "contained": self.contained,
-                "image_rank": self.image_rank,
-                "expected_rank": self.expected_rank,
-                "equal": self.equal}
-
-
-def bpf_image_check(scene, b_label, params, prime) -> BpfReport:
-    """At an image point x, the presentation restricted to the sections
-    vanishing at x should land exactly on the sections of B vanishing at
-    x: containment plus a rank count of b - 1."""
-    field = GF(prime)
-    pres = tautological_presentation(scene, b_label, field)
-    lam = scene.evaluation_functional(params, scene.label_A(), field)
-    ev_b = scene.evaluation_functional(params, b_label, field)
-    restricted = pres.restricted_matrix(lam)
-    contained = Matrix(field, 1, len(ev_b), (ev_b,)).mul(
-        restricted).is_zero()
-    image_rank = rank(restricted)
-    return BpfReport(scene.name, scene.label_str(b_label), prime, params,
-                     contained, image_rank, pres.dim_u0 - 1)
-
-
-# ---- representative invariance -------------------------------------------------
-
-
-def rescaling_invariance(points, scaling, primes=PRIMES_DEFAULT) -> bool:
-    """Rescaling each point representative by a nonzero scalar must leave
-    every dk_check verdict and unstable set unchanged."""
-    if len(scaling) != points.count:
-        raise ZeroScale(
-            f"need one scale per point, got {len(scaling)} for "
-            f"{points.count}")
-    if any(s == 0 for s in scaling):
-        raise ZeroScale("scales must be nonzero")
-    scaled = PointSet(points.r,
-                      [tuple(s * c for c in row)
-                       for s, row in zip(scaling, points.points)],
-                      name=f"{points.name}~rescaled")
-    base = dk_check(points, primes)
-    other = dk_check(scaled, primes)
-    for rb, ro in zip(base.results, other.results):
-        if (rb.verdict, rb.extra, rb.missing) != \
-                (ro.verdict, ro.extra, ro.missing):
-            return False
-    return True
 
 
 # ---- seeded generic configurations ---------------------------------------------

@@ -146,6 +146,16 @@ def test_recover_verb_full_table(capsys):
     assert len(rep["rows"]) == 8
 
 
+def test_recover_verb_reports_non_unique_quotients(capsys):
+    # B = K on the quadric scroll member: no image point has a unique
+    # trivial quotient, and the table says so instead of failing
+    code, rep = run_json(capsys, ["recover", SCROLL_A_PATH, "--B", "K",
+                                  "--prime", "5"])
+    assert code == 0
+    assert rep["all_match"] is False
+    assert [r["recovered"] for r in rep["rows"]] == [None] * 8
+
+
 def test_dk_verb_file_mode(capsys):
     code, rep = run_json(capsys, ["dk", SEVEN_FREE_PATH, "--prime", "11"])
     assert code == 0
@@ -206,6 +216,9 @@ def test_usage_errors_exit_two(capsys):
     assert main(["dk", TC_PATH]) == 2
     assert main(["koszul", SIX_PATH, "--p", "1", "--q", "1",
                  "--N", "O(3)"]) == 2
+    assert main(["build", SIX_PATH, "--B", "O(3)"]) == 2
+    assert main(["valles", SIX_PATH, "--B", "O(3)"]) == 2
+    assert main(["dk", "--N", "6", "--primes", "5,7"]) == 2
     assert main(["frobnicate", TC_PATH]) == 2
     capsys.readouterr()
 

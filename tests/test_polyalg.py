@@ -135,7 +135,7 @@ def test_quotient_piece_reduction():
     # representative monomials reduce to the standard basis
     amb_idx = monomial_index(5, 2)
     for i, mono in enumerate(piece.monomials):
-        unit = [0] * piece.ambient_dim
+        unit = [0] * piece.reduction.ambient
         unit[amb_idx[mono]] = 1
         out = piece.reduction.reduce.mul_vec(unit)
         assert out == tuple(1 if j == i else 0 for j in range(piece.dim))

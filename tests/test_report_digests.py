@@ -4,6 +4,7 @@ point sets and the text format.  A digest changes only together with a
 deliberate change to a report, recorded in CHANGES.md."""
 
 import hashlib
+import runpy
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from steinertorelli.cli import emit, main
 from steinertorelli.scenes import P1Series
 from steinertorelli.torelli import torelli_check
 
-SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
+ROOT = Path(__file__).resolve().parent.parent
+SCENEDIR = ROOT / "scenefiles"
 SCENES = {p.stem: str(p) for p in SCENEDIR.glob("*.json")}
 
 # (argv with scene files by stem, exit code, sha256 of stdout)
@@ -122,3 +124,13 @@ def test_proper_series_report_bytes_are_pinned(b, digest):
     scene = P1Series(3, UNIMODULAR_CUBIC, name="twisted_cubic_unimodular")
     report = torelli_check(scene, b, (5, 7)).to_json_dict()
     assert hashlib.sha256(emit(report, "json")).hexdigest() == digest
+
+
+def test_demo_table_bytes_are_pinned(capsysbinary):
+    # everything the demo prints before its closing timing line
+    demo = runpy.run_path(str(ROOT / "scripts" / "run_torelli_demo.py"))
+    assert demo["main"]([]) == 0
+    out = capsysbinary.readouterr().out
+    table = out[:out.rindex(b"\ntotal ")]
+    assert hashlib.sha256(table).hexdigest() == \
+        "577ed2f1c2ffcb44e838b4141539c866b527e772689572d5b4ba8f47c7ac673c"

@@ -17,7 +17,7 @@ from steinertorelli.errors import (BadClass, BadPrime, BasepointedSeries,
                                    DependentBasis, DuplicatePoints,
                                    SchemaError, ShapeMismatch,
                                    UnsupportedLabel, UnsupportedScene,
-                                   ZeroPoint, ZeroSection)
+                                   ZeroEvaluation, ZeroPoint, ZeroSection)
 from steinertorelli.exactfield import GF, QQ, Matrix, rank
 from steinertorelli.polyalg import monomial_index
 from steinertorelli.scenes import (CompleteIntersection, MonomialVariety,
@@ -135,6 +135,8 @@ class TestP1Series:
         f = GF(7)
         assert tc.evaluation_functional((1, 1), 3, f) == (1, 1, 1, 1)
         assert tc.evaluation_functional((1, 0), 5, f) == (1, 0, 0, 0, 0, 0)
+        with pytest.raises(ZeroEvaluation):
+            tc.evaluation_functional((0, 0), 5, GF(5))
 
     def test_enumeration_f5(self):
         en = P1Series(3).enumerate_points(5)

@@ -65,7 +65,7 @@ class TestPresentations:
         v = (0, 1, 0, 0)
         fib = P.fiber_matrix(v)
         for i in range(3):
-            assert fib.column(i) == P.column(i, 1)
+            assert fib.column(i) == P.tensor.column(i * P.dim_v + 1)
 
 
 class TestValidity:
@@ -174,7 +174,8 @@ class TestUnstable:
         # permute V simultaneously in tensor and lam
         perm = list(range(3))
         rng.shuffle(perm)
-        cols = [P.column(i, perm[j]) for i in range(2) for j in range(3)]
+        cols = [P.tensor.column(i * P.dim_v + perm[j])
+                for i in range(2) for j in range(3)]
         P3 = make_presentation(Matrix.from_cols(GF(p), cols, 4), 2, 3, 4)
         lam3 = tuple(lam[perm[j]] for j in range(3))
         assert unstable_test(P3, lam3)[1] == c0
@@ -185,6 +186,15 @@ class TestRecovery:
         P = tc_presentation()
         psi = recover_section_point(P, (1, 0, 0, 0))
         assert psi == (1, 0, 0, 0, 0, 0)
+        # at an image point x the quotient is ev_B(x): the twisted cubic
+        # at (1, 0), and (1, 2, 3) on the Fermat quartic mod 7
+        for scene, b, params, p in ((P1Series(3), 5, (1, 0), 5),
+                                    (fermat_quartic(), 3, (1, 2, 3), 7)):
+            f = GF(p)
+            pres = tautological_presentation(scene, b, f)
+            ev_a = scene.evaluation_functional(params, scene.label_A(), f)
+            assert recover_section_point(pres, ev_a) == \
+                scene.evaluation_functional(params, b, f)
 
     def test_every_curve_point_recovers(self):
         tc = P1Series(3)

@@ -6,20 +6,16 @@ import random
 import pytest
 
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
-                                   UnsupportedLabel,
-                                   UnsupportedScene, ZeroEvaluation,
-                                   ZeroScale)
+                                   UnsupportedLabel, UnsupportedScene)
 from steinertorelli.exactfield import (GF, projective_count,
                                        projective_reps, projective_unrank)
 from steinertorelli.koszul import green_points_test
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
 from steinertorelli.steiner import unstable_test, valles_locus
-from steinertorelli.torelli import (_consensus, bpf_image_check, dk_check,
-                                    dk_presentation, hypothesis_defect,
-                                    random_point_set,
+from steinertorelli.torelli import (_consensus, dk_check, dk_presentation,
+                                    hypothesis_defect, random_point_set,
                                     recover_embedding_check,
-                                    rescaling_invariance,
                                     scroll_invariance,
                                     tautological_presentation,
                                     torelli_check, vanishing_check)
@@ -111,8 +107,7 @@ def test_torelli_adjoint_twist_still_equal():
 
 
 def test_torelli_quartic_counterexample():
-    rep = torelli_check(fermat_quartic(), 3, primes=(5, 7),
-                        with_recovery=False)
+    rep = torelli_check(fermat_quartic(), 3, primes=(5, 7))
     assert rep.consensus == "SUPERSET"
     five, seven = rep.results
     assert five.unstable_count == five.scanned == 31
@@ -132,7 +127,7 @@ def test_torelli_complete_intersection_positive():
 
 def test_torelli_scroll_member_superset():
     rep = torelli_check(ScrollCurve(1, 1, 2, 1, SCROLL_F1), (1, 1),
-                        primes=(5,), with_recovery=False)
+                        primes=(5,))
     res = rep.results[0]
     assert res.verdict == "SUPERSET"
     assert res.scanned == 156
@@ -161,6 +156,18 @@ def test_recover_embedding_twisted_cubic():
         rep = recover_embedding_check(TC, b_label, 7)
         assert len(rep.rows) == 8
         assert rep.all_match
+
+
+def test_recover_embedding_marks_non_unique_quotients():
+    # with B = K the cokernel is 2 at each of the 8 image points, so no
+    # row recovers a functional; torelli_check gives the same rows
+    rep = recover_embedding_check(ScrollCurve(1, 1, 2, 1, SCROLL_F1),
+                                  (0, 1), 5)
+    assert len(rep.rows) == 8
+    assert all(r.recovered is None and not r.match for r in rep.rows)
+    assert not rep.all_match
+    assert torelli_check(ScrollCurve(1, 1, 2, 1, SCROLL_F1), (0, 1),
+                         (5,)).results[0].recovery == rep.rows
 
 
 def test_recover_embedding_complete_intersection():
@@ -289,36 +296,14 @@ def test_dk_check_six_points_see_their_cubic():
 
 
 def test_rescaling_leaves_the_locus_alone():
-    assert rescaling_invariance(SIX_GENERAL, (1, 1, 2, 1, 3, 1),
-                                primes=(7,)) is True
-    with pytest.raises(ZeroScale):
-        rescaling_invariance(SIX_GENERAL, (1, 1, 0, 1, 1, 1),
-                             primes=(7,))
-    with pytest.raises(ZeroScale):
-        rescaling_invariance(SIX_GENERAL, (1, 1), primes=(7,))
-
-
-# ---- image of the restricted multiplication ------------------------------------
-
-
-def test_bpf_image_at_a_curve_point():
-    rep = bpf_image_check(TC, 5, (1, 0), 5)
-    assert rep.contained
-    assert rep.image_rank == rep.expected_rank == 5
-    assert rep.equal
-
-
-def test_bpf_image_on_the_quartic():
-    # (1, 2, 3) lies on the Fermat quartic mod 7
-    rep = bpf_image_check(fermat_quartic(), 3, (1, 2, 3), 7)
-    assert rep.contained
-    assert rep.image_rank == rep.expected_rank == 9
-    assert rep.equal
-
-
-def test_bpf_rejects_zero_evaluation():
-    with pytest.raises(ZeroEvaluation):
-        bpf_image_check(TC, 5, (0, 0), 5)
+    # the verdicts never depend on the chosen representatives
+    scaled = PointSet(SIX_GENERAL.r,
+                      [tuple(s * c for c in row) for s, row in
+                       zip((1, 1, 2, 1, 3, 1), SIX_GENERAL.points)])
+    for base, other in zip(dk_check(SIX_GENERAL, primes=(7,)).results,
+                           dk_check(scaled, primes=(7,)).results):
+        assert (base.verdict, base.extra, base.missing) == \
+            (other.verdict, other.extra, other.missing)
 
 
 def test_generic_hyperplane_is_surjective():
@@ -349,10 +334,6 @@ def test_report_json_key_orders():
     assert list(dk["results"][0]) == [
         "prime", "verdict", "scanned", "unstable_count", "point_count",
         "extra", "missing", "rnc_flag", "implication_ok"]
-
-    bpf = bpf_image_check(TC, 5, (1, 0), 5).to_json_dict()
-    assert list(bpf) == ["scene", "B", "prime", "params", "contained",
-                         "image_rank", "expected_rank", "equal"]
 
 
 # ---- seeded generation ----------------------------------------------------------
