@@ -6,13 +6,16 @@ import random
 import pytest
 
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
-                                   UnsupportedLabel, UnsupportedScene)
-from steinertorelli.exactfield import (GF, projective_count,
-                                       projective_reps, projective_unrank)
+                                   UnsupportedLabel, UnsupportedScene,
+                                   ZeroEvaluation)
+from steinertorelli.exactfield import (GF, Matrix, projective_count,
+                                       projective_reps, projective_unrank,
+                                       rank)
 from steinertorelli.koszul import green_points_test
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
-from steinertorelli.steiner import unstable_test, valles_locus
+from steinertorelli.steiner import (recover_section_point, unstable_test,
+                                    valles_locus)
 from steinertorelli.torelli import (_consensus, dk_check, dk_presentation,
                                     hypothesis_defect, random_point_set,
                                     recover_embedding_check,
@@ -304,6 +307,46 @@ def test_rescaling_leaves_the_locus_alone():
                            dk_check(scaled, primes=(7,)).results):
         assert (base.verdict, base.extra, base.missing) == \
             (other.verdict, other.extra, other.missing)
+
+
+# ---- image of the restricted multiplication ------------------------------------
+
+
+def _image_at(scene, b_label, params, prime):
+    """At an image point x the presentation restricted to the sections of
+    A vanishing at x lands on the sections of B vanishing at x: returns
+    (ev_B annihilates the image, image rank, b - 1, recovered quotient,
+    ev_B)."""
+    field = GF(prime)
+    pres = tautological_presentation(scene, b_label, field)
+    ev_a = scene.evaluation_functional(params, scene.label_A(), field)
+    ev_b = scene.evaluation_functional(params, b_label, field)
+    restricted = pres.restricted_matrix(ev_a)
+    contained = Matrix(field, 1, len(ev_b), (ev_b,)).mul(
+        restricted).is_zero()
+    return (contained, rank(restricted), pres.dim_u0 - 1,
+            recover_section_point(pres, ev_a), ev_b)
+
+
+def test_bpf_image_at_a_curve_point():
+    contained, image_rank, expected, psi, ev_b = _image_at(TC, 5, (1, 0), 5)
+    assert contained
+    assert image_rank == expected == 5
+    assert psi == ev_b
+
+
+def test_bpf_image_on_the_quartic():
+    # (1, 2, 3) lies on the Fermat quartic mod 7
+    contained, image_rank, expected, psi, ev_b = _image_at(
+        fermat_quartic(), 3, (1, 2, 3), 7)
+    assert contained
+    assert image_rank == expected == 9
+    assert psi == ev_b
+
+
+def test_bpf_rejects_zero_evaluation():
+    with pytest.raises(ZeroEvaluation):
+        _image_at(TC, 5, (0, 0), 5)
 
 
 def test_generic_hyperplane_is_surjective():
