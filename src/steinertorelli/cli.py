@@ -132,7 +132,7 @@ def _field_from(args):
 
 
 def _b_label(scene, args):
-    if getattr(args, "B", None):
+    if getattr(args, "B", None) is not None:
         return resolve_label(scene, args.B)
     return default_b_label(scene)
 
@@ -188,7 +188,7 @@ def _run_koszul(args):
         window = pointset_ideal_window(scene, lo, hi, field)
         n_str = "ideal"
     else:
-        n_label = resolve_label(scene, args.N) if args.N else \
+        n_label = resolve_label(scene, args.N) if args.N is not None else \
             scene.label_scale(scene.label_A(), 0)
         window = scene_window(scene, n_label, lo, hi, field)
         n_str = scene.label_str(n_label)
@@ -209,7 +209,7 @@ def _run_green(args):
 def _run_duality(args):
     scene = load_scene(args.scene)
     field = _field_from(args)
-    n_label = resolve_label(scene, args.N) if args.N else \
+    n_label = resolve_label(scene, args.N) if args.N is not None else \
         scene.label_scale(scene.label_A(), 0)
     rep = duality_check(scene, n_label, args.p, args.q, field)
     return {"scene": scene.name, "N": scene.label_str(n_label),

@@ -220,9 +220,6 @@ class Matrix:
         return tuple(fld.normalize(sum(map(mul, row, vec), fld.zero))
                      for row in self.entries)
 
-    def column(self, j):
-        return tuple(row[j] for row in self.entries)
-
     def columns(self):
         return tuple(zip(*self.entries)) if self.nrows else \
             ((),) * self.ncols

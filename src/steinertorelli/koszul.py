@@ -26,7 +26,8 @@ from math import comb
 
 from .errors import UnsupportedScene, WindowTooSmall
 from .exactfield import Matrix, QQ, rank, rank_kernel
-from .polyalg import monomial_basis, monomial_index, products
+from .polyalg import (monomial_basis, monomial_index, products,
+                      restrict_right)
 
 
 def exterior_dim(dim_u, p):
@@ -73,37 +74,24 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
     dims = tuple(scene.section_space(labels[k], field).dim
                  for k in range(lo, hi + 1))
     full_u = scene.series_dim(field)
-    if subspace is None:
-        dim_u = full_u
-        coords = None
-    else:
+    coords = None
+    if subspace is not None:
         coords = tuple(tuple(field.normalize(x) for x in vec)
                        for vec in subspace)
         for vec in coords:
             if len(vec) != full_u:
                 raise UnsupportedScene(
                     f"subspace vectors must have length {full_u}")
-        dim_u = len(coords)
+    dim_u = full_u if coords is None else len(coords)
     mults = []
     for k in range(lo, hi):
-        # the scene's table is M-major: column t * full_u + w is m_t v_w
-        cols = scene.multiplication_map(labels[k], a_label,
-                                        field).columns()
-        dm = dims[k - lo]
-        if coords is None:
-            mults.append(tuple(cols[t * full_u + i]
-                               for i in range(dim_u) for t in range(dm)))
-            continue
-        table = []
-        for vec in coords:
-            for t in range(dm):
-                acc = [field.zero] * dims[k + 1 - lo]
-                for w, c in enumerate(vec):
-                    if c:
-                        acc = [x + c * y
-                               for x, y in zip(acc, cols[t * full_u + w])]
-                table.append(tuple(map(field.normalize, acc)))
-        mults.append(tuple(table))
+        table = scene.multiplication_map(labels[k], a_label, field)
+        if coords is not None:
+            table = restrict_right(table, coords)
+        # the table is M-major: column t * dim_u + i is m_t u_i
+        cols = table.columns()
+        mults.append(tuple(cols[t * dim_u + i] for i in range(dim_u)
+                           for t in range(dims[k - lo])))
     return GradedModuleWindow(field, dim_u, lo, hi, dims, tuple(mults))
 
 

@@ -1,11 +1,16 @@
-"""Graded pieces of polynomial rings and their quotients.
+"""Graded pieces of monomial algebras and their quotients: the one
+section ring behind every scene.
 
 Monomial bases are ordered lexicographically descending with x0 most
-significant, so x0^2 > x0*x1 > x0*x2 > x1^2 > ...  A quotient by a
-homogeneous ideal is handled degree by degree: the degree-k piece of the
-ideal is spanned by monomial shifts of the generators and a row reduction
-picks out representative monomials for the quotient.  No Groebner bases;
-everything is linear algebra over an exact field.
+significant, so x0^2 > x0*x1 > x0*x2 > x1^2 > ...  A ring may take any
+other graded monomial basis, with integer or integer-pair degrees, such
+as the Cox ring of a scroll.  A quotient by a homogeneous ideal is
+handled degree by degree: the degree-k piece of the ideal is spanned by
+monomial shifts of the generators and a row reduction picks out
+representative monomials for the quotient.  Multiplication tables come
+from the ring alone, and `restrict_right` cuts a table's right factor
+down to a proper series.  No Groebner bases; everything is linear
+algebra over an exact field.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import ShapeMismatch, ZeroSection
+from .errors import BadPrime, ShapeMismatch, ZeroSection
 from .exactfield import Matrix, SpanReduction, span_reduction
 
 
@@ -63,12 +68,38 @@ def products(field, left, right, index) -> list:
     return out
 
 
+def restrict_right(table, rows) -> Matrix:
+    """A product table, left factor major, with its right factor cut down
+    to the span of `rows`, coordinate vectors over the right factor's
+    basis: column t * len(rows) + i is the t-th left element times the
+    i-th row."""
+    field = table.field
+    cols = table.columns()
+    width = len(rows[0]) if rows else 1
+    out = []
+    for t in range(0, table.ncols, width):
+        for vec in rows:
+            acc = [field.zero] * table.nrows
+            for w, c in enumerate(vec):
+                if c:
+                    acc = [x + c * y for x, y in zip(acc, cols[t + w])]
+            out.append(acc)
+    return Matrix.from_cols(field, out, table.nrows)
+
+
+def _degree_sum(k, l, sign=1):
+    """k + sign * l for degrees that are integers or integer tuples."""
+    if isinstance(k, tuple):
+        return tuple(x + sign * y for x, y in zip(k, l))
+    return k + sign * l
+
+
 @dataclass(frozen=True)
 class QuotientPiece:
     """Degree-k piece of S/I: representative monomials plus the reduction
     matrix from ambient S_k coordinates to quotient coordinates."""
 
-    degree: int
+    degree: object
     monomials: tuple          # representative exponent tuples
     reduction: SpanReduction  # quotient of S_k by the ideal piece
 
@@ -78,72 +109,84 @@ class QuotientPiece:
 
 
 class GradedQuotientRing:
-    """S/I for S = field[x0..x_{n-1}] and I generated by the given
-    homogeneous forms, realized one degree at a time."""
+    """S/I for a graded monomial algebra S and I generated by homogeneous
+    forms, realized one degree at a time.
 
-    def __init__(self, field, num_vars, generators):
+    basis(num_vars, k) lists the monomials of S_k as exponent tuples, in
+    the order of its coordinates; a degree k is an integer or a tuple of
+    integers, and a product of monomials, the sum of their exponents, lies
+    in the sum of their degrees.  The default S is the polynomial ring in
+    num_vars variables; with no generators the ring is S itself."""
+
+    def __init__(self, field, num_vars, generators=(), basis=monomial_basis):
         """generators: iterable of (degree, coefficient tuple) pairs, the
-        coefficients running over monomial_basis(num_vars, degree)."""
+        coefficients running over basis(num_vars, degree).  A form that is
+        zero is refused with ZeroSection; one that only vanishes over the
+        field makes its characteristic a bad prime."""
         self.field = field
         self.num_vars = num_vars
+        self.basis = basis
         gens = []
         for degree, coeffs in generators:
-            basis = monomial_basis(num_vars, degree)
-            if len(coeffs) != len(basis):
+            amb = basis(num_vars, degree)
+            if len(coeffs) != len(amb):
                 raise ShapeMismatch(
-                    f"degree {degree} form needs {len(basis)} coefficients, "
+                    f"degree {degree} form needs {len(amb)} coefficients, "
                     f"got {len(coeffs)}")
-            terms = tuple((m, c) for m, c in
-                          zip(basis, map(field.normalize, coeffs)) if c)
-            if not terms:
+            if not any(coeffs):
                 raise ZeroSection(f"degree {degree} generator is zero")
+            terms = tuple((m, c) for m, c in
+                          zip(amb, map(field.normalize, coeffs)) if c)
+            if not terms:
+                raise BadPrime(
+                    f"degree {degree} generator vanishes over {field}")
             gens.append((degree, terms))
         self.generators = tuple(gens)   # (degree, term list) pairs
-        self._pieces: dict[int, QuotientPiece] = {}
+        self._position_maps: dict = {}
+        self._pieces: dict = {}
         self._mults: dict[tuple, Matrix] = {}
 
-    def ideal_rows(self, k: int) -> Matrix:
+    def _positions(self, k) -> dict:
+        """Monomial -> coordinate position in S_k."""
+        got = self._position_maps.get(k)
+        if got is None:
+            got = self._position_maps[k] = {
+                m: i for i, m in enumerate(self.basis(self.num_vars, k))}
+        return got
+
+    def ideal_rows(self, k) -> Matrix:
         """Spanning set of I_k: all monomial shifts of the generators."""
-        idx = monomial_index(self.num_vars, k)
+        idx = self._positions(k)
         rows = []
         for degree, terms in self.generators:
-            rows += products(self.field,
-                             monomial_basis(self.num_vars, k - degree),
-                             (terms,), idx)
+            shifts = self.basis(self.num_vars, _degree_sum(k, degree, -1))
+            rows += products(self.field, shifts, (terms,), idx)
         return Matrix(self.field, len(rows), len(idx), tuple(rows))
 
-    def piece(self, k: int) -> QuotientPiece:
+    def piece(self, k) -> QuotientPiece:
         got = self._pieces.get(k)
-        if got is not None:
-            return got
-        if k < 0:
-            red = span_reduction(Matrix(self.field, 0, 0, ()))
-            piece = QuotientPiece(k, (), red)
-        else:
-            amb = monomial_basis(self.num_vars, k)
+        if got is None:
+            amb = self.basis(self.num_vars, k)
             red = span_reduction(self.ideal_rows(k))
-            piece = QuotientPiece(
+            got = self._pieces[k] = QuotientPiece(
                 k, tuple(amb[c] for c in red.complement), red)
-        self._pieces[k] = piece
-        return piece
+        return got
 
-    def dim(self, k: int) -> int:
+    def dim(self, k) -> int:
         return self.piece(k).dim
 
-    def multiplication(self, k: int, l: int) -> Matrix:
+    def multiplication(self, k, l) -> Matrix:
         """(S/I)_k (x) (S/I)_l -> (S/I)_{k+l} on representative monomials,
         left factor major."""
         got = self._mults.get((k, l))
-        if got is not None:
-            return got
-        pk, pl, pkl = self.piece(k), self.piece(l), self.piece(k + l)
-        idx = monomial_index(self.num_vars, k + l)
-        cols = []
-        for m1 in pk.monomials:
-            for m2 in pl.monomials:
-                cols.append(
-                    pkl.reduction.reduce.column(idx[monomial_product(m1, m2)]))
-        out = Matrix.from_cols(self.field, cols, pkl.dim)
-        self._mults[(k, l)] = out
-        return out
-
+        if got is None:
+            kl = _degree_sum(k, l)
+            out = self.piece(kl)
+            idx = self._positions(kl)
+            reduced = out.reduction.reduce.columns()
+            cols = [reduced[idx[monomial_product(m1, m2)]]
+                    for m1 in self.piece(k).monomials
+                    for m2 in self.piece(l).monomials]
+            got = self._mults[(k, l)] = Matrix.from_cols(
+                self.field, cols, out.dim)
+        return got

@@ -17,13 +17,25 @@ class, or O(k) on P^1) except for scrolls, where a label is a pair
 Scene data is stored exactly over the rationals; every computation takes
 the working field as an argument and reduces on demand.
 
-Forms are term lists of (exponents, coefficient) pairs.  On a scroll the
-basis element u^i v^(alpha-i) m(s, t) of H0(Y, alpha H + beta F) is the
-exponent tuple m + (i, alpha - i) of (s, t, u, v), so its products and
-values are those of a plain monomial.  Each job has one helper:
-`polyalg.products` builds the products of monomials with forms,
-`_functional` evaluates monomials at a point, and `_zero_locus`
-enumerates the points where forms vanish, with their smoothness.
+The section spaces and multiplication maps of every kind but the point
+set come from one ring, `polyalg.GradedQuotientRing`, graded by the
+labels; a kind gives only its ambient basis, its generators and, for a
+proper series V, the rows of V in the piece of A:
+
+* P1Series        -- k[s, t], free; rows of the series basis if proper
+* CompleteIntersection -- k[x0..xN] modulo the generators
+* MonomialVariety -- k[x0..xm], free, label k in degree k*a; rows
+                     picking out the listed monomials
+* ScrollCurve     -- the Cox ring k[s, t, u, v] of the scroll modulo the
+                     section; u^i v^(alpha-i) m(s, t) in degree
+                     (alpha, beta) is the exponent tuple m + (i, alpha-i)
+
+The shared `SectionRing` base turns the ring into `section_space`,
+`series_dim`, `multiplication_map` and `evaluation_functional`.  Each
+kind keeps its label algebra and checks, its cohomology and its point
+enumeration: `_functional` evaluates monomials at a point, and
+`_zero_locus` enumerates the points where forms vanish, with their
+smoothness.
 """
 
 from __future__ import annotations
@@ -40,22 +52,12 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
 from .exactfield import (GF, QQ, Matrix, normalize_projective,
-                         projective_reps, rank, span_reduction)
-from .polyalg import (GradedQuotientRing, monomial_basis, monomial_index,
-                      monomial_product, products, space_dim)
+                         projective_reps, rank)
+from .polyalg import (GradedQuotientRing, QuotientPiece, monomial_basis,
+                      restrict_right, space_dim)
 
 
 # ---- shared small types --------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SectionSpace:
-    """A concrete model of H0 of a line bundle: an ordered basis of labels
-    (monomial exponent tuples, or (i, exponents) pairs on a scroll)."""
-
-    label: object
-    dim: int
-    basis: tuple
 
 
 @dataclass(frozen=True)
@@ -159,7 +161,7 @@ def _as_fraction(x):
     raise SchemaError(f"expected an exact scalar, got {x!r}")
 
 
-# ---- P^1 with a series of binary forms -----------------------------------
+# ---- labels and the shared section ring -----------------------------------
 
 
 class IntegerLabels:
@@ -178,8 +180,55 @@ class IntegerLabels:
     def label_str(self, label):
         return f"O({label})"
 
+    def _check_label(self, label):
+        if not isinstance(label, int):
+            raise UnsupportedLabel(f"labels are integers, got {label!r}")
+        return label
 
-class P1Series(IntegerLabels):
+
+class SectionRing:
+    """The scenes whose section spaces are the graded pieces of one ring,
+    `ring(field)`, graded by the scene's labels.  A kind supplies the
+    ring (an ambient basis and generators), its label check and, for a
+    proper series V, the coordinate rows of V in the piece of A."""
+
+    def _series_rows(self, field):
+        return None
+
+    def ring(self, field) -> GradedQuotientRing:
+        rings = vars(self).setdefault("_rings", {})
+        got = rings.get(field)
+        if got is None:
+            got = rings[field] = self._new_ring(field)
+        return got
+
+    def section_space(self, label, field=QQ) -> QuotientPiece:
+        return self.ring(field).piece(self._check_label(label))
+
+    def series_dim(self, field=QQ):
+        rows = self._series_rows(field)
+        if rows is None:
+            return self.section_space(self.label_A(), field).dim
+        return len(rows)
+
+    def multiplication_map(self, l1, l2, field=QQ):
+        """H0(L1) (x) H0(L2) -> H0(L1 + L2), left factor major.  When L2
+        is A and V is proper, the right factor runs over the series."""
+        l1, l2 = self._check_label(l1), self._check_label(l2)
+        self._check_label(self.label_add(l1, l2))
+        table = self.ring(field).multiplication(l1, l2)
+        rows = self._series_rows(field) if l2 == self.label_A() else None
+        return table if rows is None else restrict_right(table, rows)
+
+    def evaluation_functional(self, params, label, field):
+        return _functional(field, self.section_space(label, field).monomials,
+                           params)
+
+
+# ---- P^1 with a series of binary forms -----------------------------------
+
+
+class P1Series(IntegerLabels, SectionRing):
     """P^1 polarized by O(a) with V spanned by given binary forms
     (V = all of H0(O(a)) when no basis is supplied)."""
 
@@ -203,14 +252,12 @@ class P1Series(IntegerLabels):
             if rank(Matrix.from_rows(QQ, basis)) != len(basis):
                 raise DependentBasis("series basis is linearly dependent")
             # degree-a forms have no common zero over the algebraic
-            # closure exactly when their multiples span S_{2a-1}: two
-            # general members are then coprime, and a complete
-            # intersection of type (a, a) in two variables holds every
-            # form of degree >= 2a-1
-            forms = [tuple(zip(monomial_basis(2, a), row)) for row in basis]
-            shifts = products(QQ, monomial_basis(2, a - 1), forms,
-                              monomial_index(2, 2 * a - 1))
-            if rank(Matrix.from_rows(QQ, shifts)) < 2 * a:
+            # closure exactly when their multiples span S_{2a-1}, so the
+            # quotient by them vanishes there: two general members are
+            # then coprime, and a complete intersection of type (a, a)
+            # in two variables holds every form of degree >= 2a-1
+            ideal = GradedQuotientRing(QQ, 2, [(a, row) for row in basis])
+            if ideal.dim(2 * a - 1):
                 raise BasepointedSeries("series has a common zero")
         self.basis = basis
         self.name = name or f"p1_series(a={a})"
@@ -231,8 +278,12 @@ class P1Series(IntegerLabels):
 
     # -- linear data --
 
-    def series_dim(self, field=QQ):
-        return (self.a + 1) if self.basis is None else len(self.basis)
+    def _new_ring(self, field):
+        return GradedQuotientRing(field, 2)
+
+    def _series_rows(self, field):
+        return None if self.basis is None else \
+            self.series_matrix(field).entries
 
     def series_matrix(self, field):
         """Rows are the series basis in monomial coordinates of O(a)."""
@@ -243,26 +294,6 @@ class P1Series(IntegerLabels):
             raise BadPrime(
                 f"series basis degenerates over {field}")
         return m
-
-    def section_space(self, label, field=QQ):
-        if not isinstance(label, int):
-            raise UnsupportedLabel(f"P1 labels are integers, got {label!r}")
-        return SectionSpace(label, max(0, label + 1),
-                            monomial_basis(2, label) if label >= 0 else ())
-
-    def multiplication_map(self, l1, l2, field=QQ):
-        """H0(O(l1)) (x) H0(O(l2)) -> H0(O(l1+l2)), left factor major.
-        When l2 is the series degree and V is proper, the right factor
-        runs over the series basis."""
-        index = monomial_index(2, l1 + l2)
-        if l2 == self.a and self.basis is not None:
-            right = [tuple(zip(monomial_basis(2, l2), form))
-                     for form in self.series_matrix(field).entries]
-        else:
-            right = [((m, field.one),) for m in monomial_basis(2, l2)]
-        return Matrix.from_cols(
-            field, products(field, monomial_basis(2, l1), right, index),
-            len(index))
 
     def cohomology_dim(self, label, i, field=QQ):
         if i == 0:
@@ -284,9 +315,6 @@ class P1Series(IntegerLabels):
             records.append(PointRecord(p, params, phi))
         return PointEnumeration(p, tuple(records), False)
 
-    def evaluation_functional(self, params, label, field):
-        return _functional(field, monomial_basis(2, label), params)
-
     def to_json_dict(self):
         d = {"kind": self.kind, "name": self.name, "a": self.a}
         d["basis"] = None if self.basis is None else \
@@ -297,7 +325,7 @@ class P1Series(IntegerLabels):
 # ---- complete intersections ----------------------------------------------
 
 
-class CompleteIntersection(IntegerLabels):
+class CompleteIntersection(IntegerLabels, SectionRing):
     """X in P^N cut out by c < N homogeneous forms, polarized by O_X(1),
     with V = H0(O_X(1)).  Arithmetically Cohen-Macaulay recipes: twists of
     the structure sheaf have cohomology only at the ends."""
@@ -325,16 +353,11 @@ class CompleteIntersection(IntegerLabels):
         self.sigma = sum(d for d, _ in gens) - N - 1
         self.name = name or (
             f"ci(N={N}, degrees={tuple(d for d, _ in gens)})")
-        self._rings = {}
         # construct once to validate shapes and nonzeroness
         self.ring(QQ)
 
-    def ring(self, field) -> GradedQuotientRing:
-        got = self._rings.get(field)
-        if got is None:
-            got = self._rings[field] = GradedQuotientRing(
-                field, self.N + 1, self.generators)
-        return got
+    def _new_ring(self, field):
+        return GradedQuotientRing(field, self.N + 1, self.generators)
 
     # -- labels --
 
@@ -349,18 +372,6 @@ class CompleteIntersection(IntegerLabels):
 
     def series_complete(self):
         return True
-
-    def series_dim(self, field=QQ):
-        return self.ring(field).dim(1)
-
-    def section_space(self, label, field=QQ):
-        if not isinstance(label, int):
-            raise UnsupportedLabel(f"CI labels are integers, got {label!r}")
-        piece = self.ring(field).piece(label)
-        return SectionSpace(label, piece.dim, piece.monomials)
-
-    def multiplication_map(self, l1, l2, field=QQ):
-        return self.ring(field).multiplication(l1, l2)
 
     def cohomology_dim(self, label, i, field=QQ):
         if i == 0:
@@ -379,10 +390,6 @@ class CompleteIntersection(IntegerLabels):
                               ring.piece(1).monomials)
         return PointEnumeration(p, tuple(records), True)
 
-    def evaluation_functional(self, params, label, field):
-        return _functional(field, self.ring(field).piece(label).monomials,
-                           params)
-
     def to_json_dict(self):
         return {
             "kind": self.kind, "name": self.name, "N": self.N,
@@ -395,7 +402,7 @@ class CompleteIntersection(IntegerLabels):
 # ---- monomial varieties ---------------------------------------------------
 
 
-class MonomialVariety(IntegerLabels):
+class MonomialVariety(IntegerLabels, SectionRing):
     """Image of P^m under distinct degree-a monomials.  Section spaces are
     the full monomial spaces upstairs, so label k stands for all degree
     k*a forms on the source; cohomology is deliberately unsupported."""
@@ -444,24 +451,17 @@ class MonomialVariety(IntegerLabels):
         return len(self.monomials) == space_dim(self.source_vars,
                                                 self.degree)
 
-    def series_dim(self, field=QQ):
-        return len(self.monomials)
+    def _new_ring(self, field):
+        return GradedQuotientRing(
+            field, self.source_vars,
+            basis=lambda n, k, a=self.degree: monomial_basis(n, k * a))
 
-    def section_space(self, label, field=QQ):
-        if not isinstance(label, int):
-            raise UnsupportedLabel(f"labels are integers, got {label!r}")
-        d = label * self.degree
-        basis = monomial_basis(self.source_vars, d) if d >= 0 else ()
-        return SectionSpace(label, len(basis), basis)
-
-    def multiplication_map(self, l1, l2, field=QQ):
-        d1, d2 = l1 * self.degree, l2 * self.degree
-        right = self.monomials if l2 == 1 else \
-            monomial_basis(self.source_vars, d2)
-        index = monomial_index(self.source_vars, d1 + d2)
-        cols = products(field, monomial_basis(self.source_vars, d1),
-                        [((m, field.one),) for m in right], index)
-        return Matrix.from_cols(field, cols, len(index))
+    def _series_rows(self, field):
+        full = self.section_space(1, field).monomials
+        if self.monomials == full:
+            return None
+        return tuple(tuple(field.one if m == n else field.zero for n in full)
+                     for m in self.monomials)
 
     def cohomology_dim(self, label, i, field=QQ):
         raise UnsupportedScene(
@@ -479,11 +479,6 @@ class MonomialVariety(IntegerLabels):
                 order.append(phi)
         return PointEnumeration(p, tuple(seen[k] for k in order), False)
 
-    def evaluation_functional(self, params, label, field):
-        return _functional(
-            field, monomial_basis(self.source_vars, label * self.degree),
-            params)
-
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name,
                 "source_vars": self.source_vars, "degree": self.degree,
@@ -495,33 +490,23 @@ class MonomialVariety(IntegerLabels):
 
 @lru_cache(maxsize=None)
 def scroll_basis(a, b, alpha, beta):
-    """Ordered basis of H0(Y, alpha H + beta F) on Y = P(O(a) + O(b)):
-    pairs (i, exponents) meaning u^i v^(alpha-i) times the binary monomial,
-    with the left index i major and i = 0 first."""
-    if alpha < 0:
-        return ()
-    out = []
-    for i in range(alpha + 1):
-        deg = a * i + b * (alpha - i) + beta
-        for m in monomial_basis(2, deg) if deg >= 0 else ():
-            out.append((i, m))
-    return tuple(out)
+    """Ordered basis of H0(Y, alpha H + beta F) on Y = P(O(a) + O(b)) as
+    exponent tuples of the Cox ring k[s, t, u, v]: u^i v^(alpha-i) times
+    the binary monomial m(s, t) is m + (i, alpha - i), with i major and
+    i = 0 first."""
+    return tuple(m + (i, alpha - i) for i in range(alpha + 1)
+                 for m in monomial_basis(2, a * i + b * (alpha - i) + beta))
 
 
-def _scroll_exponents(basis, alpha):
-    """Scroll basis pairs (i, m) of a label with first entry alpha as
-    exponent tuples of (s, t, u, v)."""
-    return [m + (i, alpha - i) for i, m in basis]
-
-
-class ScrollCurve:
+class ScrollCurve(SectionRing):
     """A curve X in |dH + eF| on the two dimensional scroll
     Y = P(O(a) + O(b)) over P^1, polarized by A = H|_X.
 
-    Labels are pairs (alpha, beta).  Section spaces are modelled as
-    H0(Y, L) / section * H0(Y, L - X), which is H0(X, L|_X) whenever
-    H1(Y, L - X) = 0; labels outside that range are refused.  h^1 on the
-    curve goes through Serre duality against the canonical label."""
+    Labels are pairs (alpha, beta).  Section spaces are the pieces of the
+    Cox ring of Y modulo the section, H0(Y, L) / section * H0(Y, L - X),
+    which is H0(X, L|_X) whenever H1(Y, L - X) = 0; labels outside that
+    range are refused.  h^1 on the curve goes through Serre duality
+    against the canonical label."""
 
     kind = "scroll_curve"
     supports_cohomology = True
@@ -544,11 +529,7 @@ class ScrollCurve:
         if all(c == 0 for c in section):
             raise ZeroSection("curve section is identically zero")
         self.section = section
-        self._form = tuple((m, c) for m, c in zip(
-            _scroll_exponents(basis, d), section) if c)
         self.name = name or f"scroll(S({a},{b}), X in |{d}H+{e}F|)"
-        self._spaces = {}
-        self._mults = {}
 
     # -- labels --
 
@@ -567,17 +548,24 @@ class ScrollCurve:
     def label_str(self, label):
         return f"({label[0]},{label[1]})"
 
-    def _check_label(self, label):
+    def _check_pair(self, label):
         if not (isinstance(label, tuple) and len(label) == 2 and
                 all(isinstance(x, int) for x in label)):
             raise UnsupportedLabel(
                 f"scroll labels are integer pairs, got {label!r}")
         return label
 
-    # -- cohomology on the scroll surface --
+    def _check_label(self, label):
+        """A pair whose restriction model holds: H1(Y, L - X) = 0."""
+        label = self._check_pair(label)
+        down = (label[0] - self.d, label[1] - self.e)
+        if self.h1_Y(down) != 0:
+            raise UnsupportedLabel(
+                f"label {label}: restriction model needs "
+                f"H1(Y, L - X) = 0, but h1{down} = {self.h1_Y(down)}")
+        return label
 
-    def h0_Y(self, label):
-        return len(scroll_basis(self.a, self.b, *label))
+    # -- cohomology on the scroll surface --
 
     def h1_Y(self, label):
         alpha, beta = label
@@ -588,65 +576,12 @@ class ScrollCurve:
         return sum(max(0, -(self.a * i + self.b * (alpha - i) + beta) - 1)
                    for i in range(alpha + 1))
 
-    def h2_Y(self, label):
-        return self.h0_Y((-2 - label[0], self.q - 2 - label[1]))
+    # -- the section ring --
 
-    # -- section spaces on the curve --
-
-    def _piece(self, label, field):
-        label = self._check_label(label)
-        got = self._spaces.get((label, field))
-        if got is not None:
-            return got
-        down = (label[0] - self.d, label[1] - self.e)
-        if self.h1_Y(down) != 0:
-            raise UnsupportedLabel(
-                f"label {label}: restriction model needs "
-                f"H1(Y, L - X) = 0, but h1{down} = {self.h1_Y(down)}")
-        amb = scroll_basis(self.a, self.b, *label)
-        index = {m: j for j, m in
-                 enumerate(_scroll_exponents(amb, label[0]))}
-        section = [(m, field.normalize(c)) for m, c in self._form]
-        # the section times each basis element of H0(Y, L - X)
-        rows = products(field, _scroll_exponents(
-            scroll_basis(self.a, self.b, *down), down[0]), (section,), index)
-        red = span_reduction(Matrix(field, len(rows), len(amb),
-                                    tuple(rows)))
-        piece = (tuple(amb[c] for c in red.complement), red)
-        self._spaces[(label, field)] = piece
-        return piece
-
-    def section_space(self, label, field=QQ):
-        basis, _ = self._piece(label, field)
-        return SectionSpace(label, len(basis), basis)
-
-    def series_dim(self, field=QQ):
-        return self.section_space((1, 0), field).dim
-
-    def multiplication_map(self, l1, l2, field=QQ):
-        l1, l2 = self._check_label(l1), self._check_label(l2)
-        got = self._mults.get((l1, l2, field))
-        if got is not None:
-            return got
-        b1, _ = self._piece(l1, field)
-        b2, _ = self._piece(l2, field)
-        out_label = self.label_add(l1, l2)
-        _, red = self._piece(out_label, field)
-        idx = {lab: i for i, lab in
-               enumerate(scroll_basis(self.a, self.b, *out_label))}
-        cols = []
-        for i1, m1 in b1:
-            for i2, m2 in b2:
-                cols.append(red.reduce.column(
-                    idx[(i1 + i2, monomial_product(m1, m2))]))
-        out = Matrix.from_cols(field, cols, red.dim)
-        self._mults[(l1, l2, field)] = out
-        return out
-
-    def genus(self):
-        d, e, q = self.d, self.e, self.q
-        two_g = d * (d - 2) * q + d * (e + q - 2) + e * (d - 2) + 2
-        return two_g // 2
+    def _new_ring(self, field):
+        return GradedQuotientRing(
+            field, 4, [((self.d, self.e), self.section)],
+            basis=lambda n, k, a=self.a, b=self.b: scroll_basis(a, b, *k))
 
     def degree(self, label=(1, 0)):
         alpha, beta = label
@@ -659,7 +594,7 @@ class ScrollCurve:
         return True
 
     def cohomology_dim(self, label, i, field=QQ):
-        label = self._check_label(label)
+        label = self._check_pair(label)
         if i == 0:
             return self.section_space(label, field).dim
         if i == 1:
@@ -671,18 +606,13 @@ class ScrollCurve:
     # -- points --
 
     def enumerate_points(self, p):
-        field = GF(p)
-        section = [(m, field.normalize(c)) for m, c in self._form]
-        series, _ = self._piece((1, 0), field)
+        ring = self.ring(GF(p))
         candidates = (st + uv for st in projective_reps(p, 2)
                       for uv in projective_reps(p, 2))
-        records = _zero_locus(field, candidates, 4, (section,),
-                              _scroll_exponents(series, 1))
+        records = _zero_locus(ring.field, candidates, 4,
+                              [t for _, t in ring.generators],
+                              self.section_space((1, 0), ring.field).monomials)
         return PointEnumeration(p, tuple(records), True)
-
-    def evaluation_functional(self, params, label, field):
-        basis, _ = self._piece(label, field)
-        return _functional(field, _scroll_exponents(basis, label[0]), params)
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name, "a": self.a,

@@ -56,7 +56,7 @@ def test_monomial_index_roundtrip():
 def test_free_multiplication_binary_linear():
     m = GradedQuotientRing(QQ, 2, ()).multiplication(1, 1)
     # columns s*s, s*t, t*s, t*t against rows s^2, s*t, t^2
-    assert [m.column(j) for j in range(4)] == [
+    assert [m.columns()[j] for j in range(4)] == [
         (1, 0, 0), (0, 1, 0), (0, 1, 0), (0, 0, 1)]
 
 
@@ -67,7 +67,7 @@ def test_free_multiplication_left_major_ordering():
     idx = monomial_index(2, 3)
     for i, m1 in enumerate(b1):
         for j, m2 in enumerate(b2):
-            col = m.column(i * len(b2) + j)
+            col = m.columns()[i * len(b2) + j]
             assert col[idx[monomial_product(m1, m2)]] == 1
             assert sum(1 for x in col if x) == 1
 
@@ -153,7 +153,7 @@ def test_multiplication_commutes():
     d1, d2 = ring.dim(1), ring.dim(2)
     for i in range(d1):
         for j in range(d2):
-            assert a.column(i * d2 + j) == b.column(j * d1 + i)
+            assert a.columns()[i * d2 + j] == b.columns()[j * d1 + i]
 
 
 def _conic():
@@ -174,17 +174,17 @@ def test_multiplication_associative():
     for i in range(d1):
         for j in range(d1):
             for t in range(d1):
-                ab = m11.column(i * d1 + j)
+                ab = m11.columns()[i * d1 + j]
                 lhs = [0] * ring.dim(3)
                 for r, c in enumerate(ab):
                     if c:
-                        col = m21.column(r * d1 + t)
+                        col = m21.columns()[r * d1 + t]
                         lhs = [(x + c * y) % 7 for x, y in zip(lhs, col)]
-                bc = m11.column(j * d1 + t)
+                bc = m11.columns()[j * d1 + t]
                 rhs = [0] * ring.dim(3)
                 for s, c in enumerate(bc):
                     if c:
-                        col = m12.column(i * d2 + s)
+                        col = m12.columns()[i * d2 + s]
                         rhs = [(x + c * y) % 7 for x, y in zip(rhs, col)]
                 assert lhs == rhs
 

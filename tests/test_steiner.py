@@ -65,7 +65,7 @@ class TestPresentations:
         v = (0, 1, 0, 0)
         fib = P.fiber_matrix(v)
         for i in range(3):
-            assert fib.column(i) == P.tensor.column(i * P.dim_v + 1)
+            assert fib.columns()[i] == P.tensor.columns()[i * P.dim_v + 1]
 
 
 class TestValidity:
@@ -124,7 +124,7 @@ class TestUnstable:
         assert flag
         rest = P.restricted_matrix((1, 0, 0, 0))
         for j in range(rest.ncols):
-            col = rest.column(j)
+            col = rest.columns()[j]
             assert sum(a * b for a, b in zip(psi, col)) % 5 == 0
 
     @given(st.integers(0, 10 ** 6))
@@ -174,7 +174,7 @@ class TestUnstable:
         # permute V simultaneously in tensor and lam
         perm = list(range(3))
         rng.shuffle(perm)
-        cols = [P.tensor.column(i * P.dim_v + perm[j])
+        cols = [P.tensor.columns()[i * P.dim_v + perm[j]]
                 for i in range(2) for j in range(3)]
         P3 = make_presentation(Matrix.from_cols(GF(p), cols, 4), 2, 3, 4)
         lam3 = tuple(lam[perm[j]] for j in range(3))

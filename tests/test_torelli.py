@@ -1,10 +1,13 @@
 """Pipeline tests: tautological presentations, Torelli comparisons over
 several primes, scroll invariance, and the point-set bundle."""
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from steinertorelli.cli import main
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
                                    UnsupportedLabel, UnsupportedScene,
                                    ZeroEvaluation)
@@ -13,7 +16,7 @@ from steinertorelli.exactfield import (GF, Matrix, projective_count,
                                        rank)
 from steinertorelli.koszul import green_points_test
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
-                                   ScrollCurve)
+                                   ScrollCurve, load_scene)
 from steinertorelli.steiner import (recover_section_point, unstable_test,
                                     valles_locus)
 from steinertorelli.torelli import (_consensus, dk_check, dk_presentation,
@@ -26,6 +29,7 @@ from test_koszul import CUBIC_POINTS, GENERAL_SEVEN
 from test_scenes import SCROLL_F1, SCROLL_F2, diagonal_ci, fermat_quartic
 
 TC = P1Series(3)
+SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
 
 
 def monomial_conic():
@@ -274,6 +278,57 @@ def test_dk_check_lists_bad_reductions_and_carries_on():
     # no prime reduces well
     rep = dk_check(CUBIC_POINTS, primes=(5,))
     assert (rep.consensus, rep.bad_primes) == ("EMPTY", (5,))
+
+
+# a catalogue scene with every form coefficient times 5, the B label of
+# its run and the verdict at 7, where the scaled scene reduces as well
+SCALED_BY_FIVE = [("fermat_quartic", "generators", 3, "SUPERSET"),
+                  ("scroll_member_a", "section", (2, 1), "EQUAL")]
+
+
+def _scaled_by_five(tmp_path, stem, key):
+    data = json.loads((SCENEDIR / f"{stem}.json").read_text())
+    if key == "section":
+        data["section"] = [5 * c for c in data["section"]]
+    else:
+        for gen in data["generators"]:
+            gen["coefficients"] = [5 * c for c in gen["coefficients"]]
+    path = tmp_path / f"{stem}_times_5.json"
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("stem,key,b_label,seven", SCALED_BY_FIVE,
+                         ids=[row[0] for row in SCALED_BY_FIVE])
+def test_form_vanishing_mod_p_is_a_bad_prime(tmp_path, stem, key, b_label,
+                                             seven):
+    """A form that is zero mod 5 gives a BAD_PRIME row at 5; the row at 7
+    is that of the unscaled scene."""
+    scene = load_scene(_scaled_by_five(tmp_path, stem, key))
+    rep = torelli_check(scene, b_label, primes=(5, 7))
+    five, at_seven = rep.results
+    assert (five.verdict, five.error) == ("BAD_PRIME", "BadPrime")
+    assert rep.bad_primes == (5,) and rep.consensus == seven
+    plain = torelli_check(load_scene(SCENEDIR / f"{stem}.json"), b_label,
+                          primes=(7,)).results[0]
+    assert at_seven.verdict == seven
+    assert at_seven.to_json_dict() == plain.to_json_dict()
+
+
+@pytest.mark.parametrize("stem,key,b_label,seven", SCALED_BY_FIVE,
+                         ids=[row[0] for row in SCALED_BY_FIVE])
+def test_torelli_verb_lists_a_form_vanishing_mod_p(tmp_path, capsys, stem,
+                                                   key, b_label, seven):
+    path = _scaled_by_five(tmp_path, stem, key)
+    argv = ["torelli", str(path), "--primes", "5,7"]
+    if stem == "fermat_quartic":
+        argv += ["--B", "O(3)"]
+    assert main(argv) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [(r["prime"], r["verdict"]) for r in rep["results"]] == \
+        [(5, "BAD_PRIME"), (7, seven)]
+    assert rep["results"][0]["error"] == "BadPrime"
+    assert rep["bad_primes"] == [5]
 
 
 def test_dk_check_refuses_points_degenerate_over_qq():
