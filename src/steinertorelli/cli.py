@@ -119,6 +119,8 @@ def _primes_from(args):
         except ValueError as exc:
             raise UsageError(
                 f"cannot parse prime list {args.primes!r}") from exc
+        if len(set(primes)) != len(primes):
+            raise UsageError(f"prime list {args.primes!r} repeats a prime")
         return primes
     if prime is not None:
         return (prime,)

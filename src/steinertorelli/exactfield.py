@@ -14,6 +14,13 @@ produce or by handing the raw values to the `Matrix` constructor, which
 is the one boundary that normalizes.  Accumulators start from the
 shared `field.zero`, so over QQ an untouched entry is that one Fraction
 rather than an int the boundary has to convert.
+
+Elimination over QQ does no Fraction arithmetic: `eliminate` scales each
+row to coprime integers and eliminates fraction-free.  Only the finished
+pivot rows of a full reduction become Fractions again, as the unique
+reduced echelon rows; a rank-only reduction (full=False) leaves integer
+rows.  Whatever this module returns over QQ is still Fractions in lowest
+terms.
 """
 
 from __future__ import annotations
@@ -21,7 +28,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from math import gcd, lcm
+from operator import attrgetter, mul
 
 from .errors import BadPrime, FieldMismatch, NonPrimeModulus, ShapeMismatch
 
@@ -247,15 +255,40 @@ class Echelon:
         return len(self.pivots)
 
 
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
+
+
+def _primitive(vals):
+    """The integers `vals` divided by their content (their gcd)."""
+    g = gcd(*vals)
+    return [x // g for x in vals] if g > 1 else vals
+
+
 def eliminate(work, ncols, p, full=True):
     """Gauss-Jordan elimination of the row lists `work`, in place.
 
     Entries are canonical residues mod p, or Fractions when p is 0.  The
-    pivot rows end up first, scaled to a leading 1; the pivot columns are
-    returned, so their count is the rank.  With full=False only the
-    entries below each pivot are cleared, which is all a rank needs.
+    pivot rows end up first; the pivot columns are returned, so their
+    count is the rank.  With full=False only the entries below each pivot
+    are cleared, which is all a rank needs.
+
+    Mod p each pivot row is scaled to a leading 1 when it is chosen.  Over
+    QQ the rows are first scaled to coprime integers and eliminated
+    fraction-free: a target row with entry f under the pivot `lead`
+    becomes (lead/g)*target - (f/g)*pivot_row, g = gcd(lead, f), divided
+    by its content.  Only the finished pivot rows become Fractions again,
+    with full=True: divided by their leads they are the unique reduced
+    echelon rows, and the rows after them become zero Fractions.  With
+    full=False the rows are left as integer rows.
     """
     nrows = len(work)
+    if not p:
+        for row in work:
+            den = lcm(*map(_denominator, row))
+            ints = ([x.numerator * (den // x.denominator) for x in row]
+                    if den > 1 else list(map(_numerator, row)))
+            row[:] = _primitive(ints)
     pivots = []
     r = 0
     for c in range(ncols):
@@ -275,9 +308,9 @@ def eliminate(work, ncols, p, full=True):
             for j in range(c, ncols):
                 row[j] = row[j] * inv % p
         else:
-            inv = 1 / Fraction(row[c])
-            for j in range(c, ncols):
-                row[j] = row[j] * inv
+            # a full reduction rescales the rows above the pivot, so it
+            # updates whole rows; the rows below are zero before column c
+            lead, s = row[c], 0 if full else c
         for i in range(0 if full else r + 1, nrows):
             f = work[i][c]
             if f and i != r:
@@ -286,10 +319,19 @@ def eliminate(work, ncols, p, full=True):
                     for j in range(c, ncols):
                         tgt[j] = (tgt[j] - f * row[j]) % p
                 else:
-                    for j in range(c, ncols):
-                        tgt[j] -= f * row[j]
+                    g = gcd(lead, f)
+                    a, b = lead // g, f // g
+                    tgt[s:] = _primitive([a * x - b * y for x, y in
+                                          zip(tgt[s:], row[s:])])
         pivots.append(c)
         r += 1
+    if full and not p:
+        zero = QQ.zero
+        for row, c in zip(work, pivots):
+            lead = row[c]
+            row[:] = [Fraction(x, lead) if x else zero for x in row]
+        for row in work[r:]:
+            row[:] = [zero] * ncols
     return pivots
 
 

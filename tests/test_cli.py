@@ -220,6 +220,9 @@ def test_usage_errors_exit_two(capsys):
     assert main(["valles", SIX_PATH, "--B", "O(3)"]) == 2
     assert main(["dk", "--N", "6", "--primes", "5,7"]) == 2
     assert main(["frobnicate", TC_PATH]) == 2
+    # a repeated prime is refused, not run twice
+    assert main(["torelli", TC_PATH, "--primes", "5,5"]) == 2
+    assert main(["dk", SIX_PATH, "--primes", "7,7"]) == 2
     # an empty label is refused, not read as the default
     assert main(["build", TC_PATH, "--B", "", "--prime", "5"]) == 2
     assert main(["koszul", TC_PATH, "--p", "1", "--q", "1", "--N", ""]) == 2

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from steinertorelli.errors import (BadPrime, FieldMismatch, NonPrimeModulus,
                                    ShapeMismatch)
 from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
-                                       left_kernel, normalize_projective,
+                                       kernel_basis, left_kernel,
+                                       normalize_projective,
                                        projective_count, projective_rank,
                                        projective_reps, projective_unrank,
                                        rank, rank_kernel, rref,
@@ -280,6 +282,110 @@ def test_qq_rank_matches_sympy():
         assert rank(m) == oracle.rank()
 
     check()
+
+
+def fraction_gauss_jordan(rows, ncols, full=True):
+    """The reference for `eliminate` over QQ: Gauss-Jordan on Fractions,
+    each pivot row scaled to a leading 1 and subtracted from the others.
+    Returns the pivot columns and the reduced rows."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    nrows, pivots, r = len(work), [], 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        pivot = next((i for i in range(r, nrows) if work[i][c]), None)
+        if pivot is None:
+            continue
+        work[r], work[pivot] = work[pivot], work[r]
+        row = work[r]
+        inv = 1 / row[c]
+        for j in range(c, ncols):
+            row[j] = row[j] * inv
+        for i in range(0 if full else r + 1, nrows):
+            f = work[i][c]
+            if f and i != r:
+                tgt = work[i]
+                for j in range(c, ncols):
+                    tgt[j] -= f * row[j]
+        pivots.append(c)
+        r += 1
+    return pivots, work
+
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-10 ** 4, max_value=10 ** 4,
+                 max_denominator=10 ** 6))
+
+
+@st.composite
+def qq_matrices(draw):
+    """Rational matrices with large denominators and negative entries,
+    whole zero rows and columns, 0 x n and n x 0 shapes, rank-deficient
+    products A*B, and repeated rows (which repeat pivots)."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, 3))
+        a = draw(st.lists(st.lists(rationals, min_size=inner,
+                                   max_size=inner),
+                          min_size=nrows, max_size=nrows))
+        b = draw(st.lists(st.lists(rationals, min_size=ncols,
+                                   max_size=ncols),
+                          min_size=inner, max_size=inner))
+        rows = [[sum((x * y for x, y in zip(ra, cb)), Fraction(0))
+                 for cb in zip(*b)] if b else [Fraction(0)] * ncols
+                for ra in a]
+    else:
+        dead_rows = draw(st.sets(st.integers(0, 5)))
+        dead_cols = draw(st.sets(st.integers(0, 5)))
+        rows = [[Fraction(0) if i in dead_rows or j in dead_cols
+                 else draw(rationals) for j in range(ncols)]
+                for i in range(nrows)]
+    if rows:
+        for _ in range(draw(st.integers(0, 3))):
+            src = draw(st.sampled_from(rows))
+            scale = draw(st.one_of(st.just(1), rationals.filter(bool)))
+            rows.insert(draw(st.integers(0, len(rows))),
+                        [scale * x for x in src])
+    return Matrix(QQ, len(rows), ncols, tuple(map(tuple, rows)))
+
+
+def _projective(row):
+    """A row scaled to a leading 1, so proportional rows compare equal."""
+    lead = next((x for x in row if x), 1)
+    return [Fraction(x) / lead for x in row]
+
+
+@given(qq_matrices(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_qq_elimination_matches_fraction_reference(m, full):
+    pivots, ref = fraction_gauss_jordan(m.entries, m.ncols, full)
+    work = [list(r) for r in m.entries]
+    assert eliminate(work, m.ncols, 0, full) == pivots
+    assert rank(m) == len(pivots)
+    if full:
+        assert work == ref
+        assert all(type(x) is Fraction for row in work for x in row)
+    else:
+        # integer rows, primitive, each a multiple of the reference row
+        assert all(type(x) is int for row in work for x in row)
+        for row, want in zip(work, ref):
+            assert math.gcd(*row) in (0, 1)
+            assert _projective(row) == _projective(want)
+
+
+@given(qq_matrices())
+@settings(max_examples=200, deadline=None)
+def test_qq_rref_and_kernel_match_fraction_reference(m):
+    pivots, ref = fraction_gauss_jordan(m.entries, m.ncols)
+    ref_rows = tuple(map(tuple, ref[:len(pivots)]))
+    ech = rref(m)
+    assert (ech.rows, ech.pivots) == (ref_rows, tuple(pivots))
+    assert all(type(x) is Fraction for row in ech.rows for x in row)
+    kd = rank_kernel(m)
+    assert kd.rank == len(pivots)
+    assert kd.kernel == kernel_basis(ref_rows, pivots, m.ncols, QQ)
+    assert all(type(x) is Fraction for v in kd.kernel for x in v)
 
 
 # ---- projective enumeration ---------------------------------------------

@@ -345,6 +345,13 @@ def test_minimal_degree_verdict_twisted_cubic():
     assert rep.verdict == "minimal-degree variety detected"
 
 
+def test_minimal_degree_group_of_the_octic_over_qq():
+    # Eagon-Northcott: K_{6,1} of the degree-8 rational normal curve has
+    # dimension 6 C(8, 7) = 48, the difference of two ranks of Koszul
+    # differentials over QQ
+    assert green_kp1(P1Series(8), QQ).dim == 48
+
+
 def test_minimal_degree_verdict_complete_intersection():
     rep = green_kp1(diagonal_ci(), GF(5))
     assert (rep.p, rep.dim, rep.degree) == (2, 0, 8)
