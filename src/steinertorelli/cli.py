@@ -11,6 +11,7 @@ the report); a verdict such as SUPERSET is data, not a failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -268,7 +269,10 @@ def _run_scroll_invariance(args):
 # ---- parser ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_arg_parser():
+    """The command line parser, built once on the first call; parsing
+    does not change it."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="also write the JSON report here, "
                         "atomically")

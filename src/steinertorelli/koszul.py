@@ -11,11 +11,15 @@ K_{p,q} are cohomology of
 
 with d(u_{i_1} ^ ... ^ u_{i_p} (x) m) = sum_j (-1)^(j+1)
 (drop i_j) (x) u_{i_j} m, so a dimension is one middle dimension and
-two ranks.  The exterior basis of Lambda^p U is ordered as
-itertools.combinations(range(dim U), p) lists it, and a differential's
-row and column blocks follow that order.  Windows are built either from
-a scene's section ring or from the homogeneous ideal of a finite point
-set.
+two ranks.  Each differential is assembled once, as sparse columns read
+straight off the action tables, and each rank is a sum over independent
+blocks: the connected components of the differential's row/column
+nonzero pattern (with monomial bases, its weight pieces), each one
+eliminated densely by exactfield.eliminate.  The exterior basis of
+Lambda^p U is ordered as itertools.combinations(range(dim U), p) lists
+it, and a differential's row and column blocks follow that order.
+Windows are built either from a scene's section ring or from the
+homogeneous ideal of a finite point set.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass
 from math import comb
 
 from .errors import UnsupportedScene, WindowTooSmall
-from .exactfield import Matrix, QQ, rank, rank_kernel
+from .exactfield import Matrix, QQ, eliminate, rank_kernel
 from .polyalg import (monomial_basis, monomial_index, products,
                       restrict_right)
 
@@ -130,34 +134,87 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
 # ---- differentials and dimensions -------------------------------------------
 
 
-def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
-    """Lambda^p U (x) M_q -> Lambda^(p-1) U (x) M_(q+1), exterior-major
-    row and column blocks."""
+def _differential_columns(window: GradedModuleWindow, p, q):
+    """Row count and sparse columns of Lambda^p U (x) M_q ->
+    Lambda^(p-1) U (x) M_(q+1): column k lists the (row, entry) pairs of
+    its nonzero entries.  The terms u_(i_j) m_t of one column land in
+    distinct exterior row blocks, so every entry is plus or minus an
+    action entry and nothing is summed."""
     n = window.dim_u
-    fld = window.field
     dm_in = window.dim(q)
     dm_out = window.dim(q + 1)
     rows_out = exterior_dim(n, p - 1) * dm_out
     cols_in = exterior_dim(n, p) * dm_in
     if p < 1 or rows_out == 0 or cols_in == 0:
-        return Matrix.zero(fld, rows_out, cols_in)
-    action = window.mult(q)
+        return rows_out, [()] * cols_in
+    char = window.field.characteristic
+    plus = [[(w, x) for w, x in enumerate(col) if x]
+            for col in window.mult(q)]
+    minus = [[(w, -x % char if char else -x) for w, x in col]
+             for col in plus]
     base = {tup: k * dm_out for k, tup in
             enumerate(itertools.combinations(range(n), p - 1))}
-    out_cols = []
+    cols = []
     for tup in itertools.combinations(range(n), p):
+        terms = [(base[tup[:j] + tup[j + 1:]], minus if j % 2 else plus,
+                  i * dm_in) for j, i in enumerate(tup)]
         for t in range(dm_in):
-            col = [fld.zero] * rows_out
-            for j, i in enumerate(tup):
-                start = base[tup[:j] + tup[j + 1:]]
-                if j % 2 == 0:
-                    for w, x in enumerate(action[i * dm_in + t], start):
-                        col[w] += x
-                else:
-                    for w, x in enumerate(action[i * dm_in + t], start):
-                        col[w] -= x
-            out_cols.append(col)
-    return Matrix.from_cols(fld, out_cols, rows_out)
+            cols.append([(start + w, x) for start, action, at in terms
+                         for w, x in action[at + t]])
+    return rows_out, cols
+
+
+def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
+    """Lambda^p U (x) M_q -> Lambda^(p-1) U (x) M_(q+1), exterior-major
+    row and column blocks."""
+    nrows, cols = _differential_columns(window, p, q)
+    ncols = len(cols)
+    rows = [[window.field.zero] * ncols for _ in range(nrows)]
+    for c, col in enumerate(cols):
+        for r, x in col:
+            rows[r][c] = x
+    return Matrix(window.field, nrows, ncols, tuple(map(tuple, rows)))
+
+
+def _differential_rank(window: GradedModuleWindow, p, q):
+    """Rank of the differential out of Lambda^p U (x) M_q, as the sum of
+    the ranks of the connected components of its row/column nonzero
+    pattern.  Each component is eliminated densely, with the columns of
+    the differential as its rows."""
+    nrows, cols = _differential_columns(window, p, q)
+    parent = list(range(nrows))
+
+    def find(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    blocks = {}
+    for col in cols:
+        if col:
+            root = find(col[0][0])
+            for r, _ in col[1:]:
+                parent[find(r)] = root
+    for col in cols:
+        if col:
+            blocks.setdefault(find(col[0][0]), []).append(col)
+    fld = window.field
+    total = 0
+    for block in blocks.values():
+        local = {r: k for k, r in enumerate(
+            dict.fromkeys(r for col in block for r, _ in col))}
+        if len(block) == 1 or len(local) == 1:
+            total += 1      # a nonzero row or column
+            continue
+        work = []
+        for col in block:
+            line = [fld.zero] * len(local)
+            for r, x in col:
+                line[local[r]] = x
+            work.append(line)
+        total += len(eliminate(work, len(local), fld.characteristic,
+                               full=False))
+    return total
 
 
 @dataclass(frozen=True)
@@ -177,8 +234,8 @@ class KoszulGroupDim:
 
 def koszul_dim(window: GradedModuleWindow, p, q) -> KoszulGroupDim:
     middle = exterior_dim(window.dim_u, p) * window.dim(q)
-    rank_out = rank(koszul_differential(window, p, q))
-    rank_in = rank(koszul_differential(window, p + 1, q - 1))
+    rank_out = _differential_rank(window, p, q)
+    rank_in = _differential_rank(window, p + 1, q - 1)
     dim = middle - rank_out - rank_in
     return KoszulGroupDim(p, q, dim, rank_in, rank_out, middle)
 

@@ -1,6 +1,7 @@
 """Driver tests: label grammar, verb dispatch, exit codes, and the
 emission contract (fixed key order, byte determinism, atomic writes)."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from steinertorelli.cli import (default_b_label, emit, main,
-                                parse_label_text, resolve_label)
+from steinertorelli.cli import (build_arg_parser, default_b_label, emit,
+                                main, parse_label_text, resolve_label)
 from steinertorelli.errors import UsageError
 from steinertorelli.scenes import P1Series, load_scene
 
@@ -331,6 +332,84 @@ def test_reports_are_byte_deterministic(tmp_path, capsys):
     main(argv)
     second = capsys.readouterr().out
     assert first == second
+
+
+def _fresh_parser_main(argv):
+    build_arg_parser.cache_clear()
+    return main(argv)
+
+
+def test_verbs_in_sequence_match_fresh_calls(capsys):
+    # the parser is built once per process; one verb's options must not
+    # leak into the next verb's report
+    runs = [["koszul", TC_PATH, "--p", "1", "--q", "1", "--N", "O(1)"],
+            ["green", SEVEN_CUBIC_PATH, "--prime", "7", "--format", "text"],
+            ["valles", TC_PATH, "--prime", "5"],
+            ["koszul", CI_PATH, "--p", "2", "--q", "1"]]
+    fresh = []
+    for argv in runs:
+        code = _fresh_parser_main(argv)
+        fresh.append((code, capsys.readouterr().out))
+    parser = build_arg_parser()
+    for argv, want in zip(runs, fresh):
+        code = main(argv)
+        assert (code, capsys.readouterr().out) == want
+    assert build_arg_parser() is parser
+
+
+# sha256 of the --help text at 80 columns, recorded when the parser was
+# still built on every call.  argparse lays help out differently across
+# Python versions, so the digests hold for the version they were taken on.
+HELP_DIGESTS = {
+    "": "08993437a68ff8f7ffc7f2cbc97e67db216060643f2607ef8cb78b2eef173819",
+    "build":
+        "e11265246d901c786f9e093709be6f5fa2152c31cca1ad536287145b4005373a",
+    "valles":
+        "a72a17559908aa7aa58622c016b25f89a8387391e40334fecbf258327055c20b",
+    "koszul":
+        "fe90063de2d5594dfea47b98676fb0e4d4054c144222409b16ad4442a8566678",
+    "green":
+        "b0eafb26953d13d9a88f5f03fd6a5ddae8fc31600746de56f62268b82b564391",
+    "duality":
+        "6c6897e66497f45907d27d40bfbdb57950b1f12926a7569173315c745f011d16",
+    "torelli":
+        "f8305f3123cf59929bd3ae19b616b5ccddcb5e9779f0a07727207aac6a184d02",
+    "recover":
+        "e101442e32587db004c2a5f88a9363fde4935ff4c847bdd9eed0430f65826f55",
+    "dk": "e8eab82f9ac2d75691463c6bdec9bbf38bf93d38e6a003df9e42508918c66f05",
+    "scroll-invariance":
+        "ce0583bef6bd615ddaebfcbfa81f29589b35cfca358aaf30c8f8c866f295c01f",
+}
+
+
+def _help_text(capsys, verb):
+    with pytest.raises(SystemExit) as exit_info:
+        main([verb, "--help"] if verb else ["--help"])
+    assert exit_info.value.code == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="digests taken with the Python 3.11 argparse")
+@pytest.mark.parametrize("verb", list(HELP_DIGESTS))
+def test_help_text_is_pinned(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    main(["koszul", TC_PATH, "--p", "1", "--q", "1"])
+    capsys.readouterr()
+    for _ in range(2):
+        text = _help_text(capsys, verb)
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            HELP_DIGESTS[verb]
+
+
+@pytest.mark.parametrize("verb", list(HELP_DIGESTS))
+def test_help_text_matches_a_fresh_parser(capsys, monkeypatch, verb):
+    monkeypatch.setenv("COLUMNS", "80")
+    main(["valles", TC_PATH, "--prime", "5"])
+    capsys.readouterr()
+    cached = _help_text(capsys, verb)
+    build_arg_parser.cache_clear()
+    assert _help_text(capsys, verb) == cached
 
 
 def test_text_format_is_tabular_not_json(capsys):

@@ -10,14 +10,15 @@ points do not.
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steinertorelli.exactfield import GF, QQ, Matrix, rank_kernel
-from steinertorelli.koszul import (WindowTooSmall, duality_check,
-                                   exterior_dim, green_kp1,
+from steinertorelli.exactfield import GF, QQ, Matrix, rank, rank_kernel
+from steinertorelli.koszul import (GradedModuleWindow, WindowTooSmall,
+                                   duality_check, exterior_dim, green_kp1,
                                    green_points_test,
                                    koszul_differential, koszul_dim,
                                    pointset_ideal_window, scene_window)
@@ -211,6 +212,84 @@ def test_differential_matches_reference_on_ideals(tails, lo):
     pts = PointSet(2, [(1, a, b) for a, b in tails])
     assert_differentials_match_reference(
         pointset_ideal_window(pts, lo, lo + 3, GF(7)))
+
+
+# ---- block ranks against the dense reference ---------------------------------
+
+
+def reference_rank(window, p, q):
+    rows = reference_differential(window, p, q)
+    ncols = exterior_dim(window.dim_u, p) * window.dim(q)
+    return rank(Matrix(window.field, len(rows), ncols, rows))
+
+
+def assert_ranks_match_reference(window):
+    # p = 0 and p > dim U included: those differentials have no rows or
+    # no columns
+    for q in range(window.lo + 1, window.hi):
+        for p in range(window.dim_u + 2):
+            group = koszul_dim(window, p, q)
+            assert group.rank_out == reference_rank(window, p, q), (p, q)
+            assert group.rank_in == reference_rank(window, p + 1, q - 1), \
+                (p, q)
+
+
+RANK_FIELDS = st.sampled_from([QQ, GF(2), GF(3), GF(101)])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 5), st.integers(-1, 1), RANK_FIELDS)
+def test_block_ranks_match_reference_on_series(d, lo, field):
+    assert_ranks_match_reference(
+        scene_window(P1Series(d), 0, lo, lo + 3, field))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), RANK_FIELDS)
+def test_block_ranks_match_reference_on_subspaces(d, seed, field):
+    # a seeded change of basis of the series mixes every weight, so the
+    # differentials no longer split into blocks
+    rng = random.Random(seed)
+    sub = [tuple(field.normalize(rng.randrange(-3, 4)) for _ in range(d + 1))
+           for _ in range(rng.randint(1, d + 1))]
+    assert_ranks_match_reference(
+        scene_window(P1Series(d), 0, -1, 2, field, subspace=sub))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
+                min_size=1, max_size=6, unique=True),
+       st.integers(-1, 1), st.sampled_from([QQ, GF(7)]))
+def test_block_ranks_match_reference_on_ideals(tails, lo, field):
+    pts = PointSet(2, [(1, a, b) for a, b in tails])
+    assert_ranks_match_reference(
+        pointset_ideal_window(pts, lo, lo + 3, field))
+
+
+@st.composite
+def sparse_windows(draw):
+    """Windows with arbitrary action tables: empty pieces, all-zero action
+    columns and, over QQ, entries that are not integers."""
+    field = draw(RANK_FIELDS)
+    dim_u = draw(st.integers(0, 4))
+    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=3, max_size=4)))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
+    den = st.integers(1, 3) if field == QQ else st.just(1)
+    mults = tuple(
+        tuple(tuple(field.normalize(Fraction(draw(entry), draw(den)))
+                    for _ in range(dims[k + 1]))
+              if draw(st.booleans()) else (field.zero,) * dims[k + 1]
+              for _ in range(dim_u * dims[k]))
+        for k in range(len(dims) - 1))
+    lo = draw(st.integers(-1, 1))
+    return GradedModuleWindow(field, dim_u, lo, lo + len(dims) - 1, dims,
+                              mults)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_windows())
+def test_block_ranks_match_reference_on_sparse_windows(window):
+    assert_ranks_match_reference(window)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(101)])
