@@ -188,18 +188,6 @@ class Matrix:
         rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
         return Matrix(field, nrows, len(cols), rows)
 
-    @staticmethod
-    def zero(field, nrows, ncols):
-        z = field.zero
-        return Matrix(field, nrows, ncols, tuple((z,) * ncols
-                                                 for _ in range(nrows)))
-
-    @staticmethod
-    def identity(field, n):
-        z, o = field.zero, field.one
-        return Matrix(field, n, n, tuple(
-            tuple(o if i == j else z for j in range(n)) for i in range(n)))
-
     # -- basic operations ---------------------------------------------
 
     def _check_field(self, other):
@@ -219,14 +207,6 @@ class Matrix:
         return Matrix(self.field, self.nrows, other.ncols, tuple(
             tuple(sum(map(mul, row, col), zero) for col in other.columns())
             for row in self.entries))
-
-    def mul_vec(self, vec):
-        if len(vec) != self.ncols:
-            raise ShapeMismatch(f"vector length {len(vec)} != {self.ncols}")
-        fld = self.field
-        vec = [fld.normalize(x) for x in vec]
-        return tuple(fld.normalize(sum(map(mul, row, vec), fld.zero))
-                     for row in self.entries)
 
     def columns(self):
         return tuple(zip(*self.entries)) if self.nrows else \

@@ -31,11 +31,11 @@ proper series V, the rows of V in the piece of A:
                      (alpha, beta) is the exponent tuple m + (i, alpha-i)
 
 The shared `SectionRing` base turns the ring into `section_space`,
-`series_dim`, `multiplication_map` and `evaluation_functional`.  Each
-kind keeps its label algebra and checks, its cohomology and its point
-enumeration: `_functional` evaluates monomials at a point, and
-`_zero_locus` enumerates the points where forms vanish, with their
-smoothness.
+`series_dim`, `multiplication_map`, `evaluation_functional` and
+`enumerate_points`: the candidate points (P^N(F_p), or P^1 x P^1 for a
+scroll) where the generators vanish, with V's functional and, when there
+are generators, their smoothness.  Every value at a point comes from one
+evaluator, `_evaluator`, which computes each coordinate's powers once.
 """
 
 from __future__ import annotations
@@ -86,11 +86,46 @@ class PointEnumeration:
         return {r.phi for r in self.records}
 
 
-def evaluate_monomial(field, expts, params):
-    acc = field.one
-    for x, e in zip(params, expts):
-        acc *= x ** e
-    return field.normalize(acc)
+def _evaluator(field, term_lists):
+    """The function taking a point to the values there of a list of term
+    lists, (exponents, coefficient) pairs.  The powers of each coordinate
+    value, up to the largest exponent, are computed once and kept for
+    later points."""
+    # each term as its (variable, exponent) factors of positive exponent
+    # and its coefficient
+    terms = [[([(k, e) for k, e in enumerate(m) if e], c) for m, c in t]
+             for t in term_lists]
+    top = max((e for t in term_lists for m, _ in t for e in m), default=0)
+    normalize = field.normalize
+    powers = {}
+
+    def power_row(x):
+        row = [field.one]
+        for _ in range(top):
+            row.append(normalize(row[-1] * x))
+        powers[x] = row
+        return row
+
+    def values(params):
+        try:            # the common case: every value seen before
+            rows = [powers[x] for x in params]
+        except KeyError:
+            rows = [powers.get(x) or power_row(x) for x in params]
+        out = []
+        for t in terms:
+            acc = 0
+            for factors, c in t:
+                for k, e in factors:
+                    c *= rows[k][e]
+                acc += c
+            out.append(normalize(acc))
+        return out
+
+    return values
+
+
+def _monomial_terms(monomials):
+    return [((m, 1),) for m in monomials]
 
 
 def _normalized_phi(field, values, what):
@@ -100,57 +135,11 @@ def _normalized_phi(field, values, what):
     return phi
 
 
-def _functional(field, monomials, params):
-    """Evaluation functional of the span of the monomials at params: their
-    values, normalized projectively."""
-    return _normalized_phi(
-        field, [evaluate_monomial(field, m, params) for m in monomials],
-        params)
-
-
 def _partials(field, form, nvars):
     """The partial derivatives of a form, one term list per variable."""
     return [tuple((m[:j] + (m[j] - 1,) + m[j + 1:], field.normalize(c * m[j]))
                   for m, c in form if m[j])
             for j in range(nvars)]
-
-
-def _zero_locus(field, candidates, nvars, forms, series):
-    """Records of the candidate points where every form vanishes, each
-    with the functional of the series monomials.  A point is smooth when
-    the Jacobian of the forms has rank len(forms) there."""
-    p = field.p
-    top = max((e for form in forms for m, _ in form for e in m), default=0)
-
-    def factored(form):
-        """Each term as its coefficient and its (variable, exponent)
-        factors of positive exponent."""
-        return [([(k, e) for k, e in enumerate(m) if e], c) for m, c in form]
-
-    def value(terms, powers):
-        acc = 0
-        for factors, c in terms:
-            for k, e in factors:
-                c *= powers[k][e]
-            acc += c
-        return acc % p
-
-    jacobian = [[factored(d) for d in _partials(field, form, nvars)]
-                for form in forms]
-    forms = [factored(form) for form in forms]
-    # table[x][e] = x^e for every residue x, p rows against at least p + 1
-    # candidates; each form is reduced once per point
-    table = [[x ** e for e in range(top + 1)] for x in range(p)]
-    for params in candidates:
-        powers = [table[x] for x in params]
-        for form in forms:
-            if value(form, powers):
-                break
-        else:
-            rows = [[value(d, powers) for d in row] for row in jacobian]
-            smooth = rank(Matrix.from_rows(field, rows)) == len(forms)
-            yield PointRecord(p, params, _functional(field, series, params),
-                              smooth)
 
 
 def _as_fraction(x):
@@ -189,8 +178,9 @@ class IntegerLabels:
 class SectionRing:
     """The scenes whose section spaces are the graded pieces of one ring,
     `ring(field)`, graded by the scene's labels.  A kind supplies the
-    ring (an ambient basis and generators), its label check and, for a
-    proper series V, the coordinate rows of V in the piece of A."""
+    ring (an ambient basis and generators), its label check, for a
+    proper series V the coordinate rows of V in the piece of A, and, when
+    they are not the points of P^N(F_p), its candidate points."""
 
     def _series_rows(self, field):
         return None
@@ -221,8 +211,49 @@ class SectionRing:
         return table if rows is None else restrict_right(table, rows)
 
     def evaluation_functional(self, params, label, field):
-        return _functional(field, self.section_space(label, field).monomials,
-                           params)
+        """The monomials of the label's piece at params, normalized
+        projectively.  One evaluator is kept per label and field."""
+        label = self._check_label(label)
+        evaluators = vars(self).setdefault("_evaluators", {})
+        got = evaluators.get((label, field))
+        if got is None:
+            got = evaluators[(label, field)] = _evaluator(
+                field,
+                _monomial_terms(self.section_space(label, field).monomials))
+        return _normalized_phi(field, got(params), params)
+
+    def _candidates(self, p):
+        return projective_reps(p, self.ring(GF(p)).num_vars)
+
+    def enumerate_points(self, p):
+        """The candidate points where every generator vanishes, each with
+        the functional of V there.  When there are generators, a point is
+        smooth when their Jacobian has rank len(generators) there."""
+        field = GF(p)
+        ring = self.ring(field)
+        monomials = self.section_space(self.label_A(), field).monomials
+        rows = self._series_rows(field)
+        series = _evaluator(field, _monomial_terms(monomials) if rows is None
+                            else [tuple((m, c) for m, c in zip(monomials, row)
+                                        if c) for row in rows])
+        forms = [t for _, t in ring.generators]
+        # one evaluator per generator: most candidates fail the first
+        vanish = [_evaluator(field, [form]) for form in forms]
+        jacobian = [_evaluator(field, _partials(field, form, ring.num_vars))
+                    for form in forms]
+        records = []
+        for params in self._candidates(p):
+            for values in vanish:
+                if values(params)[0]:
+                    break
+            else:
+                smooth = None
+                if forms:
+                    jac = [row(params) for row in jacobian]
+                    smooth = rank(Matrix.from_rows(field, jac)) == len(forms)
+                phi = _normalized_phi(field, series(params), params)
+                records.append(PointRecord(p, params, phi, smooth))
+        return PointEnumeration(p, tuple(records), bool(forms))
 
 
 # ---- P^1 with a series of binary forms -----------------------------------
@@ -282,18 +313,15 @@ class P1Series(IntegerLabels, SectionRing):
         return GradedQuotientRing(field, 2)
 
     def _series_rows(self, field):
-        return None if self.basis is None else \
-            self.series_matrix(field).entries
-
-    def series_matrix(self, field):
-        """Rows are the series basis in monomial coordinates of O(a)."""
+        """The series basis in monomial coordinates of O(a); None for the
+        complete series."""
         if self.basis is None:
-            return Matrix.identity(field, self.a + 1)
+            return None
         m = Matrix.from_rows(field, self.basis)
         if rank(m) != m.nrows:
             raise BadPrime(
                 f"series basis degenerates over {field}")
-        return m
+        return m.entries
 
     def cohomology_dim(self, label, i, field=QQ):
         if i == 0:
@@ -301,19 +329,6 @@ class P1Series(IntegerLabels, SectionRing):
         if i == 1:
             return max(0, -label - 1)
         return 0
-
-    # -- points --
-
-    def enumerate_points(self, p):
-        field = GF(p)
-        series = self.series_matrix(field)
-        monomials = monomial_basis(2, self.a)
-        records = []
-        for params in projective_reps(p, 2):
-            values = series.mul_vec(_functional(field, monomials, params))
-            phi = _normalized_phi(field, values, params)
-            records.append(PointRecord(p, params, phi))
-        return PointEnumeration(p, tuple(records), False)
 
     def to_json_dict(self):
         d = {"kind": self.kind, "name": self.name, "a": self.a}
@@ -379,16 +394,6 @@ class CompleteIntersection(IntegerLabels, SectionRing):
         if i == self.n:
             return self.ring(field).dim(self.sigma - label)
         return 0
-
-    # -- points --
-
-    def enumerate_points(self, p):
-        field = GF(p)
-        ring = self.ring(field)
-        records = _zero_locus(field, projective_reps(p, self.N + 1),
-                              self.N + 1, [t for _, t in ring.generators],
-                              ring.piece(1).monomials)
-        return PointEnumeration(p, tuple(records), True)
 
     def to_json_dict(self):
         return {
@@ -468,16 +473,12 @@ class MonomialVariety(IntegerLabels, SectionRing):
             "cohomology is not modelled for monomial scenes")
 
     def enumerate_points(self, p):
-        """Image points of P^m(F_p), deduplicated by evaluation vector."""
-        field = GF(p)
+        """Image points of P^m(F_p), deduplicated by evaluation vector in
+        the order they are first seen."""
         seen = {}
-        order = []
-        for params in projective_reps(p, self.source_vars):
-            phi = _functional(field, self.monomials, params)
-            if phi not in seen:
-                seen[phi] = PointRecord(p, params, phi)
-                order.append(phi)
-        return PointEnumeration(p, tuple(seen[k] for k in order), False)
+        for rec in super().enumerate_points(p).records:
+            seen.setdefault(rec.phi, rec)
+        return PointEnumeration(p, tuple(seen.values()), False)
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name,
@@ -605,14 +606,10 @@ class ScrollCurve(SectionRing):
 
     # -- points --
 
-    def enumerate_points(self, p):
-        ring = self.ring(GF(p))
-        candidates = (st + uv for st in projective_reps(p, 2)
-                      for uv in projective_reps(p, 2))
-        records = _zero_locus(ring.field, candidates, 4,
-                              [t for _, t in ring.generators],
-                              self.section_space((1, 0), ring.field).monomials)
-        return PointEnumeration(p, tuple(records), True)
+    def _candidates(self, p):
+        """The points of P^1 x P^1 as (s, t) + (u, v)."""
+        return (st + uv for st in projective_reps(p, 2)
+                for uv in projective_reps(p, 2))
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name, "a": self.a,
@@ -687,10 +684,9 @@ class PointSet(IntegerLabels):
         """d x dim S_k matrix of degree-k monomial values at the points."""
         pts = self.reduced_points(field)
         basis = monomial_basis(self.r + 1, k)
-        rows = tuple(
-            tuple(evaluate_monomial(field, m, pt) for m in basis)
-            for pt in pts)
-        return Matrix(field, len(pts), len(basis), rows)
+        values = _evaluator(field, _monomial_terms(basis))
+        return Matrix(field, len(pts), len(basis),
+                      tuple(tuple(values(pt)) for pt in pts))
 
     def require_general_position(self, field=QQ):
         """Refuse, with NotGeneralPosition, fewer than r+1 points or points
@@ -752,34 +748,54 @@ def parse_scalar(x):
     raise SchemaError(f"not a scalar: {x!r}")
 
 
+def _json_int(data, key):
+    """An integer field: a JSON integer, not a bool, float or string."""
+    x = data[key]
+    if type(x) is not int:
+        raise SchemaError(f"field {key!r} must be an integer, got {x!r}")
+    return x
+
+
+def _json_exponents(m):
+    if not isinstance(m, list) or \
+            any(type(e) is not int or e < 0 for e in m):
+        raise SchemaError(f"an exponent vector is a list of non-negative "
+                          f"integers, got {m!r}")
+    return tuple(m)
+
+
 def scene_from_dict(data):
     if not isinstance(data, dict):
         raise SchemaError("scene description must be a JSON object")
     kind = data.get("kind")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise SchemaError(f"field 'name' must be a string, got {name!r}")
     try:
         if kind == "p1_series":
             basis = data.get("basis")
             if basis is not None:
                 basis = [[parse_scalar(c) for c in row] for row in basis]
-            return P1Series(data["a"], basis, data.get("name"))
+            return P1Series(_json_int(data, "a"), basis, name)
         if kind == "complete_intersection":
-            gens = [(g["degree"], [parse_scalar(c)
-                                   for c in g["coefficients"]])
+            gens = [(_json_int(g, "degree"), [parse_scalar(c)
+                                              for c in g["coefficients"]])
                     for g in data["generators"]]
-            return CompleteIntersection(data["N"], gens, data.get("name"))
+            return CompleteIntersection(_json_int(data, "N"), gens, name)
         if kind == "monomial_variety":
-            return MonomialVariety(data["source_vars"], data["degree"],
-                                   [tuple(m) for m in data["monomials"]],
-                                   data.get("name"))
+            return MonomialVariety(_json_int(data, "source_vars"),
+                                   _json_int(data, "degree"),
+                                   [_json_exponents(m)
+                                    for m in data["monomials"]], name)
         if kind == "scroll_curve":
-            return ScrollCurve(data["a"], data["b"], data["d"], data["e"],
+            return ScrollCurve(*(_json_int(data, k)
+                                 for k in ("a", "b", "d", "e")),
                                [parse_scalar(c) for c in data["section"]],
-                               data.get("name"))
+                               name)
         if kind == "point_set":
-            return PointSet(data["r"],
+            return PointSet(_json_int(data, "r"),
                             [[parse_scalar(c) for c in row]
-                             for row in data["points"]],
-                            data.get("name"))
+                             for row in data["points"]], name)
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"scene of kind {kind!r} is missing or has "
                           f"malformed fields: {exc}") from exc

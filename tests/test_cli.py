@@ -288,6 +288,16 @@ def test_schema_violation_exits_four(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_mistyped_field_exits_four(tmp_path, capsys):
+    # exponents 1.9 must not be read as 1 and run on x*y
+    data = json.loads(Path(CONIC_PATH).read_text())
+    data["monomials"][1] = [1.9, 1.9]
+    bad = tmp_path / "floats.json"
+    bad.write_text(json.dumps(data))
+    assert main(["valles", str(bad), "--B", "O(4)", "--prime", "5"]) == 4
+    assert "exponent vector" in capsys.readouterr().err
+
+
 def test_pipeline_errors_exit_five_with_named_report(capsys):
     code, rep = run_json(capsys, ["koszul", TC_PATH, "--p", "1",
                                   "--q", "5"])

@@ -1,7 +1,9 @@
 """Every public module-level function or class of the package, and every
 public method of its classes, is named somewhere in the package, the
 scripts or the benchmark, other than at its own definition: API that
-only unit tests reach is not kept."""
+only unit tests reach is not kept.  A public static method, such as a
+constructor, is reached there as `Class.method`, since its bare name may
+belong to something else."""
 
 import ast
 from pathlib import Path
@@ -33,6 +35,16 @@ def _methods(tree):
             and not node.name.startswith("_")]
 
 
+def _static_methods(tree):
+    return [(cls.name, node.name) for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_")
+            and any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in node.decorator_list)]
+
+
 def _names_used(tree):
     """Identifiers a module refers to: names, attributes, imports, and
     strings that are identifiers (the benchmark wraps functions by name)."""
@@ -50,11 +62,18 @@ def _names_used(tree):
     return used
 
 
-def _used_outside_the_tests():
+def _qualified_names_used(tree):
+    """`Name.attr` references, such as `Matrix.from_rows`."""
+    return {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)}
+
+
+def _used_outside_the_tests(names_used=_names_used):
     used = set()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            used |= _names_used(ast.parse(path.read_text(), str(path)))
+            used |= names_used(ast.parse(path.read_text(), str(path)))
     return used
 
 
@@ -74,4 +93,13 @@ def test_public_methods_are_reached_outside_the_tests():
                  for cls, name in _methods(ast.parse(path.read_text()))
                  if name not in used
                  and f"{cls}.{name}" not in STATED_METHODS]
+    assert unreached == []
+
+
+def test_static_methods_are_reached_by_class_outside_the_tests():
+    used = _used_outside_the_tests(_qualified_names_used)
+    unreached = [f"{path.stem}.{cls}.{name}"
+                 for path in sorted(PACKAGE.glob("*.py"))
+                 for cls, name in _static_methods(ast.parse(path.read_text()))
+                 if f"{cls}.{name}" not in used]
     assert unreached == []

@@ -6,6 +6,7 @@ the scroll labels, Koszul alternating sums for complete intersection
 Euler characteristics, and direct point counting.
 """
 
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -581,6 +582,41 @@ class TestSceneIO:
         with pytest.raises(SchemaError):
             scene_from_dict([1, 2])
 
+    @pytest.mark.parametrize("stem,fields", [
+        pytest.param("conic_monomials",
+                     {"monomials": [["a", 1], [1, 1], [0, 2]]},
+                     id="exponent-string"),
+        pytest.param("conic_monomials",
+                     {"monomials": [[2, 0], [1.9, 1.9], [0, 2]]},
+                     id="exponent-float"),
+        pytest.param("conic_monomials",
+                     {"monomials": [[2, 0], [True, True], [0, 2]]},
+                     id="exponent-bool"),
+        pytest.param("conic_monomials",
+                     {"monomials": [[2, 0], [-1, 3], [0, 2]]},
+                     id="exponent-negative"),
+        pytest.param("twisted_cubic", {"a": True}, id="a-bool"),
+        pytest.param(None, {"kind": "point_set", "r": True,
+                            "points": [[1, 0], [0, 1], [1, 1]]},
+                     id="r-bool"),
+        pytest.param("scroll_member_a", {"e": "1"}, id="e-string"),
+        pytest.param("diagonal_ci", None, id="degree-float"),
+        pytest.param("twisted_cubic", {"name": 5}, id="name-int"),
+        pytest.param("twisted_cubic", {"name": ["x"]}, id="name-list"),
+    ])
+    def test_malformed_json_types_are_schema_errors(self, stem, fields):
+        """Integer fields are JSON integers, exponents non-negative
+        integers and names strings; anything else is a SchemaError, not
+        a silent coercion or a typed refusal of the coerced value."""
+        data = {} if stem is None else \
+            json.loads((SCENEDIR / f"{stem}.json").read_text())
+        if fields is None:
+            data["generators"][0]["degree"] = 2.0
+        else:
+            data.update(fields)
+        with pytest.raises(SchemaError):
+            scene_from_dict(data)
+
     def test_load_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -683,8 +719,8 @@ class ReferenceFree:
         if sc.kind == "p1_series":
             self.n, self.step = 2, 1
             self.series = None if sc.basis is None else [
-                tuple(zip(monomial_basis(2, sc.a), form))
-                for form in sc.series_matrix(field).entries]
+                tuple(zip(monomial_basis(2, sc.a), map(field.normalize, form)))
+                for form in sc.basis]
         else:
             self.n, self.step = sc.source_vars, sc.degree
             self.series = [((m, field.one),) for m in sc.monomials]
@@ -820,3 +856,233 @@ def test_subspace_window_is_the_proper_series_window(field, rows):
     coords = [[Fraction(c) for c in row] for row in rows]
     assert scene_window(P1Series(3), 0, -1, 3, field, subspace=coords) == \
         scene_window(P1Series(3, coords), 0, -1, 3, field)
+
+
+# ---- the one point path against plain powers --------------------------------
+#
+# The oracles below evaluate with Python's own pow on the scene data and
+# list candidates by sorting all tuples, so they share nothing with the
+# package's evaluator or its enumeration.
+
+POINT_SCENES = ("twisted_cubic", "fermat_quartic", "diagonal_quartic_123",
+                "diagonal_ci", "scroll_member_a", "scroll_member_b",
+                "conic_monomials")
+
+
+def _plain_reps(p, n):
+    """Points of P^(n-1)(F_p), first nonzero coordinate 1, ascending."""
+    return [v for v in itertools.product(range(p), repeat=n)
+            if any(v) and next(x for x in v if x) == 1]
+
+
+def _plain_normalize(values, p):
+    values = [x % p for x in values]
+    lead = next((x for x in values if x), None)
+    if lead is None:
+        return None
+    inv = pow(lead, -1, p)
+    return tuple(x * inv % p for x in values)
+
+
+def _plain_value(form, params, p):
+    """A term list, (exponents, coefficient) pairs, at params mod p."""
+    total = 0
+    for m, c in form:
+        c = Fraction(c)
+        term = c.numerator * pow(c.denominator, -1, p)
+        for x, e in zip(params, m):
+            term *= pow(x, e, p)
+        total += term
+    return total % p
+
+
+def _plain_rank(rows, p):
+    rows = [[x % p for x in row] for row in rows]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def _plain_enumeration(sc, p):
+    """(params, phi, smooth_ok) per image point, and smooth_checked."""
+    if sc.kind == "scroll_curve":
+        candidates = [st + uv for st in _plain_reps(p, 2)
+                      for uv in _plain_reps(p, 2)]
+        forms = [tuple(zip(scroll_basis(sc.a, sc.b, sc.d, sc.e),
+                           sc.section))]
+        series = [((m, 1),) for m in scroll_basis(sc.a, sc.b, 1, 0)]
+    elif sc.kind == "complete_intersection":
+        candidates = _plain_reps(p, sc.N + 1)
+        forms = [tuple(zip(monomial_basis(sc.N + 1, d), coeffs))
+                 for d, coeffs in sc.generators]
+        series = [((m, 1),) for m in monomial_basis(sc.N + 1, 1)]
+    elif sc.kind == "p1_series":
+        candidates, forms = _plain_reps(p, 2), []
+        rows = sc.basis or [[int(i == j) for j in range(sc.a + 1)]
+                            for i in range(sc.a + 1)]
+        series = [tuple(zip(monomial_basis(2, sc.a), row)) for row in rows]
+    else:
+        candidates, forms = _plain_reps(p, sc.source_vars), []
+        series = [((m, 1),) for m in sc.monomials]
+    records, seen = [], set()
+    for params in candidates:
+        if any(_plain_value(f, params, p) for f in forms):
+            continue
+        smooth = None
+        if forms:
+            jacobian = [[_plain_value(
+                [(m[:j] + (m[j] - 1,) + m[j + 1:], c * m[j])
+                 for m, c in f if m[j]], params, p)
+                for j in range(len(params))] for f in forms]
+            smooth = _plain_rank(jacobian, p) == len(forms)
+        phi = _plain_normalize([_plain_value(s, params, p) for s in series],
+                               p)
+        if phi is None:
+            raise ZeroEvaluation(f"series vanishes at {params}")
+        if sc.kind == "monomial_variety":
+            if phi in seen:
+                continue
+            seen.add(phi)
+        records.append((params, phi, smooth))
+    return records, bool(forms)
+
+
+def _enumeration(sc, p):
+    en = sc.enumerate_points(p)
+    assert en.prime == p and all(r.prime == p for r in en.records)
+    return [(r.params, r.phi, r.smooth_ok) for r in en.records], \
+        en.smooth_checked
+
+
+def _nodal_cubic():
+    """y^2 z - x^3 - x^2 z, with a node at [0:0:1]."""
+    idx = monomial_index(3, 3)
+    v = [0] * 10
+    v[idx[(0, 2, 1)]], v[idx[(3, 0, 0)]], v[idx[(2, 0, 1)]] = 1, -1, -1
+    return CompleteIntersection(2, [(3, v)])
+
+
+def _double_plane_section():
+    """x0 x3 - x1 x2 and x0^2: two lines counted twice, where the
+    Jacobian has rank 1 < 2 at every point."""
+    idx = monomial_index(4, 2)
+    quadric, square = [0] * 10, [0] * 10
+    quadric[idx[(1, 0, 0, 1)]], quadric[idx[(0, 1, 1, 0)]] = 1, -1
+    square[idx[(2, 0, 0, 0)]] = 1
+    return CompleteIntersection(3, [(2, quadric), (2, square)])
+
+
+@pytest.mark.parametrize("p", [5, 7])
+@pytest.mark.parametrize("stem", POINT_SCENES + ("nodal", "double"))
+def test_enumeration_matches_plain_powers(stem, p):
+    sc = {"nodal": _nodal_cubic, "double": _double_plane_section}.get(
+        stem, lambda: load_scene(SCENEDIR / f"{stem}.json"))()
+    assert _enumeration(sc, p) == _plain_enumeration(sc, p)
+
+
+@given(a=st.integers(1, 4), p=st.sampled_from([2, 3, 5, 7]),
+       data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_proper_p1_series_enumeration_matches_plain_powers(a, p, data):
+    """Random basepoint-free proper bases; a basis that degenerates mod p
+    is a BadPrime, and one with a base point mod p a ZeroEvaluation."""
+    count = data.draw(st.integers(2, a + 1))
+    rows = [data.draw(st.lists(st.integers(-3, 3), min_size=a + 1,
+                               max_size=a + 1)) for _ in range(count)]
+    assume(rank(Matrix.from_rows(QQ, rows)) == count)
+    try:
+        sc = P1Series(a, rows)
+    except BasepointedSeries:
+        assume(False)
+    if _plain_rank(rows, p) < count:
+        with pytest.raises(BadPrime):
+            sc.enumerate_points(p)
+        return
+    try:
+        want = _plain_enumeration(sc, p)
+    except ZeroEvaluation:
+        with pytest.raises(ZeroEvaluation):
+            sc.enumerate_points(p)
+        return
+    assert _enumeration(sc, p) == want
+
+
+@given(n=st.integers(2, 3), d=st.integers(1, 2), g=st.integers(2, 3),
+       p=st.sampled_from([5, 7]), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_non_injective_monomial_map_keeps_first_seen_points(n, d, g, p,
+                                                            data):
+    """Exponents all divisible by g make the map factor through x -> x^g,
+    which is not injective on F_p when g divides p - 1; each image point
+    keeps the first candidate that reaches it.  The pure powers keep the
+    map free of base points."""
+    assume((p - 1) % g == 0)
+    pure = [m for m in monomial_basis(n, d) if d in m]
+    extra = data.draw(st.lists(st.sampled_from(monomial_basis(n, d)),
+                               unique=True))
+    monos = data.draw(st.permutations(
+        pure + [m for m in extra if m not in pure]))
+    sc = MonomialVariety(n, d * g, [tuple(g * e for e in m) for m in monos])
+    got = _enumeration(sc, p)
+    assert got == _plain_enumeration(sc, p)
+    assert len(got[0]) < len(_plain_reps(p, n))
+
+
+@given(st.lists(st.lists(st.sampled_from(
+    [0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]),
+    min_size=3, max_size=3), min_size=1, max_size=5),
+    st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_evaluation_matrix_over_qq_is_fraction_powers(points, k):
+    try:
+        ps = PointSet(2, points)
+    except (ZeroPoint, DuplicatePoints):
+        assume(False)
+    want = []
+    for row in points:
+        lead = next(x for x in row if x)
+        pt = [Fraction(x) / lead for x in row]
+        want.append(tuple(
+            Fraction(pt[0]) ** m[0] * pt[1] ** m[1] * pt[2] ** m[2]
+            for m in monomial_basis(3, k)))
+    m = ps.evaluation_matrix(k, QQ)
+    assert m.entries == tuple(want)
+    assert all(type(x) is Fraction for row in m.entries for x in row)
+
+
+@pytest.mark.parametrize("stem", POINT_SCENES)
+def test_evaluation_functional_at_points_with_a_zero_coordinate(stem):
+    """Every point of {0, 1, 2}^n, zero vector aside, that has a zero
+    coordinate, at A and 2A over GF(5), QQ and GF(3) on one scene: the
+    values are plain powers of the coordinates, and a point where they
+    all vanish is a ZeroEvaluation."""
+    sc = load_scene(SCENEDIR / f"{stem}.json")
+    a = sc.label_A()
+    for field, label in itertools.product((GF(5), QQ, GF(3)),
+                                          (a, sc.label_add(a, a))):
+        monos = sc.section_space(label, field).monomials
+        for params in itertools.product(range(3), repeat=len(monos[0])):
+            if all(params) or not any(params):
+                continue
+            values = [1] * len(monos)
+            for j, m in enumerate(monos):
+                for x, e in zip(params, m):
+                    values[j] *= x ** e
+            want = normalize_projective(field, values)
+            for _ in range(2):     # the kept evaluator answers alike
+                if want is None:
+                    with pytest.raises(ZeroEvaluation):
+                        sc.evaluation_functional(params, label, field)
+                else:
+                    assert sc.evaluation_functional(params, label,
+                                                    field) == want
