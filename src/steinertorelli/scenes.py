@@ -35,7 +35,9 @@ The shared `SectionRing` base turns the ring into `section_space`,
 `enumerate_points`: the candidate points (P^N(F_p), or P^1 x P^1 for a
 scroll) where the generators vanish, with V's functional and, when there
 are generators, their smoothness.  Every value at a point comes from one
-evaluator, `_evaluator`, which computes each coordinate's powers once.
+evaluator, `_evaluator`, which computes each coordinate's powers once;
+the generators are evaluated once per run of candidates that differ only
+in the last coordinate, as polynomials in it.
 """
 
 from __future__ import annotations
@@ -180,7 +182,8 @@ class SectionRing:
     `ring(field)`, graded by the scene's labels.  A kind supplies the
     ring (an ambient basis and generators), its label check, for a
     proper series V the coordinate rows of V in the piece of A, and, when
-    they are not the points of P^N(F_p), its candidate points."""
+    they are not the points of P^N(F_p), its candidate points, in runs
+    that differ only in the last coordinate."""
 
     def _series_rows(self, field):
         return None
@@ -223,7 +226,12 @@ class SectionRing:
         return _normalized_phi(field, got(params), params)
 
     def _candidates(self, p):
-        return projective_reps(p, self.ring(GF(p)).num_vars)
+        """The points of P^N(F_p) in enumeration order, as runs that
+        share all but the last coordinate: (prefix, last coordinates)."""
+        n = self.ring(GF(p)).num_vars
+        yield (0,) * (n - 1), (1,)
+        for prefix in projective_reps(p, n - 1):
+            yield prefix, range(p)
 
     def enumerate_points(self, p):
         """The candidate points where every generator vanishes, each with
@@ -237,16 +245,31 @@ class SectionRing:
                             else [tuple((m, c) for m, c in zip(monomials, row)
                                         if c) for row in rows])
         forms = [t for _, t in ring.generators]
-        # one evaluator per generator: most candidates fail the first
-        vanish = [_evaluator(field, [form]) for form in forms]
+        last = ring.num_vars - 1
+
+        def by_last(form):
+            # the form as a polynomial in the last coordinate: one term
+            # list in the others per coefficient, from the top degree down
+            top = max(m[last] for m, _ in form)
+            return [[(m[:last], c) for m, c in form if m[last] == e]
+                    for e in range(top, -1, -1)]
+
+        splits = [_evaluator(field, by_last(form)) for form in forms]
         jacobian = [_evaluator(field, _partials(field, form, ring.num_vars))
                     for form in forms]
         records = []
-        for params in self._candidates(p):
-            for values in vanish:
-                if values(params)[0]:
+        # each generator is evaluated once per prefix and then, by Horner,
+        # at every last coordinate still in play: most fail the first
+        for prefix, lasts in self._candidates(p):
+            for split in splits:
+                if not lasts:
                     break
-            else:
+                values = [0] * len(lasts)
+                for c in split(prefix):
+                    values = [(y * t + c) % p for y, t in zip(values, lasts)]
+                lasts = [t for t, y in zip(lasts, values) if not y]
+            for t in lasts:
+                params = prefix + (t,)
                 smooth = None
                 if forms:
                     jac = [row(params) for row in jacobian]
@@ -314,14 +337,19 @@ class P1Series(IntegerLabels, SectionRing):
 
     def _series_rows(self, field):
         """The series basis in monomial coordinates of O(a); None for the
-        complete series."""
+        complete series.  The rows are kept per field, and a basis that
+        degenerates over the field is kept as () and refused each time."""
         if self.basis is None:
             return None
-        m = Matrix.from_rows(field, self.basis)
-        if rank(m) != m.nrows:
+        series = vars(self).setdefault("_series", {})
+        rows = series.get(field)
+        if rows is None:
+            m = Matrix.from_rows(field, self.basis)
+            rows = series[field] = m.entries if rank(m) == m.nrows else ()
+        if not rows:
             raise BadPrime(
                 f"series basis degenerates over {field}")
-        return m.entries
+        return rows
 
     def cohomology_dim(self, label, i, field=QQ):
         if i == 0:
@@ -607,9 +635,11 @@ class ScrollCurve(SectionRing):
     # -- points --
 
     def _candidates(self, p):
-        """The points of P^1 x P^1 as (s, t) + (u, v)."""
-        return (st + uv for st in projective_reps(p, 2)
-                for uv in projective_reps(p, 2))
+        """The points of P^1 x P^1 as (s, t) + (u, v), in runs of equal
+        (s, t, u)."""
+        for st in projective_reps(p, 2):
+            yield st + (0,), (1,)
+            yield st + (1,), range(p)
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name, "a": self.a,
@@ -727,6 +757,8 @@ class PointSet(IntegerLabels):
 
 
 def _scalar_json(x):
+    if type(x) is int:
+        return x
     x = _as_fraction(x)
     if x.denominator == 1:
         return int(x)

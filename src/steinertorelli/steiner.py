@@ -20,13 +20,28 @@ P(U1*) x P(V*) (Ancona-Ottaviani, Adv. Geom. 2001).
 
 Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
 walks one projective factor, contracts a set of tensors by each point
-and hands back the small matrix that results in row echelon form; a
-kernel basis is built only where a caller reads more than its
-dimension.  It walks the smaller factor.  When a < m, validation
-contracts T over P(U1) and the instability scan contracts K over P(U1*)
-(when r = b), which is p^(a-1) small eliminations instead of p^(m-1).
-Otherwise both contract over P(V), the fibers of T and the maps
-lam |-> K (. (x) lam).
+and hands back, at each point where the small matrix that results has a
+kernel, a basis of its row space; a kernel basis is built only where a
+caller reads more than its dimension.  It walks the smaller factor.
+When a < m, validation contracts T over P(U1) and the instability scan
+contracts K over P(U1*) (when r = b).  Otherwise both contract over
+P(V), the fibers of T and the maps lam |-> K (. (x) lam).
+
+The walk goes line by line.  After e_last, the points are x = (x', t)
+with x' a canonical point of the next smaller projective space and t
+ascending, and the contracted matrices on a line form a pencil
+N(t) = A(x') + t B, B the matrix at e_last.  A pencil leaf,
+`_pencil_leaf`, decides the line.  It eliminates the transpose of N(t)
+from t = 0 until a member C = N(s0) has full column rank; that
+elimination gives C's rank and a basis S of its rows at once.  With
+M = C_S^-1 B_S, a kernel vector at t > s0 needs det(I + (t - s0) M) = 0,
+so only the t = s0 - 1/mu with mu a root of the characteristic
+polynomial of M (Hessenberg reduction, then Horner at every mu in
+F_p*) are eliminated, to verify them.  A line costs a few eliminations
+instead of p.  The eigenvalue leaf is the part of the Kronecker form of
+a pencil (Van Dooren, Linear Algebra Appl. 1979) that this code needs;
+a line with no full-rank member, as on the Fermat quartic where every
+hyperplane is unstable, is decided member by member.
 """
 
 from __future__ import annotations
@@ -117,14 +132,21 @@ def make_presentation(tensor: Matrix, a, m, b, name="") -> \
 
 
 def _rank_one_scan(rows, a, m, p, over_u1):
-    """Contract tensors in U1 (x) V by every point of one factor.
+    """Contract tensors in U1 (x) V by every point of one factor and keep
+    the points where the contracted matrix loses column rank.
 
     `rows` are sequences of a*m residues mod p, entry i*m + j the
-    coefficient of u1_i (x) v_j.  For each canonical point x of P(U1)
-    when `over_u1`, else of P(V), in enumeration order, yield x, the rows
-    of the contracted matrix y |-> row(x (x) y) (resp. row(y (x) x)) in
-    row echelon form, and their pivot columns; the vectors y killed by
-    every row form the kernel, of dimension width minus the pivot count.
+    coefficient of u1_i (x) v_j.  The walk is over the canonical points
+    x of P(U1) when `over_u1`, else of P(V), and the contracted matrix is
+    y |-> row(x (x) y) (resp. row(y (x) x)), one row per tensor.  For each
+    x in enumeration order where that matrix has a kernel, yield x and a
+    basis of its row space, as rows; the kernel has dimension width minus
+    their count.
+
+    The points after e_last run line by line: x = (x', t) with x' a
+    canonical point of the smaller projective space and t ascending, and
+    the matrix on a line is the pencil A(x') + t*B, B the matrix at
+    e_last.  `_pencil_leaf` decides each line.
     """
     # images[t]: the rows contracted by the t-th basis vector, row-major;
     # the contraction by x is the sum of x_t images[t]
@@ -135,24 +157,125 @@ def _rank_one_scan(rows, a, m, p, over_u1):
     else:
         n, width = m, a
         images = [[y for row in rows for y in row[t::m]] for t in range(m)]
-    starts = [k * width for k in range(len(rows))]
-    flat, prev = [0] * (len(rows) * width), (0,) * n
-    for x in projective_reps(p, n):
-        # the tail of x runs like an odometer, so the sum is updated only
-        # at the few coordinates that moved
-        for t, d in enumerate(map(sub, x, prev)):
+    if not n or not width:
+        return
+    pencil = images.pop()
+    basis = _row_basis(pencil, width, p)
+    if len(basis) < width:
+        yield (0,) * (n - 1) + (1,), [pencil[s:s + width] for s in basis]
+    base, prev = [0] * len(pencil), (0,) * (n - 1)
+    for x in projective_reps(p, n - 1):
+        # x runs like an odometer, so the base of the pencil is updated
+        # only at the few coordinates that moved
+        for i, d in enumerate(map(sub, x, prev)):
             if d:
-                flat = [(s + d * y) % p for s, y in zip(flat, images[t])]
+                base = [(s + d * y) % p for s, y in zip(base, images[i])]
         prev = x
-        work = [flat[s:s + width] for s in starts]
-        yield x, work, eliminate(work, width, p, full=False)
+        for t, basis in _pencil_leaf(base, pencil, width, p):
+            yield x + (t,), basis
 
 
-def _reduced_kernel(echelon, width, p):
-    """The reduced echelon basis of the kernel of a matrix the engine
-    left in row echelon form, as a tuple of tuples."""
-    pivots = eliminate(echelon, width, p)
-    basis = [list(v) for v in kernel_basis(echelon, pivots, width, GF(p))]
+def _row_basis(flat, width, p):
+    """Where the rows of a basis of the row space of a row-major matrix
+    with `width` columns start in `flat`: the pivot columns of the
+    transpose, from one elimination of it."""
+    return [k * width for k in eliminate(
+        [flat[j::width] for j in range(width)], len(flat) // width, p,
+        full=False)]
+
+
+def _pencil_leaf(base, pencil, width, p):
+    """The t in F_p, ascending, where the pencil base + t*pencil of
+    row-major matrices with `width` columns has a kernel, each with a
+    basis of the row space of that member, as rows.
+
+    Every member before the first t = s0 of full column rank is
+    deficient.  Past s0, with C the member at s0, S a basis of its rows
+    and M = C_S^-1 B_S (B = pencil), a kernel vector y at t has
+    C_S (I + (t - s0) M) y = 0, so chi_M(mu) = 0 at mu = -1/(t - s0).
+    Only those t are eliminated.
+    """
+    def member(t):
+        return [(u + t * v) % p for u, v in zip(base, pencil)] if t else base
+
+    for s0 in range(p):
+        c = member(s0)
+        basis = _row_basis(c, width, p)
+        if len(basis) == width:
+            break
+        yield s0, [c[s:s + width] for s in basis]
+    else:
+        return
+    # [C_S | B_S] reduces to [I | M]
+    block = [c[s:s + width] + pencil[s:s + width] for s in basis]
+    eliminate(block, 2 * width, p)
+    mus = range(1, p)
+    values = [0] * (p - 1)
+    for coeff in _charpoly([row[width:] for row in block], p):
+        values = [(y * mu + coeff) % p for y, mu in zip(values, mus)]
+    for t in sorted((s0 - pow(mu, p - 2, p)) % p
+                    for mu, y in zip(mus, values) if not y):
+        if t > s0:
+            flat = member(t)
+            basis = _row_basis(flat, width, p)
+            if len(basis) < width:
+                yield t, [flat[s:s + width] for s in basis]
+
+
+def _charpoly(mat, p):
+    """The characteristic polynomial det(x I - mat) of a square matrix
+    mod p, as its coefficients from the leading 1 down.
+
+    Similarity transforms bring the matrix to upper Hessenberg form H;
+    the characteristic polynomials P_k of its leading k x k blocks then
+    satisfy P_k = (x - h_kk) P_(k-1) - sum over i < k of h_ik times the
+    subdiagonal entries h_(i+1)i ... h_k(k-1) times P_(i-1) (indices
+    from 1).
+    """
+    n = len(mat)
+    h = [list(row) for row in mat]
+    for c in range(n - 2):
+        piv = next((i for i in range(c + 1, n) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != c + 1:
+            h[piv], h[c + 1] = h[c + 1], h[piv]
+            for row in h:
+                row[piv], row[c + 1] = row[c + 1], row[piv]
+        top = h[c + 1]
+        inv = pow(top[c], p - 2, p)
+        # rows i -= f_i row c+1, then column c+1 += sum f_i column i
+        factors = [h[i][c] * inv % p for i in range(c + 2, n)]
+        for i, f in enumerate(factors, c + 2):
+            if f:
+                h[i] = [(x - f * y) % p for x, y in zip(h[i], top)]
+        for row in h:
+            row[c + 1] = (row[c + 1] +
+                          sum(map(mul, row[c + 2:], factors))) % p
+    # polys[k]: P_k, coefficients from the constant term up
+    polys = [[1]]
+    for k in range(n):
+        new = [0] + polys[k]
+        d = h[k][k]
+        for i, y in enumerate(polys[k]):
+            new[i] -= d * y
+        sub_prod = 1
+        for i in range(k - 1, -1, -1):
+            sub_prod = sub_prod * h[i + 1][i] % p
+            if not sub_prod:
+                break
+            f = h[i][k] * sub_prod
+            for j, y in enumerate(polys[i]):
+                new[j] -= f * y
+        polys.append([y % p for y in new])
+    return polys[n][::-1]
+
+
+def _reduced_kernel(rows, width, p):
+    """The reduced echelon basis of the kernel of the matrix with the
+    given rows, as a tuple of tuples; the rows are eliminated in place."""
+    pivots = eliminate(rows, width, p)
+    basis = [list(v) for v in kernel_basis(rows, pivots, width, GF(p))]
     eliminate(basis, width, p)
     return tuple(map(tuple, basis))
 
@@ -198,13 +321,12 @@ def validate_presentation(pres: SteinerPresentation, p: int) -> \
     if a < m:
         # canonical points sort in enumeration order, and the least
         # point of a subspace is the last row of its reduced echelon basis
-        bad = min((_reduced_kernel(ech, m, p)[-1] for _, ech, pivots in
-                   _rank_one_scan(rows, a, m, p, over_u1=True)
-                   if len(pivots) < m), default=None)
+        bad = min((_reduced_kernel(basis, m, p)[-1] for _, basis in
+                   _rank_one_scan(rows, a, m, p, over_u1=True)),
+                  default=None)
     else:
-        bad = next((v for v, _, pivots in
-                    _rank_one_scan(rows, a, m, p, over_u1=False)
-                    if len(pivots) < a), None)
+        bad = next((v for v, _ in
+                    _rank_one_scan(rows, a, m, p, over_u1=False)), None)
     if bad is None:
         return ValidationReport(p, True, projective_count(p, m), None)
     witness = (rank_kernel(work.fiber_matrix(bad)).kernel[0], bad)
@@ -266,19 +388,19 @@ def valles_locus(pres: SteinerPresentation, p: int) -> VallesReport:
     a, m, b = work.dim_u1, work.dim_v, work.dim_u0
     kd = rank_kernel(work.tensor)
     if a < m and kd.rank == b:
-        seen = Counter(lam for _, ech, pivots in
+        seen = Counter(lam for _, basis in
                        _rank_one_scan(kd.kernel, a, m, p, over_u1=True)
-                       if len(pivots) < m
-                       for lam in _span_points(_reduced_kernel(ech, m, p), p))
+                       for lam in _span_points(_reduced_kernel(basis, m, p),
+                                               p))
         # lam turns up once per point of P(ker N(lam)), N(lam) the map
         # phi |-> K (phi (x) lam), and coker(lam) = dim ker N(lam) <= a
         dims = {projective_count(p, c): c for c in range(1, a + 1)}
         found = [(lam, dims[count]) for lam, count in sorted(seen.items())]
     else:
-        found = []
-        for lam, _, pivots in _rank_one_scan(kd.kernel, a, m, p,
-                                             over_u1=False):
-            coker = b - kd.rank + a - len(pivots)
-            if coker:
-                found.append((lam, coker))
+        # coker(lam) = (b - r) + dim ker N(lam), N(lam) the map
+        # phi |-> K (phi (x) lam): when r < b every lam is unstable
+        nullity = {lam: a - len(basis) for lam, basis in
+                   _rank_one_scan(kd.kernel, a, m, p, over_u1=False)}
+        found = [(lam, b - kd.rank + nullity.get(lam, 0)) for lam in
+                 (projective_reps(p, m) if kd.rank < b else nullity)]
     return VallesReport(p, projective_count(p, m), tuple(found))

@@ -179,6 +179,18 @@ class TestP1Series:
         # s^2 + t^2 and st have no common zero over any extension
         P1Series(2, [(1, 0, 1), (0, 1, 0)])
 
+    def test_degenerate_basis_is_refused_at_every_call(self):
+        # s^2 + t^2 and s^2 + 6t^2 coincide mod 5; the rows are kept per
+        # field, and the refusal with them
+        sc = P1Series(2, [(1, 0, 1), (1, 0, 6)])
+        for _ in range(2):
+            with pytest.raises(BadPrime):
+                sc.series_dim(GF(5))
+            with pytest.raises(BadPrime):
+                sc.enumerate_points(5)
+        assert sc.series_dim(GF(7)) == 2
+        assert sc.multiplication_map(1, 2, GF(7)).ncols == 4
+
     @pytest.mark.parametrize("a,root", [
         (a, root) for a in range(1, 6)
         for root in ("none", "finite", "infinity")

@@ -5,6 +5,7 @@ for the loci expected to equal the image, the Segre quadric equation for
 the scroll locus, and hand dimension counts for the rest.
 """
 
+import itertools
 import random
 from pathlib import Path
 
@@ -15,10 +16,13 @@ from hypothesis import strategies as st
 from steinertorelli.cli import resolve_label
 from steinertorelli.errors import (NonUniqueQuotient, ShapeMismatch,
                                    ZeroPoint)
-from steinertorelli.exactfield import (GF, QQ, Matrix, projective_count,
+from steinertorelli import steiner
+from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
+                                       kernel_basis, projective_count,
                                        projective_reps, rank, rank_kernel)
 from steinertorelli.scenes import P1Series, PointSet, load_scene
 from steinertorelli.steiner import (ValidationReport, VallesReport,
+                                    _charpoly, _rank_one_scan,
                                     make_presentation,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
@@ -382,3 +386,258 @@ def test_engine_matches_reference_on_the_zero_tensor(p, a, m, b):
     pres = make_presentation(Matrix(GF(p), b, a * m, ((0,) * (a * m),) * b),
                              a, m, b)
     assert_engine_matches_reference(pres, p)
+
+
+# ---- pencil leaves ---------------------------------------------------------
+#
+# The engine walks lines x = (x', t) and decides each one from the
+# characteristic polynomial of one small matrix.  The helper is checked
+# against determinants and permutation sums, the engine against a scan
+# that eliminates the contracted matrix at every point.
+
+
+def det_mod(mat, p):
+    """det(mat) mod p by elimination."""
+    work = [[x % p for x in row] for row in mat]
+    det = 1
+    for c in range(len(work)):
+        piv = next((i for i in range(c, len(work)) if work[i][c]), None)
+        if piv is None:
+            return 0
+        if piv != c:
+            work[c], work[piv] = work[piv], work[c]
+            det = -det
+        det = det * work[c][c] % p
+        inv = pow(work[c][c], p - 2, p)
+        for i in range(c + 1, len(work)):
+            f = work[i][c] * inv
+            work[i] = [(x - f * y) % p for x, y in zip(work[i], work[c])]
+    return det % p
+
+
+def charpoly_by_permutations(mat, p):
+    """det(x I - mat) mod p as a sum over permutations, coefficients from
+    the top down."""
+    n = len(mat)
+    total = [0] * (n + 1)           # from the constant term up
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n)
+                         for j in range(i + 1, n))
+        poly = [(-1) ** inversions]
+        for i, j in enumerate(perm):
+            lin = (-mat[i][j], int(i == j))
+            poly = [sum(poly[k] * lin[d - k] for k in range(len(poly))
+                        if 0 <= d - k <= 1) for d in range(len(poly) + 1)]
+        total = [x + y for x, y in zip(total, poly + [0] * n)]
+    return [x % p for x in reversed(total)]
+
+
+def assert_charpoly(mat, p):
+    mat = [[x % p for x in row] for row in mat]
+    chi = _charpoly(mat, p)
+    w = len(mat)
+    assert chi == charpoly_by_permutations(mat, p)
+    for mu in range(p):
+        value = 0
+        for c in chi:
+            value = (value * mu + c) % p
+        shifted = [[(mu * (i == j) - x) % p for j, x in enumerate(row)]
+                   for i, row in enumerate(mat)]
+        assert value == det_mod(shifted, p)
+    assert len(chi) == w + 1 and chi[0] == 1
+
+
+def jordan(w, eigenvalue):
+    return [[eigenvalue if i == j else int(j == i + 1) for j in range(w)]
+            for i in range(w)]
+
+
+SPECIAL_MATRICES = [
+    *([[0] * w for _ in range(w)] for w in range(1, 7)),
+    *(jordan(w, 0) for w in range(2, 7)),              # nilpotent
+    jordan(4, 3),                                      # one eigenvalue
+    [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 5, 1], [0, 0, 0, 5]],
+    # the first Hessenberg step finds its pivot two rows down
+    [[1, 2, 3], [0, 4, 5], [6, 7, 8]],
+    [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+    [[0, 0, 0, 0, 1], [0, 0, 0, 1, 0], [0, 0, 1, 0, 0],
+     [0, 1, 0, 0, 0], [1, 0, 0, 0, 0]],
+    [[3, 1, 4, 1, 5, 9], [0, 2, 6, 5, 3, 5], [0, 0, 8, 9, 7, 9],
+     [2, 0, 3, 2, 3, 8], [0, 4, 6, 2, 6, 4], [3, 0, 8, 3, 2, 7]],
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+@pytest.mark.parametrize("mat", SPECIAL_MATRICES)
+def test_charpoly_on_special_matrices(mat, p):
+    assert_charpoly(mat, p)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11]), st.integers(1, 6), st.data())
+@settings(max_examples=80, deadline=None)
+def test_charpoly_on_random_matrices(p, w, data):
+    # mostly zeros at times, so that Hessenberg steps swap or skip
+    entries = st.sampled_from([0, 0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    mat = [[data.draw(entries) for _ in range(w)] for _ in range(w)]
+    assert_charpoly(mat, p)
+
+
+def pencil_rows(mats, width, over_u1):
+    """Tensor rows whose contraction by the t-th basis vector of the
+    walked factor is mats[t], a list of rows of length width; with the
+    dims (a, m)."""
+    n = len(mats)
+    rows = []
+    for k in range(len(mats[0])):
+        row = [0] * (n * width)
+        for t in range(n):
+            for j in range(width):
+                row[t * width + j if over_u1 else j * n + t] = mats[t][k][j]
+        rows.append(row)
+    return rows, *((n, width) if over_u1 else (width, n))
+
+
+def kernel_of(mat, width, p):
+    work = [list(row) for row in mat]
+    return kernel_basis(work, eliminate(work, width, p), width, GF(p))
+
+
+def reference_scan(rows, a, m, p, over_u1):
+    """The deficient points and their kernels, one elimination per point."""
+    n, width = (a, m) if over_u1 else (m, a)
+    out = []
+    for x in projective_reps(p, n):
+        mat = [[sum(x[t] * row[t * m + j if over_u1 else j * m + t]
+                    for t in range(n)) % p for j in range(width)]
+               for row in rows]
+        basis = kernel_of(mat, width, p)
+        if basis:
+            out.append((x, basis))
+    return out
+
+
+def engine_scan(rows, a, m, p, over_u1):
+    width = m if over_u1 else a
+    out = []
+    for x, row_basis in _rank_one_scan(rows, a, m, p, over_u1):
+        # independent rows, fewer than the columns
+        work = [list(row) for row in row_basis]
+        assert len(eliminate(work, width, p)) == len(row_basis) < width
+        out.append((x, kernel_of(row_basis, width, p)))
+    return out
+
+
+def assert_scan_matches_reference(mats, width, p):
+    for over_u1 in (False, True):
+        rows, a, m = pencil_rows(mats, width, over_u1)
+        assert engine_scan(rows, a, m, p, over_u1) == \
+            reference_scan(rows, a, m, p, over_u1)
+
+
+def diagonal_pencil(roots, p, extra=()):
+    """[A, B] with A + tB = diag(t - r for r in roots) over the extra rows
+    (pairs of rows of A and B): deficient at the roots."""
+    w = len(roots)
+    a = [[-r % p if i == j else 0 for j in range(w)]
+         for i, r in enumerate(roots)]
+    b = [[int(i == j) for j in range(w)] for i in range(w)]
+    return [a + [row for row, _ in extra], b + [row for _, row in extra]]
+
+
+PENCILS = [
+    # a kernel vector common to the whole pencil: deficient everywhere
+    ("singular", 5, 3, [[[1, 2, 0], [3, 4, 0], [0, 1, 0], [2, 2, 0]],
+                        [[4, 0, 0], [1, 1, 0], [2, 3, 0], [0, 3, 0]]]),
+    # t = 0 deficient (equal columns), so s0 = 1
+    ("t0_deficient", 7, 3, [[[1, 1, 2], [3, 3, 0], [5, 5, 1], [2, 2, 6]],
+                            [[0, 1, 0], [1, 0, 2], [6, 3, 1], [1, 1, 1]]]),
+    # deficient at t = 0..p-2, full at t = p - 1 = s0
+    ("s0_last_p3", 3, 2, diagonal_pencil([0, 1], 3, [([0, 0], [0, 0])])),
+    ("s0_last_p5", 5, 4, diagonal_pencil([0, 1, 2, 3], 5,
+                                         [([1, 1, 1, 1], [0, 0, 0, 0])])),
+    # chi_M has the roots t = 2 and t = 4, and the third row rules out 4
+    ("false_candidate", 7, 2, diagonal_pencil([2, 4], 7,
+                                              [([0, 5], [0, 1])])),
+    # fewer rows than columns, and no rows at all
+    ("wide", 5, 3, [[[1, 2, 3], [0, 1, 4]], [[2, 0, 1], [1, 1, 1]]]),
+    ("no_rows", 3, 2, [[], []]),
+    # width 4 >= p = 3: chi_M vanishes on all of F_3*
+    ("a_ge_p", 3, 4, diagonal_pencil([1, 2, 1, 2], 3,
+                                     [([1, 0, 2, 0], [0, 1, 0, 1])])),
+    ("all_deficient_a_ge_p", 3, 4, diagonal_pencil([0, 1, 2, 0], 3)),
+    ("p2", 2, 3, [[[1, 0, 1], [0, 1, 1], [1, 1, 0], [0, 0, 1]],
+                  [[0, 1, 1], [1, 0, 0], [1, 1, 1], [1, 0, 1]]]),
+]
+
+
+@pytest.mark.parametrize("name,p,width,mats", PENCILS,
+                         ids=[case[0] for case in PENCILS])
+def test_engine_matches_reference_on_constructed_pencils(name, p, width,
+                                                         mats):
+    assert_scan_matches_reference(mats, width, p)
+    # the same pencil as a line of P^2: e_last, then the lines x' = (0, 1)
+    # and (1, s), the last carrying the pencil shifted by s
+    zero = [[0] * width for _ in mats[0]]
+    assert_scan_matches_reference([mats[0], zero, mats[1]], width, p)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3),
+       st.integers(1, 5), st.integers(0, 8), st.data())
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_reference_on_random_pencils(p, n, width, nrows,
+                                                    data):
+    entries = st.integers(0, p - 1)
+    mats = [[[data.draw(entries) for _ in range(width)]
+             for _ in range(nrows)] for _ in range(n)]
+    if data.draw(st.booleans()):
+        # a column that is zero in every member: deficient everywhere
+        col = data.draw(st.integers(0, width - 1))
+        for mat in mats:
+            for row in mat:
+                row[col] = 0
+    assert_scan_matches_reference(mats, width, p)
+
+
+@pytest.mark.parametrize("p,a,m,b,r", [(7, 3, 2, 5, 3), (2, 4, 3, 6, 4),
+                                       (3, 4, 2, 6, 2), (5, 5, 3, 7, 0)])
+def test_engine_matches_reference_when_r_below_b(p, a, m, b, r):
+    """a >= m and T of rank r < b: every hyperplane is unstable, and the
+    scan over P(V) merges the lines' deficient points into all of P(V)."""
+    pres = low_rank_tensor(p, a, m, b, r, seed=p * 100 + a)
+    assert rank(pres.tensor) <= r < b
+    assert_engine_matches_reference(pres, p)
+    assert len(valles_locus(pres, p).unstable) == projective_count(p, m)
+
+
+WIDE_SHAPES = st.tuples(st.integers(1, 5), st.integers(2, 3),
+                        st.integers(0, 9))
+
+
+@given(st.sampled_from([11, 13]), WIDE_SHAPES, st.integers(0, 10 ** 6))
+@settings(max_examples=40, deadline=None)
+def test_engine_matches_reference_at_larger_primes(p, shape, seed):
+    """More rows than columns on lines of F_11 and F_13, full rank or
+    not."""
+    a, m, b = shape
+    assert_engine_matches_reference(random_tensor(GF(p), a, m, b, seed), p)
+    r = random.Random(seed).randrange(max(1, min(b, a * m)))
+    assert_engine_matches_reference(low_rank_tensor(p, a, m, b, r, seed), p)
+
+
+def test_pencil_leaves_cut_the_eliminations(monkeypatch):
+    """diagonal_ci with K+A at p = 7 (a = m = 5): validation and the
+    Valles scan together use fewer than half of the 2 |P^4(F_7)|
+    eliminations of a scan point by point."""
+    scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
+    pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
+                                     GF(7))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(steiner, "eliminate", counting)
+    assert validate_presentation(pres, 7).valid
+    assert len(valles_locus(pres, 7).unstable) == 16
+    assert 0 < len(calls) < projective_count(7, 5)
