@@ -1,11 +1,12 @@
 """Command line driver: scene files in, verdict reports out.
 
 Verbs map one-to-one onto the pipeline entry points.  Every run emits a
-single report, JSON by default, as an aligned text table with
---format text, and additionally as an atomically written JSON file with
---out.  Exit codes separate argument problems (2), missing files (3),
-schema violations (4), and pipeline failures (5, with the error name in
-the report); a verdict such as SUPERSET is data, not a failure.
+single report on stdout, JSON or an aligned text table by --format, and
+with --out also as an atomically written JSON file; stdout is then text
+unless --format says otherwise.  Exit codes separate argument problems
+(2), missing files (3), schema violations (4), and pipeline failures (5,
+with the error name in the report); a verdict such as SUPERSET is data,
+not a failure.
 """
 
 from __future__ import annotations
@@ -166,7 +167,7 @@ def _run_build(args):
         "bundle_rank": pres.bundle_rank,
         "h1_defect": (None if b_label is None else
                       hypothesis_defect(scene, b_label, GF(args.prime))),
-        "validation": validate_presentation(pres, args.prime).to_json_dict(),
+        "validation": validate_presentation(pres).to_json_dict(),
     }
     return report
 
@@ -174,7 +175,7 @@ def _run_build(args):
 def _run_valles(args):
     scene = load_scene(args.scene)
     pres, b_label = _presentation_for(scene, args, args.prime)
-    rep = valles_locus(pres, args.prime).to_json_dict()
+    rep = valles_locus(pres).to_json_dict()
     return {"scene": scene.name,
             "B": None if b_label is None else scene.label_str(b_label),
             **rep}
@@ -277,7 +278,7 @@ def build_arg_parser():
     common.add_argument("--out", help="also write the JSON report here, "
                         "atomically")
     common.add_argument("--format", choices=("json", "text"),
-                        default="json", help="stdout format")
+                        help="stdout format")
 
     parser = _Parser(prog="steinertorelli",
                      description="Steiner bundle Torelli checks, exactly, "
@@ -428,13 +429,10 @@ def _write_atomic(path, data):
 
 
 def _deliver(report, args):
-    out = getattr(args, "out", None)
-    fmt = getattr(args, "format", "json")
-    if out:
-        _write_atomic(out, emit(report, "json"))
-        sys.stdout.buffer.write(emit(report, "text"))
-    else:
-        sys.stdout.buffer.write(emit(report, fmt))
+    if args.out:
+        _write_atomic(args.out, emit(report, "json"))
+    fmt = args.format or ("text" if args.out else "json")
+    sys.stdout.buffer.write(emit(report, fmt))
     sys.stdout.flush()
 
 

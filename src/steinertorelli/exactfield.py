@@ -28,7 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import attrgetter, mul
 
 from .errors import BadPrime, FieldMismatch, NonPrimeModulus, ShapeMismatch
@@ -37,28 +37,9 @@ _MAX_MODULUS = 1 << 31
 
 
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % q == 0:
-            return n == q
-    # deterministic Miller-Rabin; bases 2,3,5,7 decide primality below
-    # 3,215,031,751 which covers the whole supported range
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    # trial division; PrimeField bounds n by _MAX_MODULUS, so at most
+    # isqrt(2**31) ~ 46,341 divisions, once per prime through the GF cache
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 class PrimeField:
@@ -211,10 +192,6 @@ class Matrix:
     def columns(self):
         return tuple(zip(*self.entries)) if self.nrows else \
             ((),) * self.ncols
-
-    def map_to(self, field):
-        """Re-normalize entries into another field (e.g. QQ -> GF(p))."""
-        return Matrix(field, self.nrows, self.ncols, self.entries)
 
     def is_zero(self):
         return not any(map(any, self.entries))

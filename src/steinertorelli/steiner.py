@@ -1,10 +1,13 @@
 """Steiner presentations and the unstable-hyperplane calculus.
 
 A presentation is a tensor mu: U1 (x) V -> U0 stored as a b x (a*m)
-matrix T over a field, with column t = i*m + j holding mu(u1_i (x) v_j).
-It presents a vector bundle of rank b - a on the projective space of V
-exactly when mu(u1 (x) v) != 0 for every pair of nonzero vectors, that
-is when ker T holds no rank-one tensor u (x) v.
+matrix T, with column t = i*m + j holding mu(u1_i (x) v_j).  Its field
+is the field of T and is stated nowhere else.  It presents a vector
+bundle of rank b - a on the projective space of V exactly when
+mu(u1 (x) v) != 0 for every pair of nonzero vectors, that is when ker T
+holds no rank-one tensor u (x) v.  Both scans below run over the
+presentation's own field F_p and read p from it; a presentation over QQ
+is refused, so it is built over GF(p) at each prime instead.
 
 A functional lam on V is *unstable* for mu when the restriction of mu to
 U1 (x) ker(lam) fails to surject onto U0; the cokernel dimension is the
@@ -59,18 +62,15 @@ from .exactfield import (GF, Matrix, eliminate, kernel_basis, left_kernel,
 
 
 class SteinerPresentation:
-    """mu: U1 (x) V -> U0 with dims (a, m, b) and left-major columns."""
+    """mu: U1 (x) V -> U0 with dims (a, m, b) and left-major columns,
+    over the field of its tensor."""
 
-    def __init__(self, field, dim_u1, dim_v, dim_u0, tensor: Matrix,
-                 name=""):
-        if tensor.field != field:
-            raise FieldMismatch(f"tensor over {tensor.field}, "
-                                f"presentation over {field}")
+    def __init__(self, tensor: Matrix, dim_u1, dim_v, dim_u0, name=""):
         if tensor.nrows != dim_u0 or tensor.ncols != dim_u1 * dim_v:
             raise ShapeMismatch(
                 f"tensor is {tensor.nrows}x{tensor.ncols}, expected "
                 f"{dim_u0}x{dim_u1 * dim_v}")
-        self.field = field
+        self.field = tensor.field
         self.dim_u1 = dim_u1
         self.dim_v = dim_v
         self.dim_u0 = dim_u0
@@ -81,10 +81,18 @@ class SteinerPresentation:
     def bundle_rank(self):
         return self.dim_u0 - self.dim_u1
 
+    def _coords(self, vec):
+        """The m coordinates of a vector of V or V*, in the field."""
+        vec = [self.field.normalize(x) for x in vec]
+        if len(vec) != self.dim_v:
+            raise ShapeMismatch(
+                f"expected {self.dim_v} coordinates, got {len(vec)}")
+        return vec
+
     def fiber_matrix(self, v):
         """The b x a matrix of u |-> mu(u (x) v)."""
         fld = self.field
-        v = [fld.normalize(x) for x in v]
+        v = self._coords(v)
         m = self.dim_v
         bases = range(0, self.dim_u1 * m, m)
         return Matrix(fld, self.dim_u0, self.dim_u1,
@@ -99,7 +107,7 @@ class SteinerPresentation:
         restricted column is a two-column combination of tensor columns.
         """
         fld = self.field
-        lam = normalize_projective(fld, lam)
+        lam = normalize_projective(fld, self._coords(lam))
         if lam is None:
             raise ZeroPoint("the zero functional defines no hyperplane")
         c0 = next(j for j, x in enumerate(lam) if x)
@@ -112,20 +120,9 @@ class SteinerPresentation:
                       [[row[t] - x * row[s] for t, s, x in terms]
                        for row in self.tensor.entries])
 
-    def map_to(self, field):
-        """The same tensor over another field (e.g. QQ data mod p)."""
-        return SteinerPresentation(field, self.dim_u1, self.dim_v,
-                                   self.dim_u0, self.tensor.map_to(field),
-                                   self.name)
-
     def __repr__(self):
         return (f"SteinerPresentation(a={self.dim_u1}, m={self.dim_v}, "
                 f"b={self.dim_u0}, field={self.field})")
-
-
-def make_presentation(tensor: Matrix, a, m, b, name="") -> \
-        SteinerPresentation:
-    return SteinerPresentation(tensor.field, a, m, b, tensor, name)
 
 
 # ---- the rank-one engine ----------------------------------------------------
@@ -306,18 +303,27 @@ class ValidationReport:
         return out
 
 
-def validate_presentation(pres: SteinerPresentation, p: int) -> \
-        ValidationReport:
-    """Valid iff every fiber map over P(V)(F_p) has full rank a.
+def _scan_prime(pres):
+    """The p of a presentation over F_p; the scans refuse QQ."""
+    p = pres.field.characteristic
+    if not p:
+        raise FieldMismatch(f"a presentation over {pres.field} cannot "
+                            "be scanned: build it over GF(p)")
+    return p
+
+
+def validate_presentation(pres: SteinerPresentation) -> ValidationReport:
+    """Valid iff every fiber map over P(V)(F_p) has full rank a, p the
+    characteristic of the presentation's field.
 
     The report reads as a fiber scan in enumeration order:
     `fibers_scanned` is the position of the first bad fiber v plus one
     (all of P(V) when valid), and the witness is the first kernel vector
     u of that fiber, so mu(u (x) v) = 0.
     """
-    work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    a, m = work.dim_u1, work.dim_v
-    rows = work.tensor.entries
+    p = _scan_prime(pres)
+    a, m = pres.dim_u1, pres.dim_v
+    rows = pres.tensor.entries
     if a < m:
         # canonical points sort in enumeration order, and the least
         # point of a subspace is the last row of its reduced echelon basis
@@ -329,7 +335,7 @@ def validate_presentation(pres: SteinerPresentation, p: int) -> \
                     _rank_one_scan(rows, a, m, p, over_u1=False)), None)
     if bad is None:
         return ValidationReport(p, True, projective_count(p, m), None)
-    witness = (rank_kernel(work.fiber_matrix(bad)).kernel[0], bad)
+    witness = (rank_kernel(pres.fiber_matrix(bad)).kernel[0], bad)
     return ValidationReport(p, False, projective_rank(p, bad) + 1, witness)
 
 
@@ -381,12 +387,13 @@ class VallesReport:
                              for lam, coker in self.unstable]}
 
 
-def valles_locus(pres: SteinerPresentation, p: int) -> VallesReport:
+def valles_locus(pres: SteinerPresentation) -> VallesReport:
     """Every unstable point of P(V)(F_p) with its cokernel dimension, in
-    enumeration order; `scanned` counts the hyperplanes decided."""
-    work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    a, m, b = work.dim_u1, work.dim_v, work.dim_u0
-    kd = rank_kernel(work.tensor)
+    enumeration order, p the characteristic of the presentation's field;
+    `scanned` counts the hyperplanes decided."""
+    p = _scan_prime(pres)
+    a, m, b = pres.dim_u1, pres.dim_v, pres.dim_u0
+    kd = rank_kernel(pres.tensor)
     if a < m and kd.rank == b:
         seen = Counter(lam for _, basis in
                        _rank_one_scan(kd.kernel, a, m, p, over_u1=True)

@@ -29,9 +29,8 @@ from .exactfield import (GF, QQ, Matrix, projective_count,
                          projective_unrank, span_reduction)
 from .koszul import green_points_test
 from .scenes import PointSet, _scalar_json
-from .steiner import (SteinerPresentation, make_presentation,
-                      recover_section_point, validate_presentation,
-                      valles_locus)
+from .steiner import (SteinerPresentation, recover_section_point,
+                      validate_presentation, valles_locus)
 
 PRIMES_DEFAULT = (5, 7, 11)
 BAD_PRIME = "BAD_PRIME"
@@ -67,7 +66,7 @@ def tautological_presentation(scene, b_label, field=QQ):
     m = scene.series_dim(field)
     tensor = scene.multiplication_map(sub_label, a_label, field)
     name = f"{scene.name} | B={scene.label_str(b_label)}"
-    return make_presentation(tensor, u1.dim, m, u0.dim, name)
+    return SteinerPresentation(tensor, u1.dim, m, u0.dim, name)
 
 
 def vanishing_check(scene, b_label, field=QQ):
@@ -183,7 +182,7 @@ def _compare_prime(scene, p, build):
     """
     try:
         pres = build(GF(p))
-        report = validate_presentation(pres, p)
+        report = validate_presentation(pres)
         if not report.valid:
             return PrimeComparison(p, "INVALID",
                                    report.fibers_scanned), None, None
@@ -191,7 +190,7 @@ def _compare_prime(scene, p, build):
     except (BadPrime, NotGeneralPosition) as exc:
         return PrimeComparison(p, BAD_PRIME,
                                error=type(exc).__name__), None, None
-    scan = valles_locus(pres, p)
+    scan = valles_locus(pres)
     unstable = scan.unstable_set()
     image = enum.phi_set()
     extra = tuple(sorted(unstable - image))
@@ -325,8 +324,7 @@ def dk_presentation(points, field=QQ) -> SteinerPresentation:
     cols = [[reps[c][j] * red[i][c] for c in quot0.complement]
             for i in range(a) for j in range(m)]
     tensor = Matrix.from_cols(field, cols, b)
-    return make_presentation(tensor, a, m, b,
-                             f"dk({points.name})")
+    return SteinerPresentation(tensor, a, m, b, f"dk({points.name})")
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ def test_c01_adjoint_locus_equals_rational_normal_curve_per_prime():
     for p in PRIMES:
         start = time.perf_counter()
         pres = tautological_presentation(tc, 5, GF(p))
-        rep = valles_locus(pres, p)
+        rep = valles_locus(pres)
         elapsed = time.perf_counter() - start
         assert rep.scanned == p ** 3 + p ** 2 + p + 1
         assert len(rep.unstable) == p + 1
@@ -60,7 +60,7 @@ def test_c02_every_unstable_plane_recovers_the_quintic_evaluation():
     for p in PRIMES:
         field = GF(p)
         pres = tautological_presentation(tc, 5, field)
-        rep = valles_locus(pres, p)
+        rep = valles_locus(pres)
         assert len(rep.unstable) == p + 1
         for lam, coker in rep.unstable:
             assert coker == 1
@@ -83,7 +83,7 @@ def test_c03_distinct_smooth_quartics_share_mu_and_destabilize_all():
     assert px.tensor.entries == py.tensor.entries
     assert (px.dim_u1, px.dim_v, px.dim_u0) == \
         (py.dim_u1, py.dim_v, py.dim_u0)
-    rep = valles_locus(px, 7)
+    rep = valles_locus(px)
     assert rep.scanned == 57
     assert len(rep.unstable) == 57
 
@@ -123,7 +123,7 @@ def test_c06_scroll_members_share_mu_and_both_lie_in_the_locus():
     b_label = member_a.label_add(member_a.canonical_label(),
                                  member_a.label_A())
     pres = tautological_presentation(member_a, b_label, GF(5))
-    locus = valles_locus(pres, 5).unstable_set()
+    locus = valles_locus(pres).unstable_set()
     union = member_a.enumerate_points(5).phi_set() | \
         member_b.enumerate_points(5).phi_set()
     assert union <= locus
@@ -248,12 +248,12 @@ def test_c10_presentations_validate_and_criteria_agree():
             (scene("scroll_member_b"), (1, 1))]
     for sc, b_label in taut:
         pres = tautological_presentation(sc, b_label, GF(5))
-        assert validate_presentation(pres, 5).valid
+        assert validate_presentation(pres).valid
     six_on_cubic = PointSet(3, [(1, t, t * t, t ** 3) for t in range(5)]
                             + [(0, 0, 0, 1)])
     for pts in (scene("six_general_points"), six_on_cubic):
         pres = dk_presentation(pts, GF(5))
-        assert validate_presentation(pres, 5).valid
+        assert validate_presentation(pres).valid
 
     # the primal and dual instability tests agree on a full scan
     pres5 = tautological_presentation(tc, 5, GF(5))

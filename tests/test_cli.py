@@ -335,6 +335,19 @@ def test_out_file_written_atomically(tmp_path, capsys):
     assert "consensus" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_explicit_format_wins_over_out(tmp_path, capsys, fmt):
+    out = tmp_path / "report.json"
+    code = main(["build", TC_PATH, "--B", "O(5)", "--prime", "5",
+                 "--format", fmt, "--out", str(out)])
+    assert code == 0
+    data = out.read_bytes()
+    rep = json.loads(data)
+    assert rep["validation"]["valid"] is True
+    assert capsys.readouterr().out.encode("utf-8") == emit(rep, fmt)
+    assert emit(rep, "json") == data
+
+
 def test_reports_are_byte_deterministic(tmp_path, capsys):
     argv = ["dk", "--N", "7", "--seed", "3"]
     main(argv)

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from steinertorelli.errors import (BadPrime, FieldMismatch, NonPrimeModulus,
                                    ShapeMismatch)
-from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
-                                       kernel_basis, left_kernel,
+from steinertorelli.exactfield import (GF, QQ, Matrix, _is_prime,
+                                       eliminate, kernel_basis, left_kernel,
                                        normalize_projective,
                                        projective_count, projective_rank,
                                        projective_reps, projective_unrank,
@@ -51,6 +51,28 @@ def test_scalar_arithmetic_exhaustive(p):
 def test_non_prime_modulus_rejected(n):
     with pytest.raises(NonPrimeModulus):
         GF(n)
+
+
+def test_is_prime_against_a_sieve():
+    sieve = [False, False] + [True] * 4999
+    for d in range(2, 71):
+        sieve[d * d::d] = [False] * len(sieve[d * d::d])
+    assert [_is_prime(n) for n in range(5001)] == sieve
+
+
+@pytest.mark.parametrize("n,prime", [
+    (2 ** 31 - 1, True), (46337, True),
+    # 46337 ** 2 = 2,147,117,569: its only factor is exactly isqrt(n)
+    (46337 ** 2, False),
+    # Carmichael numbers pass Fermat's test to every coprime base
+    (561, False), (1105, False), (1729, False)])
+def test_is_prime_at_the_edges(n, prime):
+    assert _is_prime(n) is prime
+    if prime:
+        assert GF(n).characteristic == n
+    else:
+        with pytest.raises(NonPrimeModulus):
+            GF(n)
 
 
 def test_fraction_reduction_mod_p():
@@ -153,10 +175,11 @@ def test_left_kernel():
 
 
 def test_map_to_reduces_rationals():
-    m = Matrix.from_rows(QQ, [(Fraction(1, 2), 3)])
-    assert m.map_to(GF(5)).entries == ((3, 3),)
+    # the Matrix constructor is the one boundary that reduces QQ data
+    rows = [(Fraction(1, 2), 3)]
+    assert Matrix.from_rows(GF(5), rows).entries == ((3, 3),)
     with pytest.raises(BadPrime):
-        m.map_to(GF(2))
+        Matrix.from_rows(GF(2), rows)
 
 
 # ---- hypothesis properties ----------------------------------------------

@@ -14,16 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinertorelli.cli import resolve_label
-from steinertorelli.errors import (NonUniqueQuotient, ShapeMismatch,
-                                   ZeroPoint)
+from steinertorelli.errors import (FieldMismatch, NonUniqueQuotient,
+                                   ShapeMismatch, ZeroPoint)
 from steinertorelli import steiner
 from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
                                        kernel_basis, projective_count,
                                        projective_reps, rank, rank_kernel)
 from steinertorelli.scenes import P1Series, PointSet, load_scene
-from steinertorelli.steiner import (ValidationReport, VallesReport,
-                                    _charpoly, _rank_one_scan,
-                                    make_presentation,
+from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
+                                    VallesReport, _charpoly, _rank_one_scan,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
                                     validate_presentation, valles_locus)
@@ -39,7 +38,7 @@ def tc_presentation(p=5, b_twist=5):
     tc = P1Series(3)
     f = GF(p)
     t = tc.multiplication_map(b_twist - 3, 3, f)
-    return make_presentation(t, b_twist - 2, 4, b_twist + 1)
+    return SteinerPresentation(t, b_twist - 2, 4, b_twist + 1)
 
 
 def random_tensor(field, a, m, b, seed):
@@ -50,7 +49,7 @@ def random_tensor(field, a, m, b, seed):
     else:
         draw = lambda: rng.randrange(-4, 5)                 # noqa: E731
     rows = tuple(tuple(draw() for _ in range(a * m)) for _ in range(b))
-    return make_presentation(Matrix(field, b, a * m, rows), a, m, b)
+    return SteinerPresentation(Matrix(field, b, a * m, rows), a, m, b)
 
 
 class TestPresentations:
@@ -62,7 +61,22 @@ class TestPresentations:
     def test_shape_mismatch(self):
         t = Matrix(GF(5), 6, 12, ((0,) * 12,) * 6)
         with pytest.raises(ShapeMismatch):
-            make_presentation(t, 3, 5, 6)
+            SteinerPresentation(t, 3, 5, 6)
+
+    @pytest.mark.parametrize("point", [(1, 0), (1, 0, 0), (1, 0, 0, 0, 0),
+                                       (1, 0, 0, 0, 0, 1)])
+    def test_wrong_length_points_are_refused(self, point):
+        # m = 4 on the twisted cubic: neither a short point nor a long
+        # one names a point of P(V) or a hyperplane
+        P = tc_presentation()
+        with pytest.raises(ShapeMismatch):
+            P.fiber_matrix(point)
+        with pytest.raises(ShapeMismatch):
+            unstable_test(P, point)
+        with pytest.raises(ShapeMismatch):
+            unstable_test_dual(P, point)
+        with pytest.raises(ShapeMismatch):
+            recover_section_point(P, point)
 
     def test_fiber_matrix_columns(self):
         P = tc_presentation()
@@ -76,15 +90,15 @@ class TestPresentations:
 class TestValidity:
     def test_tautological_is_valid(self):
         P = tc_presentation()
-        rep = validate_presentation(P, 5)
+        rep = validate_presentation(P)
         assert rep.valid
         assert rep.fibers_scanned == 156
         assert rep.witness is None
 
     def test_zero_tensor_invalid_with_witness(self):
         zero = Matrix(GF(5), 2, 6, ((0,) * 6,) * 2)
-        P = make_presentation(zero, 2, 3, 2)
-        rep = validate_presentation(P, 5)
+        P = SteinerPresentation(zero, 2, 3, 2)
+        rep = validate_presentation(P)
         assert not rep.valid
         u, v = rep.witness
         assert mat_vec(P.fiber_matrix(v), u) == (0, 0)
@@ -94,17 +108,24 @@ class TestValidity:
     def test_thin_target_never_valid(self, seed):
         # a 2-dim space of values on a 1x3 pencil always has a zero
         P = random_tensor(GF(5), 1, 3, 2, seed)
-        rep = validate_presentation(P, 5)
+        rep = validate_presentation(P)
         assert not rep.valid
         u, v = rep.witness
         assert any(u)
         assert mat_vec(P.fiber_matrix(v), u) == (0, 0)
 
     def test_validation_over_rational_data(self):
+        # the scans read p from the presentation: QQ data is refused,
+        # and the same tensor is scanned once built over GF(7)
         tc = P1Series(3)
-        t = tc.multiplication_map(2, 3, QQ)
-        P = make_presentation(t, 3, 4, 6)
-        rep = validate_presentation(P, 7)
+        P = SteinerPresentation(tc.multiplication_map(2, 3, QQ), 3, 4, 6)
+        with pytest.raises(FieldMismatch):
+            validate_presentation(P)
+        with pytest.raises(FieldMismatch):
+            valles_locus(P)
+        t = tc.multiplication_map(2, 3, GF(7))
+        P = SteinerPresentation(t, 3, 4, 6)
+        rep = validate_presentation(P)
         assert rep.valid
         assert rep.prime == 7 and rep.fibers_scanned == 400
 
@@ -170,7 +191,7 @@ class TestUnstable:
             S = Matrix(GF(p), 4, 4, s_rows)
             if rank(S) == 4:
                 break
-        P2 = make_presentation(S.mul(P.tensor), 2, 3, 4)
+        P2 = SteinerPresentation(S.mul(P.tensor), 2, 3, 4)
         assert unstable_test(P2, lam)[1] == c0
 
         # rescale lam
@@ -182,7 +203,7 @@ class TestUnstable:
         rng.shuffle(perm)
         cols = [P.tensor.columns()[i * P.dim_v + perm[j]]
                 for i in range(2) for j in range(3)]
-        P3 = make_presentation(Matrix.from_cols(GF(p), cols, 4), 2, 3, 4)
+        P3 = SteinerPresentation(Matrix.from_cols(GF(p), cols, 4), 2, 3, 4)
         lam3 = tuple(lam[perm[j]] for j in range(3))
         assert unstable_test(P3, lam3)[1] == c0
 
@@ -220,7 +241,7 @@ class TestRecovery:
         # block sum of the presentation with itself: (U1+U1) (x) V -> U0+U0
         P = tc_presentation()
         pad = (0,) * 12
-        D = make_presentation(
+        D = SteinerPresentation(
             Matrix.from_rows(GF(5), [row + pad for row in P.tensor.entries]
                              + [pad + row for row in P.tensor.entries]),
             6, 4, 12)
@@ -235,7 +256,7 @@ class TestVallesLocus:
     def test_twisted_cubic_equal_to_curve(self):
         tc = P1Series(3)
         P = tc_presentation()
-        rep = valles_locus(P, 5)
+        rep = valles_locus(P)
         assert rep.scanned == 156
         assert len(rep.unstable) == 6
         assert all(c == 1 for _, c in rep.unstable)
@@ -245,8 +266,8 @@ class TestVallesLocus:
         fq = fermat_quartic()
         for p, total in ((5, 31), (7, 57)):
             t = fq.multiplication_map(2, 1, GF(p))
-            P = make_presentation(t, 6, 3, 10)
-            rep = valles_locus(P, p)
+            P = SteinerPresentation(t, 6, 3, 10)
+            rep = valles_locus(P)
             assert rep.scanned == total
             assert len(rep.unstable) == total
             assert {c for _, c in rep.unstable} == {1}
@@ -254,9 +275,9 @@ class TestVallesLocus:
     def test_diagonal_ci_equals_curve_points(self):
         ci = diagonal_ci()
         t = ci.multiplication_map(1, 1, GF(5))
-        P = make_presentation(t, 5, 5, 12)
-        assert validate_presentation(P, 5).valid
-        rep = valles_locus(P, 5)
+        P = SteinerPresentation(t, 5, 5, 12)
+        assert validate_presentation(P).valid
+        rep = valles_locus(P)
         assert rep.scanned == 781
         assert rep.unstable_set() == ci.enumerate_points(5).phi_set()
         assert len(rep.unstable) == 16
@@ -270,15 +291,15 @@ class TestVallesLocus:
         for coeffs in (SCROLL_F1, SCROLL_F2):
             sc = scroll(coeffs)
             t = sc.multiplication_map((0, 1), (1, 0), GF(5))
-            P = make_presentation(t, 2, 4, 6)
-            rep = valles_locus(P, 5)
+            P = SteinerPresentation(t, 2, 4, 6)
+            rep = valles_locus(P)
             assert rep.unstable_set() == quadric
             assert len(rep.unstable) == 36
             assert sc.enumerate_points(5).phi_set() <= rep.unstable_set()
 
     def test_report_json_shape(self):
         P = tc_presentation()
-        d = valles_locus(P, 5).to_json_dict()
+        d = valles_locus(P).to_json_dict()
         assert list(d.keys()) == ["prime", "scanned", "unstable"]
         assert d["scanned"] == 156
         assert d["unstable"][0] == {"lambda": [0, 0, 0, 1], "coker": 1}
@@ -292,28 +313,28 @@ class TestVallesLocus:
 # kept as oracles: one elimination at every point of P(V)(F_p).
 
 
-def reference_validation(pres, p):
-    work = pres if pres.field == GF(p) else pres.map_to(GF(p))
-    for scanned, v in enumerate(projective_reps(p, work.dim_v), 1):
-        kernel = rank_kernel(work.fiber_matrix(v)).kernel
+def reference_validation(pres):
+    p = pres.field.characteristic
+    for scanned, v in enumerate(projective_reps(p, pres.dim_v), 1):
+        kernel = rank_kernel(pres.fiber_matrix(v)).kernel
         if kernel:
             return ValidationReport(p, False, scanned, (kernel[0], v))
-    return ValidationReport(p, True, projective_count(p, work.dim_v), None)
+    return ValidationReport(p, True, projective_count(p, pres.dim_v), None)
 
 
-def reference_valles(pres, p):
-    work = pres if pres.field == GF(p) else pres.map_to(GF(p))
+def reference_valles(pres):
+    p = pres.field.characteristic
     found = []
-    for lam in projective_reps(p, work.dim_v):
-        unstable, coker = unstable_test(work, lam)
+    for lam in projective_reps(p, pres.dim_v):
+        unstable, coker = unstable_test(pres, lam)
         if unstable:
             found.append((lam, coker))
-    return VallesReport(p, projective_count(p, work.dim_v), tuple(found))
+    return VallesReport(p, projective_count(p, pres.dim_v), tuple(found))
 
 
-def assert_engine_matches_reference(pres, p):
-    assert validate_presentation(pres, p) == reference_validation(pres, p)
-    assert valles_locus(pres, p) == reference_valles(pres, p)
+def assert_engine_matches_reference(pres):
+    assert validate_presentation(pres) == reference_validation(pres)
+    assert valles_locus(pres) == reference_valles(pres)
 
 
 SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
@@ -344,7 +365,7 @@ def test_engine_matches_reference_on_the_catalogue(stem, label, p):
     else:
         pres = tautological_presentation(
             scene, resolve_label(scene, label), GF(p))
-    assert_engine_matches_reference(pres, p)
+    assert_engine_matches_reference(pres)
 
 
 SHAPES = st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(0, 5))
@@ -358,14 +379,14 @@ def low_rank_tensor(p, a, m, b, r, seed):
     right = [[rng.randrange(p) for _ in range(a * m)] for _ in range(r)]
     rows = tuple(tuple(sum(row[k] * right[k][c] for k in range(r))
                        for c in range(a * m)) for row in left)
-    return make_presentation(Matrix(GF(p), b, a * m, rows), a, m, b)
+    return SteinerPresentation(Matrix(GF(p), b, a * m, rows), a, m, b)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), SHAPES, st.integers(0, 10 ** 6))
 @settings(max_examples=150, deadline=None)
 def test_engine_matches_reference_on_random_tensors(p, shape, seed):
     a, m, b = shape
-    assert_engine_matches_reference(random_tensor(GF(p), a, m, b, seed), p)
+    assert_engine_matches_reference(random_tensor(GF(p), a, m, b, seed))
 
 
 @given(st.sampled_from([2, 3, 5, 7]), SHAPES, st.data())
@@ -376,16 +397,16 @@ def test_engine_matches_reference_on_rank_deficient_tensors(p, shape,
     r = data.draw(st.integers(0, max(0, min(b, a * m) - 1)))
     pres = low_rank_tensor(p, a, m, b, r, data.draw(st.integers(0, 10 ** 6)))
     assert rank(pres.tensor) < b or b == 0
-    assert_engine_matches_reference(pres, p)
+    assert_engine_matches_reference(pres)
 
 
 @pytest.mark.parametrize("p", [2, 5])
 @pytest.mark.parametrize("a,m,b", [(0, 3, 2), (1, 3, 2), (2, 4, 3),
                                    (3, 2, 4), (2, 2, 1), (2, 1, 3)])
 def test_engine_matches_reference_on_the_zero_tensor(p, a, m, b):
-    pres = make_presentation(Matrix(GF(p), b, a * m, ((0,) * (a * m),) * b),
-                             a, m, b)
-    assert_engine_matches_reference(pres, p)
+    pres = SteinerPresentation(
+        Matrix(GF(p), b, a * m, ((0,) * (a * m),) * b), a, m, b)
+    assert_engine_matches_reference(pres)
 
 
 # ---- pencil leaves ---------------------------------------------------------
@@ -605,8 +626,8 @@ def test_engine_matches_reference_when_r_below_b(p, a, m, b, r):
     scan over P(V) merges the lines' deficient points into all of P(V)."""
     pres = low_rank_tensor(p, a, m, b, r, seed=p * 100 + a)
     assert rank(pres.tensor) <= r < b
-    assert_engine_matches_reference(pres, p)
-    assert len(valles_locus(pres, p).unstable) == projective_count(p, m)
+    assert_engine_matches_reference(pres)
+    assert len(valles_locus(pres).unstable) == projective_count(p, m)
 
 
 WIDE_SHAPES = st.tuples(st.integers(1, 5), st.integers(2, 3),
@@ -619,9 +640,9 @@ def test_engine_matches_reference_at_larger_primes(p, shape, seed):
     """More rows than columns on lines of F_11 and F_13, full rank or
     not."""
     a, m, b = shape
-    assert_engine_matches_reference(random_tensor(GF(p), a, m, b, seed), p)
+    assert_engine_matches_reference(random_tensor(GF(p), a, m, b, seed))
     r = random.Random(seed).randrange(max(1, min(b, a * m)))
-    assert_engine_matches_reference(low_rank_tensor(p, a, m, b, r, seed), p)
+    assert_engine_matches_reference(low_rank_tensor(p, a, m, b, r, seed))
 
 
 def test_pencil_leaves_cut_the_eliminations(monkeypatch):
@@ -638,6 +659,6 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
         return eliminate(*args, **kwargs)
 
     monkeypatch.setattr(steiner, "eliminate", counting)
-    assert validate_presentation(pres, 7).valid
-    assert len(valles_locus(pres, 7).unstable) == 16
+    assert validate_presentation(pres).valid
+    assert len(valles_locus(pres).unstable) == 16
     assert 0 < len(calls) < projective_count(7, 5)

@@ -102,7 +102,7 @@ def test_torelli_twisted_cubic_at_large_primes():
         assert res.scanned == projective_count(p, 4)
         assert res.unstable_count == res.image_count == p + 1
         assert len(res.recovery) == p + 1 and res.recovery_ok
-        scan = valles_locus(tautological_presentation(TC, 5, GF(p)), p)
+        scan = valles_locus(tautological_presentation(TC, 5, GF(p)))
         assert [coker for _, coker in scan.unstable] == [1] * (p + 1)
 
 
@@ -145,7 +145,7 @@ def test_unstable_scroll_locus_is_the_segre_quadric():
     pres = tautological_presentation(ScrollCurve(1, 1, 2, 1, SCROLL_F2),
                                      (1, 1), GF(5))
     from steinertorelli.steiner import valles_locus
-    scan = valles_locus(pres, 5)
+    scan = valles_locus(pres)
     assert len(scan.unstable_set()) == 36
     for lam in scan.unstable_set():
         assert (lam[0] * lam[3] - lam[1] * lam[2]) % 5 == 0
