@@ -11,15 +11,17 @@ is refused, so it is built over GF(p) at each prime instead.
 
 A functional lam on V is *unstable* for mu when the restriction of mu to
 U1 (x) ker(lam) fails to surject onto U0; the cokernel dimension is the
-basic numerical output and the left kernel of the restricted matrix
-carries the recovery data.  A functional psi on U0 kills that image
+basic numerical output.  A functional psi on U0 kills that image
 exactly when every row of psi T, read as an a x m matrix, is a multiple
-of lam, so with K a basis of ker T and r the rank of T
+of lam, that is when psi T = phi (x) lam for some phi in U1*, so with K
+a basis of ker T and r the rank of T
 
     coker(lam) = (b - r) + dim {phi in U1* : K (phi (x) lam) = 0}:
 
 the unstable locus is a linear section of the Segre variety
-P(U1*) x P(V*) (Ancona-Ottaviani, Adv. Geom. 2001).
+P(U1*) x P(V*) (Ancona-Ottaviani, Adv. Geom. 2001).  Recovery solves
+psi T = phi (x) lam for the one trivial quotient psi, from one
+elimination of T that the presentation keeps.
 
 Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
 walks one projective factor, contracts a set of tensors by each point
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
@@ -80,6 +83,21 @@ class SteinerPresentation:
     @property
     def bundle_rank(self):
         return self.dim_u0 - self.dim_u1
+
+    @cached_property
+    def _elimination(self):
+        """One elimination of [T | I_b] mod p, kept: (r, K, pivots, E)
+        with r the rank of T, K its kernel basis as `rank_kernel` gives
+        it, `pivots` the columns c_k of its reduced echelon rows R_k, and
+        E the rows with E_k T = R_k, so the E_k with k >= r span the
+        left kernel of T."""
+        p = _scan_prime(self)
+        b, n = self.dim_u0, self.tensor.ncols
+        work = [list(row) + [int(i == k) for i in range(b)]
+                for k, row in enumerate(self.tensor.entries)]
+        pivots = [c for c in eliminate(work, n + b, p) if c < n]
+        return (len(pivots), kernel_basis(work, pivots, n, self.field),
+                pivots, [row[n:] for row in work])
 
     def _coords(self, vec):
         """The m coordinates of a vector of V or V*, in the field."""
@@ -361,12 +379,34 @@ def unstable_test_dual(pres: SteinerPresentation, lam):
 
 def recover_section_point(pres: SteinerPresentation, lam):
     """The unique trivial quotient at an unstable hyperplane with
-    one-dimensional cokernel, as a normalized functional on U0."""
-    kd = left_kernel(pres.restricted_matrix(lam))
-    if kd.nullity != 1:
+    one-dimensional cokernel, as a normalized functional on U0.
+
+    psi T = phi (x) lam needs phi in the kernel of N(lam), the map
+    phi |-> K (phi (x) lam).  When r = b, phi (x) lam then lies in the
+    row space of T, so psi is the combination of the kept rows E_k with
+    the coefficients of phi (x) lam at the pivot columns c_k; when
+    r = b - 1 and phi is 0, psi spans the left kernel of T.  The scale
+    of lam does not matter.
+    """
+    r, kernel, pivots, rows = pres._elimination
+    p = pres.field.characteristic
+    a, m, b = pres.dim_u1, pres.dim_v, pres.dim_u0
+    lam = pres._coords(lam)
+    if not any(lam):
+        raise ZeroPoint("the zero functional defines no hyperplane")
+    n_lam = [[sum(map(mul, vec[i:i + m], lam)) % p
+              for i in range(0, a * m, m)] for vec in kernel]
+    phis = kernel_basis(n_lam, eliminate(n_lam, a, p), a, pres.field)
+    coker = b - r + len(phis)
+    if coker != 1:
         raise NonUniqueQuotient(
-            f"cokernel dimension is {kd.nullity}, recovery needs exactly 1")
-    return normalize_projective(pres.field, kd.kernel[0])
+            f"cokernel dimension is {coker}, recovery needs exactly 1")
+    if r < b:
+        psi = rows[r]
+    else:
+        weights = [phis[0][c // m] * lam[c % m] for c in pivots]
+        psi = [sum(map(mul, weights, col)) for col in zip(*rows)]
+    return normalize_projective(pres.field, psi)
 
 
 # ---- the Valles locus -------------------------------------------------------
@@ -393,10 +433,10 @@ def valles_locus(pres: SteinerPresentation) -> VallesReport:
     `scanned` counts the hyperplanes decided."""
     p = _scan_prime(pres)
     a, m, b = pres.dim_u1, pres.dim_v, pres.dim_u0
-    kd = rank_kernel(pres.tensor)
-    if a < m and kd.rank == b:
+    r, kernel, _, _ = pres._elimination
+    if a < m and r == b:
         seen = Counter(lam for _, basis in
-                       _rank_one_scan(kd.kernel, a, m, p, over_u1=True)
+                       _rank_one_scan(kernel, a, m, p, over_u1=True)
                        for lam in _span_points(_reduced_kernel(basis, m, p),
                                                p))
         # lam turns up once per point of P(ker N(lam)), N(lam) the map
@@ -407,7 +447,7 @@ def valles_locus(pres: SteinerPresentation) -> VallesReport:
         # coker(lam) = (b - r) + dim ker N(lam), N(lam) the map
         # phi |-> K (phi (x) lam): when r < b every lam is unstable
         nullity = {lam: a - len(basis) for lam, basis in
-                   _rank_one_scan(kd.kernel, a, m, p, over_u1=False)}
-        found = [(lam, b - kd.rank + nullity.get(lam, 0)) for lam in
-                 (projective_reps(p, m) if kd.rank < b else nullity)]
+                   _rank_one_scan(kernel, a, m, p, over_u1=False)}
+        found = [(lam, b - r + nullity.get(lam, 0)) for lam in
+                 (projective_reps(p, m) if r < b else nullity)]
     return VallesReport(p, projective_count(p, m), tuple(found))

@@ -52,7 +52,7 @@ def hypothesis_defect(scene, b_label, field=QQ):
     return scene.cohomology_dim(sub, 1, field)
 
 
-def tautological_presentation(scene, b_label, field=QQ):
+def tautological_presentation(scene, b_label, field):
     """mu: H0(B-A) (x) V -> H0(B) from the scene's multiplication.
 
     The construction succeeds whenever both section spaces exist; the
@@ -293,7 +293,7 @@ def scroll_invariance(scene_x, scene_y, n=1, field=QQ) -> bool:
 # ---- point sets: the Dolgachev-Kapranov style bundle --------------------------
 
 
-def dk_presentation(points, field=QQ) -> SteinerPresentation:
+def dk_presentation(points, field) -> SteinerPresentation:
     """Presentation whose unstable locus should recover a general point
     set.
 

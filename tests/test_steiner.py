@@ -18,8 +18,10 @@ from steinertorelli.errors import (FieldMismatch, NonUniqueQuotient,
                                    ShapeMismatch, ZeroPoint)
 from steinertorelli import steiner
 from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
-                                       kernel_basis, projective_count,
-                                       projective_reps, rank, rank_kernel)
+                                       kernel_basis, left_kernel,
+                                       normalize_projective,
+                                       projective_count, projective_reps,
+                                       rank, rank_kernel, rref)
 from steinertorelli.scenes import P1Series, PointSet, load_scene
 from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
                                     VallesReport, _charpoly, _rank_one_scan,
@@ -123,6 +125,8 @@ class TestValidity:
             validate_presentation(P)
         with pytest.raises(FieldMismatch):
             valles_locus(P)
+        with pytest.raises(FieldMismatch):
+            recover_section_point(P, (1, 0, 0, 0))
         t = tc.multiplication_map(2, 3, GF(7))
         P = SteinerPresentation(t, 3, 4, 6)
         rep = validate_presentation(P)
@@ -230,12 +234,26 @@ class TestRecovery:
         for rec in tc.enumerate_points(5).records:
             psi = recover_section_point(P, rec.phi)
             expected = tc.evaluation_functional(rec.params, 5, f)
-            from steinertorelli.exactfield import normalize_projective
             assert psi == normalize_projective(f, expected)
 
     def test_stable_lambda_rejected(self):
         with pytest.raises(NonUniqueQuotient):
             recover_section_point(tc_presentation(), (1, 0, 0, 1))
+
+    def test_zero_functional_rejected(self):
+        with pytest.raises(ZeroPoint):
+            recover_section_point(tc_presentation(), (0, 5, 0, 10))
+
+    def test_a_zero_row_is_the_quotient_at_every_stable_hyperplane(self):
+        # T of rank b - 1: where N(lam) is injective, psi spans the left
+        # kernel of T, here the functional of the added zero row
+        P = tc_presentation()
+        Z = SteinerPresentation(
+            Matrix.from_rows(GF(5), P.tensor.entries + ((0,) * 12,)),
+            3, 4, 7)
+        assert recover_section_point(Z, (1, 0, 0, 1)) == (0,) * 6 + (1,)
+        with pytest.raises(NonUniqueQuotient):
+            recover_section_point(Z, (1, 0, 0, 0))
 
     def test_direct_sum_ambiguity(self):
         # block sum of the presentation with itself: (U1+U1) (x) V -> U0+U0
@@ -662,3 +680,96 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
     assert validate_presentation(pres).valid
     assert len(valles_locus(pres).unstable) == 16
     assert 0 < len(calls) < projective_count(7, 5)
+
+
+# ---- recovery against the left kernel of the restricted matrix -------------
+#
+# The per-point recovery that the kept elimination of T replaced, kept as an
+# oracle: the left kernel of the b x a(m-1) restricted matrix at each point.
+
+
+def reference_recovery(pres, lam):
+    kd = left_kernel(pres.restricted_matrix(lam))
+    if kd.nullity != 1:
+        raise NonUniqueQuotient(
+            f"cokernel dimension is {kd.nullity}, recovery needs exactly 1")
+    return normalize_projective(pres.field, kd.kernel[0])
+
+
+def recovery_outcome(recover, pres, lam):
+    """The recovered functional, or the message of the refusal."""
+    try:
+        return recover(pres, lam)
+    except NonUniqueQuotient as exc:
+        return str(exc)
+
+
+def assert_recovery_matches_reference(pres, lams):
+    for lam in lams:
+        assert recovery_outcome(recover_section_point, pres, lam) == \
+            recovery_outcome(reference_recovery, pres, lam)
+
+
+def assert_kept_elimination(pres):
+    """r and K as rank_kernel gives them, R_k = E_k T at the pivots, and
+    the E_k with k >= r independent rows of the left kernel."""
+    r, kernel, pivots, rows = pres._elimination
+    kd = rank_kernel(pres.tensor)
+    assert (r, kernel, tuple(pivots)) == (kd.rank, kd.kernel, kd.pivots)
+    ech = rref(pres.tensor)
+    prod = Matrix.from_rows(pres.field, rows).mul(pres.tensor).entries
+    assert prod[:r] == ech.rows
+    assert not any(map(any, prod[r:]))
+    assert rank(Matrix.from_rows(pres.field, rows)) == pres.dim_u0
+
+
+# P(V)(F_p) of more points than this is checked at its unstable points and a
+# seeded sample of the rest, as the largest spaces (diagonal_ci at 7 and 11)
+# would take seconds a scene
+RECOVERY_CAP = 800
+# the point sets leave general position at the other primes
+RECOVERY_PRIMES = {"seven_on_twisted_cubic": (7, 11),
+                   "seven_general_f11": (11,)}
+
+
+@pytest.mark.parametrize("stem,label,p", [
+    (stem, label, p) for stem, labels, _ in CATALOGUE for label in labels
+    for p in RECOVERY_PRIMES.get(stem, (5, 7, 11))])
+def test_recovery_matches_reference_on_the_catalogue(stem, label, p):
+    scene = load_scene(str(SCENEDIR / f"{stem}.json"))
+    if isinstance(scene, PointSet):
+        pres = dk_presentation(scene, GF(p))
+    else:
+        pres = tautological_presentation(
+            scene, resolve_label(scene, label), GF(p))
+    unstable = [lam for lam, _ in valles_locus(pres).unstable]
+    lams = list(projective_reps(p, pres.dim_v))
+    if len(lams) > RECOVERY_CAP:
+        rest = sorted(set(lams) - set(unstable))
+        lams = unstable + random.Random(f"{stem}:{label}:{p}").sample(
+            rest, max(0, RECOVERY_CAP - len(unstable)))
+    assert_recovery_matches_reference(pres, lams)
+    # psi does not depend on the scale of lam
+    for lam, c in zip(unstable, itertools.cycle(range(2, p))):
+        assert recovery_outcome(recover_section_point, pres,
+                                [c * x for x in lam]) == \
+            recovery_outcome(recover_section_point, pres, lam)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), SHAPES, st.integers(0, 3), st.data())
+@settings(max_examples=120, deadline=None)
+def test_recovery_matches_reference_on_random_tensors(p, shape, deficiency,
+                                                      data):
+    """r = b, b - 1 and below, a = 0 and b < am included: every lam of
+    P(V)(F_p), and one rescaled."""
+    a, m, b = shape
+    r = max(0, min(b, a * m) - deficiency)
+    pres = low_rank_tensor(p, a, m, b, r, data.draw(st.integers(0, 10 ** 6)))
+    assert_kept_elimination(pres)
+    lams = list(projective_reps(p, m))
+    assert_recovery_matches_reference(pres, lams)
+    lam = data.draw(st.sampled_from(lams))
+    c = data.draw(st.integers(1, p - 1))
+    assert recovery_outcome(recover_section_point, pres,
+                            [c * x for x in lam]) == \
+        recovery_outcome(recover_section_point, pres, lam)
