@@ -53,7 +53,7 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      BasepointedSeries, NotGeneralPosition, SchemaError,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
-from .exactfield import (GF, QQ, Matrix, normalize_projective,
+from .exactfield import (GF, QQ, Matrix, eliminate, normalize_projective,
                          projective_reps, rank)
 from .polyalg import (GradedQuotientRing, QuotientPiece, monomial_basis,
                       restrict_right, space_dim)
@@ -128,6 +128,14 @@ def _evaluator(field, term_lists):
 
 def _monomial_terms(monomials):
     return [((m, 1),) for m in monomials]
+
+
+def _independent(field, rows):
+    """Whether rows with entries in the field are linearly independent:
+    one rank-only elimination of copies of them."""
+    work = [list(row) for row in rows]
+    return len(eliminate(work, len(work[0]) if work else 0,
+                         field.characteristic, full=False)) == len(work)
 
 
 def _normalized_phi(field, values, what):
@@ -273,7 +281,7 @@ class SectionRing:
                 smooth = None
                 if forms:
                     jac = [row(params) for row in jacobian]
-                    smooth = rank(Matrix.from_rows(field, jac)) == len(forms)
+                    smooth = _independent(field, jac)
                 phi = _normalized_phi(field, series(params), params)
                 records.append(PointRecord(p, params, phi, smooth))
         return PointEnumeration(p, tuple(records), bool(forms))
@@ -303,7 +311,7 @@ class P1Series(IntegerLabels, SectionRing):
                         f"binary form of degree {a} has {a + 1} coefficients")
             if len(basis) < 2:
                 raise BadClass("a series needs dimension at least 2")
-            if rank(Matrix.from_rows(QQ, basis)) != len(basis):
+            if not _independent(QQ, basis):
                 raise DependentBasis("series basis is linearly dependent")
             # degree-a forms have no common zero over the algebraic
             # closure exactly when their multiples span S_{2a-1}, so the
@@ -733,7 +741,7 @@ class PointSet(IntegerLabels):
         pts = self.reduced_points(field)
         k = min(self.r + 1, len(pts))
         for sub in itertools.combinations(pts, k):
-            if rank(Matrix.from_rows(field, sub)) != k:
+            if not _independent(field, sub):
                 return False
         return True
 

@@ -32,21 +32,26 @@ When a < m, validation contracts T over P(U1) and the instability scan
 contracts K over P(U1*) (when r = b).  Otherwise both contract over
 P(V), the fibers of T and the maps lam |-> K (. (x) lam).
 
-The walk goes line by line.  After e_last, the points are x = (x', t)
-with x' a canonical point of the next smaller projective space and t
-ascending, and the contracted matrices on a line form a pencil
-N(t) = A(x') + t B, B the matrix at e_last.  A pencil leaf,
-`_pencil_leaf`, decides the line.  It eliminates the transpose of N(t)
-from t = 0 until a member C = N(s0) has full column rank; that
-elimination gives C's rank and a basis S of its rows at once.  With
-M = C_S^-1 B_S, a kernel vector at t > s0 needs det(I + (t - s0) M) = 0,
-so only the t = s0 - 1/mu with mu a root of the characteristic
-polynomial of M (Hessenberg reduction, then Horner at every mu in
-F_p*) are eliminated, to verify them.  A line costs a few eliminations
-instead of p.  The eigenvalue leaf is the part of the Kronecker form of
-a pencil (Van Dooren, Linear Algebra Appl. 1979) that this code needs;
-a line with no full-rank member, as on the Fermat quartic where every
-hyperplane is unstable, is decided member by member.
+The walk goes through one vertex q, the first point in enumeration
+order whose contracted matrix B = N(q) has full column rank (e_last on
+generic data).  Every point before q is deficient; a walk with no
+full-rank point, as on the Fermat quartic where every hyperplane is
+unstable, is decided point by point.  Every other point is y + t q on a
+line through q, y a canonical point with y_l = 0, l the lead of q.  Take
+S a basis of the rows of B and R the rest.  One elimination per scan
+gives M_j = B_S^-1 A_S(e_j) and D_j = A_R(e_j) - B_R M_j for each
+coordinate j != l, and along the walk M(y) and D(y) are running sums.
+N(y + t q) has the kernel of M(y) + t I inside ker D(y), so it is
+deficient exactly when -t is an eigenvalue of M(y) on W, the largest
+M(y)-invariant subspace of ker D(y): ker D cut by ker D M^i until it
+stops shrinking.  That is the deflation step of the staircase algorithm
+for the Kronecker form of a pencil (Van Dooren, Linear Algebra Appl.
+1979).  Most lines cost one elimination of D(y).  The characteristic
+polynomial of M on W (Hessenberg reduction, then Horner at every point
+of F_p) is taken only where W != 0, and each of its roots is a deficient
+point, so no candidate is verified.  The points found on the lines are
+sorted into enumeration order, one run of lines with the same y_0 ...
+y_(l-1) at a time; when q = e_last that is one line at a time.
 """
 
 from __future__ import annotations
@@ -152,16 +157,20 @@ def _rank_one_scan(rows, a, m, p, over_u1):
 
     `rows` are sequences of a*m residues mod p, entry i*m + j the
     coefficient of u1_i (x) v_j.  The walk is over the canonical points
-    x of P(U1) when `over_u1`, else of P(V), and the contracted matrix is
-    y |-> row(x (x) y) (resp. row(y (x) x)), one row per tensor.  For each
-    x in enumeration order where that matrix has a kernel, yield x and a
-    basis of its row space, as rows; the kernel has dimension width minus
-    their count.
+    x of P(U1) when `over_u1`, else of P(V), and the contracted matrix
+    N(x) is y |-> row(x (x) y) (resp. row(y (x) x)), one row per tensor.
+    For each x in enumeration order where N(x) has a kernel, yield x and
+    a basis of its row space, as rows; the kernel has dimension width
+    minus their count.
 
-    The points after e_last run line by line: x = (x', t) with x' a
-    canonical point of the smaller projective space and t ascending, and
-    the matrix on a line is the pencil A(x') + t*B, B the matrix at
-    e_last.  `_pencil_leaf` decides each line.
+    The points are taken in order up to the vertex q, the first with
+    N(q) = B of full column rank; those before it are yielded as found.
+    Every later point is y + t*q with y_l = 0, l the lead of q.  With S
+    a basis of the rows of B and R the rest, M(y) = B_S^-1 A_S(y) and the
+    residual D(y) = A_R(y) - B_R M(y), A(y) = N(y), are linear in y, so
+    an odometer in y keeps them as running sums; `_line_shifts` reads
+    the deficient t off them.  The points found past q are sorted into
+    enumeration order and yielded whenever y[:l] changes.
     """
     # images[t]: the rows contracted by the t-th basis vector, row-major;
     # the contraction by x is the sum of x_t images[t]
@@ -174,20 +183,67 @@ def _rank_one_scan(rows, a, m, p, over_u1):
         images = [[y for row in rows for y in row[t::m]] for t in range(m)]
     if not n or not width:
         return
-    pencil = images.pop()
-    basis = _row_basis(pencil, width, p)
-    if len(basis) < width:
-        yield (0,) * (n - 1) + (1,), [pencil[s:s + width] for s in basis]
-    base, prev = [0] * len(pencil), (0,) * (n - 1)
-    for x in projective_reps(p, n - 1):
-        # x runs like an odometer, so the base of the pencil is updated
-        # only at the few coordinates that moved
+    for q, big in _odometer(projective_reps(p, n), images, p):
+        basis = _row_basis(big, width, p)
+        if len(basis) == width:
+            break
+        yield q, [big[s:s + width] for s in basis]
+    else:
+        return
+    lead = q.index(1)
+    others = images[:lead] + images[lead + 1:]
+    # [B_S | A_S(e_j) ...] reduces to [I | M_j ...], j != lead; then
+    # D_j = A_R(e_j) - B_R M_j
+    block = [big[s:s + width] + [y for img in others for y in img[s:s + width]]
+             for s in basis]
+    eliminate(block, n * width, p)
+    tails = [row[width:] for row in block]
+    rest = [r for r in range(0, len(big), width) if r not in basis]
+    for r in rest:
+        row = [y for img in others for y in img[r:r + width]]
+        for c, tail in zip(big[r:r + width], tails):
+            if c:
+                row = [u - c * v for u, v in zip(row, tail)]
+        tails.append(row)
+    # steps[j]: M_j, then D_j, row-major
+    steps = [[y % p for row in tails for y in row[k:k + width]]
+             for k in range(0, (n - 1) * width, width)]
+    found, prefix = [], None
+    for y, cur in _odometer(projective_reps(p, n - 1), steps, p):
+        if y[:lead] != prefix:
+            # the points x found so far all share x[:lead] = prefix and
+            # precede every later one
+            yield from sorted(found)
+            found, prefix = [], y[:lead]
+        y = y[:lead] + (0,) + y[lead:]
+        for t in _line_shifts(cur, width, p):
+            # x = y + t q in canonical form; the points before q came
+            # from the vertex search
+            x = [(u + t * v) % p for u, v in zip(y, q)]
+            inv = pow(next(filter(None, x)), p - 2, p)
+            x = tuple(u * inv % p for u in x)
+            if x > q:
+                # N(x) = [B_S 0; B_R I] [M + tI; D] up to the order of
+                # its rows, so both have one row space
+                flat = cur[:]
+                for k in range(0, width * width, width + 1):
+                    flat[k] = (flat[k] + t) % p
+                basis = _row_basis(flat, width, p)
+                found.append((x, [flat[s:s + width] for s in basis]))
+    yield from sorted(found)
+
+
+def _odometer(points, steps, p):
+    """Each point x with the sum of x_i steps[i] mod p.  The points run
+    like an odometer, so the sum is updated only at the coordinates that
+    moved."""
+    cur, prev = [0] * len(steps[0]) if steps else [], (0,) * len(steps)
+    for x in points:
         for i, d in enumerate(map(sub, x, prev)):
             if d:
-                base = [(s + d * y) % p for s, y in zip(base, images[i])]
+                cur = [(s + d * z) % p for s, z in zip(cur, steps[i])]
         prev = x
-        for t, basis in _pencil_leaf(base, pencil, width, p):
-            yield x + (t,), basis
+        yield x, cur
 
 
 def _row_basis(flat, width, p):
@@ -199,42 +255,48 @@ def _row_basis(flat, width, p):
         full=False)]
 
 
-def _pencil_leaf(base, pencil, width, p):
-    """The t in F_p, ascending, where the pencil base + t*pencil of
-    row-major matrices with `width` columns has a kernel, each with a
-    basis of the row space of that member, as rows.
+def _line_shifts(flat, width, p):
+    """The t in F_p where M + t*I and D have a common kernel vector, M
+    the width x width matrix that `flat` starts with and D the rows after
+    it: the -t that are eigenvalues of M on W, the largest M-invariant
+    subspace of ker D.
 
-    Every member before the first t = s0 of full column rank is
-    deficient.  Past s0, with C the member at s0, S a basis of its rows
-    and M = C_S^-1 B_S (B = pencil), a kernel vector y at t has
-    C_S (I + (t - s0) M) y = 0, so chi_M(mu) = 0 at mu = -1/(t - s0).
-    Only those t are eliminated.
+    W starts as ker D and is cut by ker D M^i, i = 1, 2, ..., until it
+    stops shrinking; that is the deflation step of Van Dooren's
+    staircase.  Only when W != 0 is the characteristic polynomial of M
+    on W taken, and every root in F_p is a shift.
     """
-    def member(t):
-        return [(u + t * v) % p for u, v in zip(base, pencil)] if t else base
-
-    for s0 in range(p):
-        c = member(s0)
-        basis = _row_basis(c, width, p)
-        if len(basis) == width:
+    ww = width * width
+    res = [flat[k:k + width] for k in range(ww, len(flat), width)]
+    pivots = eliminate(res, width, p)
+    if len(pivots) == width:
+        return ()
+    res = res[:len(pivots)]
+    mat = [flat[k:k + width] for k in range(0, ww, width)]
+    fld = GF(p)
+    ys = zs = [list(v) for v in kernel_basis(res, pivots, width, fld)]
+    # ys: a basis of W so far, zs: M^i applied to it
+    while res:
+        zs = [[sum(map(mul, row, z)) % p for row in mat] for z in zs]
+        cut = [[sum(map(mul, row, z)) % p for z in zs] for row in res]
+        pivots = eliminate(cut, len(ys), p)
+        if not pivots:
             break
-        yield s0, [c[s:s + width] for s in basis]
-    else:
-        return
-    # [C_S | B_S] reduces to [I | M]
-    block = [c[s:s + width] + pencil[s:s + width] for s in basis]
-    eliminate(block, 2 * width, p)
-    mus = range(1, p)
-    values = [0] * (p - 1)
-    for coeff in _charpoly([row[width:] for row in block], p):
-        values = [(y * mu + coeff) % p for y, mu in zip(values, mus)]
-    for t in sorted((s0 - pow(mu, p - 2, p)) % p
-                    for mu, y in zip(mus, values) if not y):
-        if t > s0:
-            flat = member(t)
-            basis = _row_basis(flat, width, p)
-            if len(basis) < width:
-                yield t, [flat[s:s + width] for s in basis]
+        if len(pivots) == len(ys):
+            return ()
+        coeffs = kernel_basis(cut, pivots, len(ys), fld)
+        ys = [[sum(map(mul, c, col)) % p for col in zip(*ys)] for c in coeffs]
+        zs = [[sum(map(mul, c, col)) % p for col in zip(*zs)] for c in coeffs]
+    # with the ys in reduced echelon form, the entries of M y at their
+    # pivots are the coordinates of M y in the basis ys: the rows below
+    # make the transpose of M on W, with the same polynomial
+    pivots = eliminate(ys, width, p)
+    restricted = [[sum(map(mul, mat[c], y)) % p for c in pivots] for y in ys]
+    mus = range(p)
+    values = [0] * p
+    for coeff in _charpoly(restricted, p):
+        values = [(v * mu + coeff) % p for v, mu in zip(values, mus)]
+    return [-mu % p for mu, v in zip(mus, values) if not v]
 
 
 def _charpoly(mat, p):

@@ -1098,3 +1098,35 @@ def test_evaluation_functional_at_points_with_a_zero_coordinate(stem):
                 else:
                     assert sc.evaluation_functional(params, label,
                                                     field) == want
+
+
+@given(r=st.integers(1, 3), count=st.integers(1, 6),
+       p=st.sampled_from([0, 2, 3, 5, 7]), data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_general_position_matches_matrix_ranks(r, count, p, data):
+    """The rank-only checks agree with rank(Matrix) on every subset of
+    min(r+1, d) points, over QQ and mod p, including dependent sets."""
+    coords = st.integers(-3, 3) if not p else st.integers(0, p - 1)
+    points = data.draw(st.lists(
+        st.tuples(*[coords] * (r + 1)).filter(any), min_size=count,
+        max_size=count, unique_by=lambda pt: normalize_projective(QQ, pt)))
+    field = GF(p) if p else QQ
+    ps = PointSet(r, points)
+    try:
+        pts = ps.reduced_points(field)
+    except BadPrime:
+        return
+    k = min(r + 1, len(pts))
+    want = all(rank(Matrix.from_rows(field, sub)) == k
+               for sub in itertools.combinations(pts, k))
+    assert ps.in_general_position(field) == want
+    if p == 0 and count >= 2 and r >= 1:
+        # the same rows as a P^1 series basis of degree r
+        try:
+            P1Series(r, points)
+        except DependentBasis:
+            assert rank(Matrix.from_rows(QQ, points)) < count
+        except (BasepointedSeries, BadClass, ShapeMismatch):
+            pass
+        else:
+            assert rank(Matrix.from_rows(QQ, points)) == count

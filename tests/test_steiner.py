@@ -7,6 +7,7 @@ the scroll locus, and hand dimension counts for the rest.
 
 import itertools
 import random
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,13 @@ from steinertorelli import steiner
 from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
                                        kernel_basis, left_kernel,
                                        normalize_projective,
-                                       projective_count, projective_reps,
+                                       projective_count, projective_rank,
+                                       projective_reps, projective_unrank,
                                        rank, rank_kernel, rref)
 from steinertorelli.scenes import P1Series, PointSet, load_scene
 from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
-                                    VallesReport, _charpoly, _rank_one_scan,
+                                    VallesReport, _charpoly, _line_shifts,
+                                    _rank_one_scan, _row_basis,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
                                     validate_presentation, valles_locus)
@@ -427,12 +430,14 @@ def test_engine_matches_reference_on_the_zero_tensor(p, a, m, b):
     assert_engine_matches_reference(pres)
 
 
-# ---- pencil leaves ---------------------------------------------------------
+# ---- the scan through one vertex --------------------------------------------
 #
-# The engine walks lines x = (x', t) and decides each one from the
-# characteristic polynomial of one small matrix.  The helper is checked
-# against determinants and permutation sums, the engine against a scan
-# that eliminates the contracted matrix at every point.
+# The engine walks the lines through one full-rank vertex and decides each
+# one from the rank of a residual, taking a characteristic polynomial only
+# where an invariant subspace survives.  The polynomial is checked against
+# determinants and permutation sums, the engine against a scan that
+# eliminates the contracted matrix at every point and against the pencil
+# leaves it replaced.
 
 
 def det_mod(mat, p):
@@ -555,10 +560,76 @@ def reference_scan(rows, a, m, p, over_u1):
     return out
 
 
-def engine_scan(rows, a, m, p, over_u1):
+def pencil_leaf(base, pencil, width, p):
+    """The t in F_p, ascending, where the pencil base + t*pencil of
+    row-major matrices with `width` columns has a kernel, each with a
+    basis of the row space of that member, as rows.
+
+    Every member before the first t = s0 of full column rank is
+    deficient.  Past s0, with C the member at s0, S a basis of its rows
+    and M = C_S^-1 B_S (B = pencil), a kernel vector y at t has
+    C_S (I + (t - s0) M) y = 0, so chi_M(mu) = 0 at mu = -1/(t - s0).
+    Only those t are eliminated.
+    """
+    def member(t):
+        return [(u + t * v) % p for u, v in zip(base, pencil)] if t else base
+
+    for s0 in range(p):
+        c = member(s0)
+        basis = _row_basis(c, width, p)
+        if len(basis) == width:
+            break
+        yield s0, [c[s:s + width] for s in basis]
+    else:
+        return
+    # [C_S | B_S] reduces to [I | M]
+    block = [c[s:s + width] + pencil[s:s + width] for s in basis]
+    eliminate(block, 2 * width, p)
+    mus = range(1, p)
+    values = [0] * (p - 1)
+    for coeff in _charpoly([row[width:] for row in block], p):
+        values = [(y * mu + coeff) % p for y, mu in zip(values, mus)]
+    for t in sorted((s0 - pow(mu, p - 2, p)) % p
+                    for mu, y in zip(mus, values) if not y):
+        if t > s0:
+            flat = member(t)
+            basis = _row_basis(flat, width, p)
+            if len(basis) < width:
+                yield t, [flat[s:s + width] for s in basis]
+
+
+def pencil_leaf_scan(rows, a, m, p, over_u1):
+    """The pencil-leaf engine that the walk through one vertex replaced,
+    kept as a second oracle: e_last, then the lines (x', t) through it,
+    each decided by `pencil_leaf` with a characteristic polynomial per
+    line and an elimination per candidate."""
+    if over_u1:
+        n, width = a, m
+        images = [[y for row in rows for y in row[t * m:t * m + m]]
+                  for t in range(a)]
+    else:
+        n, width = m, a
+        images = [[y for row in rows for y in row[t::m]] for t in range(m)]
+    if not n or not width:
+        return
+    pencil = images.pop()
+    basis = _row_basis(pencil, width, p)
+    if len(basis) < width:
+        yield (0,) * (n - 1) + (1,), [pencil[s:s + width] for s in basis]
+    base, prev = [0] * len(pencil), (0,) * (n - 1)
+    for x in projective_reps(p, n - 1):
+        for i, d in enumerate(map(sub, x, prev)):
+            if d:
+                base = [(s + d * y) % p for s, y in zip(base, images[i])]
+        prev = x
+        for t, basis in pencil_leaf(base, pencil, width, p):
+            yield x + (t,), basis
+
+
+def engine_scan(rows, a, m, p, over_u1, scan=_rank_one_scan):
     width = m if over_u1 else a
     out = []
-    for x, row_basis in _rank_one_scan(rows, a, m, p, over_u1):
+    for x, row_basis in scan(rows, a, m, p, over_u1):
         # independent rows, fewer than the columns
         work = [list(row) for row in row_basis]
         assert len(eliminate(work, width, p)) == len(row_basis) < width
@@ -569,8 +640,9 @@ def engine_scan(rows, a, m, p, over_u1):
 def assert_scan_matches_reference(mats, width, p):
     for over_u1 in (False, True):
         rows, a, m = pencil_rows(mats, width, over_u1)
-        assert engine_scan(rows, a, m, p, over_u1) == \
-            reference_scan(rows, a, m, p, over_u1)
+        want = reference_scan(rows, a, m, p, over_u1)
+        assert engine_scan(rows, a, m, p, over_u1) == want
+        assert engine_scan(rows, a, m, p, over_u1, pencil_leaf_scan) == want
 
 
 def diagonal_pencil(roots, p, extra=()):
@@ -597,6 +669,9 @@ PENCILS = [
     # chi_M has the roots t = 2 and t = 4, and the third row rules out 4
     ("false_candidate", 7, 2, diagonal_pencil([2, 4], 7,
                                               [([0, 5], [0, 1])])),
+    # as many rows as columns, so D is empty and W is everything: the
+    # shifts are the roots, t = 3 with a kernel of dimension 2
+    ("square", 7, 3, diagonal_pencil([1, 3, 3], 7)),
     # fewer rows than columns, and no rows at all
     ("wide", 5, 3, [[[1, 2, 3], [0, 1, 4]], [[2, 0, 1], [1, 1, 1]]]),
     ("no_rows", 3, 2, [[], []]),
@@ -635,6 +710,173 @@ def test_engine_matches_reference_on_random_pencils(p, n, width, nrows,
             for row in mat:
                 row[col] = 0
     assert_scan_matches_reference(mats, width, p)
+
+
+def vertex_of(rows, a, m, p, over_u1):
+    """The first point of the walked factor where the contracted matrix
+    has full column rank, from the reference scan; None when there is
+    none."""
+    deficient = {x for x, _ in reference_scan(rows, a, m, p, over_u1)}
+    n = a if over_u1 else m
+    return next((x for x in projective_reps(p, n) if x not in deficient),
+                None)
+
+
+def planted(p, width, nres, eigenvalue, vec, draw):
+    """[M; D], the rows of a width x width M and an nres x width D with
+    M vec = eigenvalue * vec and D vec = 0; vec has vec[0] = 1, and the
+    other entries come from draw()."""
+    mat = [[draw() for _ in range(width)] for _ in range(width + nres)]
+    for i, row in enumerate(mat):
+        # fix the first column so that row . vec takes its target value
+        want = eigenvalue * vec[i] if i < width else 0
+        row[0] = (want - sum(x * y for x, y in zip(row[1:], vec[1:]))) % p
+    return mat
+
+
+def identity_over(width, nres):
+    """[I; 0]: a member whose rows S are the first width rows and whose
+    B_R is zero, so M = A_S and D = A_R."""
+    return [[int(i == j) for j in range(width)]
+            for i in range(width + nres)]
+
+
+# Three-member pencils, walked on P^2, whose vertex is not e_last: the
+# points past it are found line by line through the vertex and must be
+# sorted back into enumeration order.
+VERTEX_PENCILS = [
+    # e_last = diag(1, 1, 0) is deficient and N(0, 1, t) = diag(t, t - 1,
+    # 1) too at t = 0, 1, so the vertex is (0, 1, 2)
+    ("vertex_012", 5, 3, (0, 1, 2),
+     [[[1, 2, 0], [0, 1, 3], [2, 0, 1], [1, 1, 4]],
+      [[0, 0, 0], [0, 4, 0], [0, 0, 1], [0, 0, 0]],
+      [[1, 0, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]]),
+    # the last two members share a zero column, so every point with
+    # x_0 = 0 is deficient and the vertex is (1, 0, 0)
+    ("vertex_100", 7, 2, (1, 0, 0),
+     [[[1, 2], [3, 4], [5, 0]],
+      [[0, 1], [0, 2], [0, 3]],
+      [[0, 6], [0, 0], [0, 1]]]),
+    ("vertex_100_p2", 2, 2, (1, 0, 0),
+     [[[1, 0], [1, 1], [0, 1]],
+      [[0, 1], [0, 1], [0, 0]],
+      [[0, 1], [0, 0], [0, 1]]]),
+]
+
+
+@pytest.mark.parametrize("name,p,width,vertex,mats", VERTEX_PENCILS,
+                         ids=[case[0] for case in VERTEX_PENCILS])
+def test_engine_matches_reference_past_a_later_vertex(name, p, width,
+                                                      vertex, mats):
+    for over_u1 in (False, True):
+        rows, a, m = pencil_rows(mats, width, over_u1)
+        assert vertex_of(rows, a, m, p, over_u1) == vertex
+    assert_scan_matches_reference(mats, width, p)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(2, 3),
+       st.integers(1, 4), st.integers(0, 7), st.data())
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_reference_with_e_last_deficient(p, n, width, nrows,
+                                                        data):
+    """A column that is zero in the last member only: e_last is deficient
+    and the vertex, when there is one, lies further on."""
+    entries = st.integers(0, p - 1)
+    mats = [[[data.draw(entries) for _ in range(width)]
+             for _ in range(nrows)] for _ in range(n)]
+    col = data.draw(st.integers(0, width - 1))
+    for row in mats[-1]:
+        row[col] = 0
+    if data.draw(st.booleans()):
+        # and in the one before it: deficient on the whole line x_0 = 0
+        # when n = 3
+        for row in mats[-2]:
+            row[col] = 0
+    assert_scan_matches_reference(mats, width, p)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 4),
+       st.integers(0, 4), st.booleans(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_engine_matches_reference_with_a_planted_eigenvector(p, width, nres,
+                                                             third, data):
+    """A = [M; D] with an eigenvector of M in ker D, over B = [I; 0]: W is
+    not 0 on the line through x' = (1, 0), and the engine must find the
+    shift t = -eigenvalue there.  With `third`, a random member in front
+    turns it into a pencil on P^2."""
+    entries = st.integers(0, p - 1)
+    vec = [1] + [data.draw(entries) for _ in range(width - 1)]
+    eigenvalue = data.draw(entries)
+    mats = [planted(p, width, nres, eigenvalue, vec,
+                    lambda: data.draw(entries)),
+            identity_over(width, nres)]
+    if third:
+        mats.insert(0, [[data.draw(entries) for _ in range(width)]
+                        for _ in range(width + nres)])
+    assert_scan_matches_reference(mats, width, p)
+    rows, a, m = pencil_rows(mats, width, False)
+    x = (0,) * third + (1, -eigenvalue % p)
+    assert x in dict(engine_scan(rows, a, m, p, False))
+
+
+def brute_shifts(flat, width, p):
+    """The t where [M + tI; D] has a kernel, one elimination per t."""
+    rows = [flat[k:k + width] for k in range(0, len(flat), width)]
+    return [t for t in range(p) if kernel_of(
+        [[(x + t * (i == j)) % p for j, x in enumerate(row)]
+         for i, row in enumerate(rows)], width, p)]
+
+
+# (name, p, width, [M; D] rows, shifts, whether W != 0)
+RESIDUALS = [
+    # D has one row and rank 1 < 3 while W = 0: [d; dM; dM^2] spans
+    ("residual_deficient_w0", 7, 3,
+     [[0, 0, 1], [1, 0, 0], [0, 1, 0], [1, 0, 0]], [], False),
+    # ker D = span (1, 2, 3), an eigenvector of M for 4: t = -4
+    ("planted", 7, 3,
+     [[4, 0, 0], [1, 0, 0], [5, 0, 0], [2, 6, 0], [3, 0, 6]], [3], True),
+    # no D: W is everything, and the shifts are minus the eigenvalues
+    ("square", 7, 2, [[1, 0], [0, 3]], [4, 6], True),
+    # W = ker D is M-invariant but M has no eigenvalue on it in F_7
+    ("no_root", 7, 3,
+     [[0, 6, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]], [], True),
+    # D of full rank: decided by one elimination
+    ("full_residual", 5, 2, [[1, 2], [3, 4], [1, 0], [0, 1]], [], False),
+]
+
+
+@pytest.mark.parametrize("name,p,width,rows,shifts,invariant", RESIDUALS,
+                         ids=[case[0] for case in RESIDUALS])
+def test_line_shifts_on_constructed_residuals(monkeypatch, name, p, width,
+                                              rows, shifts, invariant):
+    flat = [x for row in rows for x in row]
+    assert brute_shifts(flat, width, p) == shifts
+    polys = []
+
+    def counting(mat, p):
+        polys.append(len(mat))
+        return _charpoly(mat, p)
+
+    monkeypatch.setattr(steiner, "_charpoly", counting)
+    assert sorted(_line_shifts(flat, width, p)) == shifts
+    assert bool(polys) == invariant
+
+
+@given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 5),
+       st.integers(0, 7), st.booleans(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_line_shifts_match_a_brute_force(p, width, nres, plant, data):
+    entries = st.integers(0, p - 1)
+    if plant:
+        vec = [1] + [data.draw(entries) for _ in range(width - 1)]
+        rows = planted(p, width, nres, data.draw(entries), vec,
+                       lambda: data.draw(entries))
+    else:
+        rows = [[data.draw(entries) for _ in range(width)]
+                for _ in range(width + nres)]
+    flat = [x for row in rows for x in row]
+    assert sorted(_line_shifts(flat, width, p)) == \
+        brute_shifts(flat, width, p)
 
 
 @pytest.mark.parametrize("p,a,m,b,r", [(7, 3, 2, 5, 3), (2, 4, 3, 6, 4),
@@ -680,6 +922,94 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
     assert validate_presentation(pres).valid
     assert len(valles_locus(pres).unstable) == 16
     assert 0 < len(calls) < projective_count(7, 5)
+
+
+def test_no_false_candidates(monkeypatch):
+    """diagonal_ci with K+A at p = 7: after the vertex search, every
+    member the engine eliminates is deficient, and the Valles scan takes
+    fewer than 20 characteristic polynomials for its 400 lines (the pencil
+    leaves took one per line)."""
+    scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
+    pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
+                                     GF(7))
+    full, polys = [], []
+
+    def row_basis(flat, width, p):
+        basis = _row_basis(flat, width, p)
+        full.append(len(basis) == width)
+        return basis
+
+    def charpoly(mat, p):
+        polys.append(len(mat))
+        return _charpoly(mat, p)
+
+    monkeypatch.setattr(steiner, "_row_basis", row_basis)
+    monkeypatch.setattr(steiner, "_charpoly", charpoly)
+    for scan, unstable in ((validate_presentation, 0),
+                           (valles_locus, 16)):
+        full.clear()
+        report = scan(pres)
+        assert len(getattr(report, "unstable", ())) == unstable
+        # the vertex search ends at the first full-rank member: e_last
+        assert full.index(True) == 0
+        assert full[1:] == [False] * unstable
+    assert len(polys) < 20
+
+
+def plant_rank_one(rows, a, m, u, v, p):
+    """The tensor rows changed in one column so that u (x) v is in the
+    kernel: the column of u_i v_j at the leads of u and v is set to minus
+    the combination of the others."""
+    i0, j0 = u.index(1), v.index(1)
+    out = []
+    for row in rows:
+        row = list(row)
+        row[i0 * m + j0] = -sum(
+            u[i] * v[j] * row[i * m + j] for i in range(a)
+            for j in range(m) if (i, j) != (i0, j0)) % p
+        out.append(tuple(row))
+    return out
+
+
+@pytest.mark.parametrize("a,m,b,seed", [(3, 3, 6, 1), (4, 2, 7, 2),
+                                        (2, 4, 6, 3), (3, 2, 5, 4)])
+@pytest.mark.parametrize("before", [True, False],
+                         ids=["before_vertex", "after_vertex"])
+def test_invalid_presentation_matches_the_oracle(monkeypatch, a, m, b, seed,
+                                                before):
+    """A rank-one kernel vector u (x) v planted at e_last of the walked
+    factor, before the vertex, or at a point after it: the report gives
+    the oracle's fibers_scanned and witness either way.  When the walk is
+    over P(V), it stops at the line of the first bad fiber."""
+    p, over_u1 = 7, a < m
+    n = a if over_u1 else m
+    rng = random.Random(seed)
+    rows = [tuple(rng.randrange(p) for _ in range(a * m)) for _ in range(b)]
+    walked = projective_unrank(p, n, 0 if before else
+                               rng.randrange(2, projective_count(p, n)))
+    other = normalize_projective(GF(p), [rng.randrange(1, p) for _ in
+                                         range(m if over_u1 else a)])
+    u, v = (walked, other) if over_u1 else (other, walked)
+    rows = plant_rank_one(rows, a, m, u, v, p)
+    vertex = vertex_of(rows, a, m, p, over_u1)
+    assert vertex is not None and (walked < vertex) == before
+    pres = SteinerPresentation(Matrix(GF(p), b, a * m, tuple(rows)), a, m, b)
+    lines = []
+
+    def counting(flat, width, p):
+        lines.append(None)
+        return _line_shifts(flat, width, p)
+
+    monkeypatch.setattr(steiner, "_line_shifts", counting)
+    report = validate_presentation(pres)
+    assert not report.valid
+    assert report == reference_validation(pres)
+    if not over_u1:
+        assert report.fibers_scanned == projective_rank(p, v) + 1
+        if not before:
+            # v lies on the line through e_last and v[:-1]
+            assert vertex == projective_unrank(p, m, 0)
+            assert len(lines) == projective_rank(p, v[:-1]) + 1
 
 
 # ---- recovery against the left kernel of the restricted matrix -------------
