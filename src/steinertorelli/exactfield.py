@@ -330,7 +330,9 @@ def rank_kernel(m: Matrix) -> KernelData:
 
 def kernel_basis(rows, pivots, ncols, field):
     """The canonical kernel basis of rank_kernel, read off the reduced
-    echelon `rows` and their `pivots`."""
+    echelon `rows` and their `pivots`.  Mod p the rows are residues, as
+    `eliminate` leaves them, so an entry is one `%`."""
+    p = field.characteristic
     pivotset = set(pivots)
     basis = []
     for f in range(ncols):
@@ -338,7 +340,7 @@ def kernel_basis(rows, pivots, ncols, field):
             v = [field.zero] * ncols
             v[f] = field.one
             for row, pc in zip(rows, pivots):
-                v[pc] = field.normalize(-row[f])
+                v[pc] = -row[f] % p if p else field.normalize(-row[f])
             basis.append(tuple(v))
     return tuple(basis)
 

@@ -21,16 +21,20 @@ a basis of ker T and r the rank of T
 the unstable locus is a linear section of the Segre variety
 P(U1*) x P(V*) (Ancona-Ottaviani, Adv. Geom. 2001).  Recovery solves
 psi T = phi (x) lam for the one trivial quotient psi, from one
-elimination of T that the presentation keeps.
+elimination of T that the presentation keeps and the phi that the
+instability scan found at lam.
 
 Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
 walks one projective factor, contracts a set of tensors by each point
 and hands back, at each point where the small matrix that results has a
-kernel, a basis of its row space; a kernel basis is built only where a
-caller reads more than its dimension.  It walks the smaller factor.
-When a < m, validation contracts T over P(U1) and the instability scan
-contracts K over P(U1*) (when r = b).  Otherwise both contract over
-P(V), the fibers of T and the maps lam |-> K (. (x) lam).
+kernel, the dimension of that kernel and a callable that gives its
+reduced echelon basis.  Past the vertex below, the decision of the
+point's line has found that basis already; before it, the callable
+eliminates, so a caller that reads only the dimension pays for no
+kernel.  It walks the smaller factor.  When a < m, validation contracts
+T over P(U1) and the instability scan contracts K over P(U1*) (when
+r = b).  Otherwise both contract over P(V), the fibers of T and the
+maps lam |-> K (. (x) lam).
 
 The walk goes through one vertex q, the first point in enumeration
 order whose contracted matrix B = N(q) has full column rank (e_last on
@@ -49,16 +53,16 @@ for the Kronecker form of a pencil (Van Dooren, Linear Algebra Appl.
 1979).  Most lines cost one elimination of D(y).  The characteristic
 polynomial of M on W (Hessenberg reduction, then Horner at every point
 of F_p) is taken only where W != 0, and each of its roots is a deficient
-point, so no candidate is verified.  The points found on the lines are
-sorted into enumeration order, one run of lines with the same y_0 ...
-y_(l-1) at a time; when q = e_last that is one line at a time.
+point, so no candidate is verified; the kernel there is the eigenspace
+of M on W.  The points found on the lines are sorted into enumeration
+order, one run of lines with the same y_0 ... y_(l-1) at a time; when
+q = e_last that is one line at a time.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
@@ -84,6 +88,10 @@ class SteinerPresentation:
         self.dim_u0 = dim_u0
         self.tensor = tensor
         self.name = name
+        # lam -> a callable that gives the basis (phi,) of ker N(lam), at
+        # each hyperplane of cokernel 1 that the last `valles_locus` of
+        # this presentation found; `recover_section_point` reads it
+        self._phis = {}
 
     @property
     def bundle_rank(self):
@@ -159,18 +167,21 @@ def _rank_one_scan(rows, a, m, p, over_u1):
     coefficient of u1_i (x) v_j.  The walk is over the canonical points
     x of P(U1) when `over_u1`, else of P(V), and the contracted matrix
     N(x) is y |-> row(x (x) y) (resp. row(y (x) x)), one row per tensor.
-    For each x in enumeration order where N(x) has a kernel, yield x and
-    a basis of its row space, as rows; the kernel has dimension width
-    minus their count.
+    For each x in enumeration order where N(x) has a kernel, yield x, the
+    dimension of that kernel and a callable that gives its reduced
+    echelon basis.
 
     The points are taken in order up to the vertex q, the first with
-    N(q) = B of full column rank; those before it are yielded as found.
-    Every later point is y + t*q with y_l = 0, l the lead of q.  With S
-    a basis of the rows of B and R the rest, M(y) = B_S^-1 A_S(y) and the
-    residual D(y) = A_R(y) - B_R M(y), A(y) = N(y), are linear in y, so
-    an odometer in y keeps them as running sums; `_line_shifts` reads
-    the deficient t off them.  The points found past q are sorted into
-    enumeration order and yielded whenever y[:l] changes.
+    N(q) = B of full column rank; those before it are yielded as found,
+    and their callable eliminates N(x), so a caller that reads only the
+    dimension pays for no kernel.  Every later point is y + t*q with
+    y_l = 0, l the lead of q.  With S a basis of the rows of B and R the
+    rest, M(y) = B_S^-1 A_S(y) and the residual D(y) = A_R(y) - B_R M(y),
+    A(y) = N(y), are linear in y, so an odometer in y keeps them as
+    running sums; `_line_shifts` reads the deficient t and their kernels
+    off them, and the callable hands the kernel back.  The points found
+    past q are sorted into enumeration order and yielded whenever y[:l]
+    changes.
     """
     # images[t]: the rows contracted by the t-th basis vector, row-major;
     # the contraction by x is the sum of x_t images[t]
@@ -187,7 +198,7 @@ def _rank_one_scan(rows, a, m, p, over_u1):
         basis = _row_basis(big, width, p)
         if len(basis) == width:
             break
-        yield q, [big[s:s + width] for s in basis]
+        yield q, width - len(basis), partial(_reduced_kernel, big, width, p)
     else:
         return
     lead = q.index(1)
@@ -216,7 +227,7 @@ def _rank_one_scan(rows, a, m, p, over_u1):
             yield from sorted(found)
             found, prefix = [], y[:lead]
         y = y[:lead] + (0,) + y[lead:]
-        for t in _line_shifts(cur, width, p):
+        for t, kernel in _line_shifts(cur, width, p):
             # x = y + t q in canonical form; the points before q came
             # from the vertex search
             x = [(u + t * v) % p for u, v in zip(y, q)]
@@ -224,12 +235,9 @@ def _rank_one_scan(rows, a, m, p, over_u1):
             x = tuple(u * inv % p for u in x)
             if x > q:
                 # N(x) = [B_S 0; B_R I] [M + tI; D] up to the order of
-                # its rows, so both have one row space
-                flat = cur[:]
-                for k in range(0, width * width, width + 1):
-                    flat[k] = (flat[k] + t) % p
-                basis = _row_basis(flat, width, p)
-                found.append((x, [flat[s:s + width] for s in basis]))
+                # its rows, so both have one kernel; partial(tuple, k)
+                # hands k back
+                found.append((x, len(kernel), partial(tuple, kernel)))
     yield from sorted(found)
 
 
@@ -258,13 +266,15 @@ def _row_basis(flat, width, p):
 def _line_shifts(flat, width, p):
     """The t in F_p where M + t*I and D have a common kernel vector, M
     the width x width matrix that `flat` starts with and D the rows after
-    it: the -t that are eigenvalues of M on W, the largest M-invariant
-    subspace of ker D.
+    it, each with the reduced echelon basis of that common kernel: the
+    -t that are eigenvalues of M on W, the largest M-invariant subspace
+    of ker D, and their eigenspaces.
 
     W starts as ker D and is cut by ker D M^i, i = 1, 2, ..., until it
     stops shrinking; that is the deflation step of Van Dooren's
     staircase.  Only when W != 0 is the characteristic polynomial of M
-    on W taken, and every root in F_p is a shift.
+    on W taken, and every root in F_p is a shift; its eigenspace costs
+    one elimination of at most dim W rows.
     """
     ww = width * width
     res = [flat[k:k + width] for k in range(ww, len(flat), width)]
@@ -296,7 +306,24 @@ def _line_shifts(flat, width, p):
     values = [0] * p
     for coeff in _charpoly(restricted, p):
         values = [(v * mu + coeff) % p for v, mu in zip(values, mus)]
-    return [-mu % p for mu, v in zip(mus, values) if not v]
+    return [(-mu % p, _eigenspace(restricted, ys, mu, p))
+            for mu, v in zip(mus, values) if not v]
+
+
+def _eigenspace(restricted, ys, mu, p):
+    """The reduced echelon basis of the eigenspace at mu of M on W, from
+    the reduced echelon basis `ys` of W and the transpose `restricted` of
+    M on W in it.
+
+    The eigenspace is the combinations sum c_i ys_i with c (restricted -
+    mu I) = 0, and a basis of such c in reduced echelon form gives one of
+    the combinations, because ys is in reduced echelon form.
+    """
+    k = len(ys)
+    cs = _reduced_kernel([(restricted[i][j] - mu * (i == j)) % p
+                          for j in range(k) for i in range(k)], k, p)
+    return tuple(tuple(sum(map(mul, c, col)) % p for col in zip(*ys))
+                 for c in cs)
 
 
 def _charpoly(mat, p):
@@ -348,13 +375,14 @@ def _charpoly(mat, p):
     return polys[n][::-1]
 
 
-def _reduced_kernel(rows, width, p):
-    """The reduced echelon basis of the kernel of the matrix with the
-    given rows, as a tuple of tuples; the rows are eliminated in place."""
-    pivots = eliminate(rows, width, p)
-    basis = [list(v) for v in kernel_basis(rows, pivots, width, GF(p))]
-    eliminate(basis, width, p)
-    return tuple(map(tuple, basis))
+def _reduced_kernel(flat, width, p):
+    """The reduced echelon basis of the kernel of a row-major matrix with
+    `width` columns, as a tuple of tuples, from one elimination: the
+    canonical kernel basis of the matrix eliminated from its last column
+    to its first is in reduced echelon form, read backwards."""
+    work = [flat[k:k + width][::-1] for k in range(0, len(flat), width)]
+    basis = kernel_basis(work, eliminate(work, width, p), width, GF(p))
+    return tuple(v[::-1] for v in reversed(basis))
 
 
 def _span_points(basis, p):
@@ -407,11 +435,11 @@ def validate_presentation(pres: SteinerPresentation) -> ValidationReport:
     if a < m:
         # canonical points sort in enumeration order, and the least
         # point of a subspace is the last row of its reduced echelon basis
-        bad = min((_reduced_kernel(basis, m, p)[-1] for _, basis in
+        bad = min((kernel()[-1] for _, _, kernel in
                    _rank_one_scan(rows, a, m, p, over_u1=True)),
                   default=None)
     else:
-        bad = next((v for v, _ in
+        bad = next((v for v, _, _ in
                     _rank_one_scan(rows, a, m, p, over_u1=False)), None)
     if bad is None:
         return ValidationReport(p, True, projective_count(p, m), None)
@@ -449,6 +477,10 @@ def recover_section_point(pres: SteinerPresentation, lam):
     the coefficients of phi (x) lam at the pivot columns c_k; when
     r = b - 1 and phi is 0, psi spans the left kernel of T.  The scale
     of lam does not matter.
+
+    Where `valles_locus` has run on the presentation, phi is the one its
+    walk found at lam, so N(lam) is solved only at a lam that no scan
+    recorded: before any scan, or at a rescaled lam.
     """
     r, kernel, pivots, rows = pres._elimination
     p = pres.field.characteristic
@@ -456,9 +488,13 @@ def recover_section_point(pres: SteinerPresentation, lam):
     lam = pres._coords(lam)
     if not any(lam):
         raise ZeroPoint("the zero functional defines no hyperplane")
-    n_lam = [[sum(map(mul, vec[i:i + m], lam)) % p
-              for i in range(0, a * m, m)] for vec in kernel]
-    phis = kernel_basis(n_lam, eliminate(n_lam, a, p), a, pres.field)
+    found = pres._phis.get(tuple(lam))
+    if found:
+        phis = found()
+    else:
+        n_lam = [[sum(map(mul, vec[i:i + m], lam)) % p
+                  for i in range(0, a * m, m)] for vec in kernel]
+        phis = kernel_basis(n_lam, eliminate(n_lam, a, p), a, pres.field)
     coker = b - r + len(phis)
     if coker != 1:
         raise NonUniqueQuotient(
@@ -492,24 +528,35 @@ class VallesReport:
 def valles_locus(pres: SteinerPresentation) -> VallesReport:
     """Every unstable point of P(V)(F_p) with its cokernel dimension, in
     enumeration order, p the characteristic of the presentation's field;
-    `scanned` counts the hyperplanes decided."""
+    `scanned` counts the hyperplanes decided.  The phi it finds at the
+    hyperplanes of cokernel 1 are kept on the presentation for
+    `recover_section_point`."""
     p = _scan_prime(pres)
     a, m, b = pres.dim_u1, pres.dim_v, pres.dim_u0
     r, kernel, _, _ = pres._elimination
     if a < m and r == b:
-        seen = Counter(lam for _, basis in
-                       _rank_one_scan(kernel, a, m, p, over_u1=True)
-                       for lam in _span_points(_reduced_kernel(basis, m, p),
-                                               p))
+        seen = {}
+        for phi, _, lam_basis in _rank_one_scan(kernel, a, m, p,
+                                                over_u1=True):
+            for lam in _span_points(lam_basis(), p):
+                seen.setdefault(lam, []).append(phi)
         # lam turns up once per point of P(ker N(lam)), N(lam) the map
-        # phi |-> K (phi (x) lam), and coker(lam) = dim ker N(lam) <= a
+        # phi |-> K (phi (x) lam), and coker(lam) = dim ker N(lam) <= a;
+        # partial(tuple, k) hands k back
         dims = {projective_count(p, c): c for c in range(1, a + 1)}
-        found = [(lam, dims[count]) for lam, count in sorted(seen.items())]
+        found = [(lam, dims[len(phis)]) for lam, phis in sorted(seen.items())]
+        pres._phis = {lam: partial(tuple, phis)
+                      for lam, phis in seen.items() if len(phis) == 1}
     else:
         # coker(lam) = (b - r) + dim ker N(lam), N(lam) the map
         # phi |-> K (phi (x) lam): when r < b every lam is unstable
-        nullity = {lam: a - len(basis) for lam, basis in
-                   _rank_one_scan(kernel, a, m, p, over_u1=False)}
+        nullity, phis = {}, {}
+        for lam, dim, phi_basis in _rank_one_scan(kernel, a, m, p,
+                                                  over_u1=False):
+            nullity[lam] = dim
+            if dim == 1:
+                phis[lam] = phi_basis
+        pres._phis = phis if r == b else {}
         found = [(lam, b - r + nullity.get(lam, 0)) for lam in
                  (projective_reps(p, m) if r < b else nullity)]
     return VallesReport(p, projective_count(p, m), tuple(found))

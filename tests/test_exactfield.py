@@ -421,6 +421,33 @@ def test_qq_rref_and_kernel_match_fraction_reference(m):
     assert all(type(x) is Fraction for v in kd.kernel for x in v)
 
 
+@given(st.sampled_from([2, 3, 5, 7, 13, 2 ** 31 - 1]), st.integers(0, 6),
+       st.integers(1, 7), st.data())
+@settings(max_examples=200, deadline=None)
+def test_gf_kernel_basis_matches_rank_kernel(p, nrows, ncols, data):
+    """kernel_basis mod p, read off rows that `eliminate` reduced, against
+    rank_kernel of the Matrix and the entry-by-entry normalized formula:
+    residues, the canonical form, and M v = 0."""
+    # mostly zeros at times, so that columns are free or rows dependent
+    entries = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    rows = [[data.draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    m = Matrix(GF(p), nrows, ncols, tuple(map(tuple, rows)))
+    work = [list(row) for row in rows]
+    pivots = eliminate(work, ncols, p)
+    basis = kernel_basis(work, pivots, ncols, GF(p))
+    assert basis == rank_kernel(m).kernel
+    assert len(basis) == ncols - len(pivots)
+    free = [f for f in range(ncols) if f not in pivots]
+    for f, v in zip(free, basis):
+        want = [0] * ncols
+        want[f] = 1
+        for row, pc in zip(work, pivots):
+            want[pc] = GF(p).normalize(-row[f])
+        assert v == tuple(want)
+        assert all(type(x) is int and 0 <= x < p for x in v)
+        assert mat_vec(m, v) == (0,) * nrows
+
+
 # ---- projective enumeration ---------------------------------------------
 
 @pytest.mark.parametrize("p,m", [(2, 3), (3, 2), (5, 3), (7, 2)])

@@ -7,6 +7,7 @@ the scroll locus, and hand dimension counts for the rest.
 
 import itertools
 import random
+from functools import partial
 from operator import sub
 from pathlib import Path
 
@@ -360,6 +361,16 @@ def assert_engine_matches_reference(pres):
 
 SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
 
+def catalogue_presentation(stem, label, p):
+    """A fresh presentation over GF(p) of a catalogue scene: the
+    tautological one for B = label, or the dk one of a point set."""
+    scene = load_scene(str(SCENEDIR / f"{stem}.json"))
+    if isinstance(scene, PointSet):
+        return dk_presentation(scene, GF(p))
+    return tautological_presentation(scene, resolve_label(scene, label),
+                                     GF(p))
+
+
 # labels on both sides of a < m, and dk presentations (a = 2 or 3, m = 4)
 # at primes where their points stay in general position
 CATALOGUE = [
@@ -380,13 +391,7 @@ CATALOGUE = [
     (stem, label, p) for stem, labels, primes in CATALOGUE
     for label in labels for p in primes])
 def test_engine_matches_reference_on_the_catalogue(stem, label, p):
-    scene = load_scene(str(SCENEDIR / f"{stem}.json"))
-    if isinstance(scene, PointSet):
-        pres = dk_presentation(scene, GF(p))
-    else:
-        pres = tautological_presentation(
-            scene, resolve_label(scene, label), GF(p))
-    assert_engine_matches_reference(pres)
+    assert_engine_matches_reference(catalogue_presentation(stem, label, p))
 
 
 SHAPES = st.tuples(st.integers(0, 4), st.integers(1, 4), st.integers(0, 5))
@@ -546,15 +551,23 @@ def kernel_of(mat, width, p):
     return kernel_basis(work, eliminate(work, width, p), width, GF(p))
 
 
+def reduced_kernel_of(mat, width, p):
+    """The reduced echelon basis of the kernel, as a tuple of tuples."""
+    basis = [list(v) for v in kernel_of(mat, width, p)]
+    eliminate(basis, width, p)
+    return tuple(map(tuple, basis))
+
+
 def reference_scan(rows, a, m, p, over_u1):
-    """The deficient points and their kernels, one elimination per point."""
+    """The deficient points and the reduced echelon bases of their
+    kernels, one elimination per point."""
     n, width = (a, m) if over_u1 else (m, a)
     out = []
     for x in projective_reps(p, n):
         mat = [[sum(x[t] * row[t * m + j if over_u1 else j * m + t]
                     for t in range(n)) % p for j in range(width)]
                for row in rows]
-        basis = kernel_of(mat, width, p)
+        basis = reduced_kernel_of(mat, width, p)
         if basis:
             out.append((x, basis))
     return out
@@ -602,7 +615,9 @@ def pencil_leaf_scan(rows, a, m, p, over_u1):
     """The pencil-leaf engine that the walk through one vertex replaced,
     kept as a second oracle: e_last, then the lines (x', t) through it,
     each decided by `pencil_leaf` with a characteristic polynomial per
-    line and an elimination per candidate."""
+    line and an elimination per candidate.  It yields as the engine
+    does: each point with the dimension of its kernel and a callable that
+    gives the kernel's reduced echelon basis."""
     if over_u1:
         n, width = a, m
         images = [[y for row in rows for y in row[t * m:t * m + m]]
@@ -612,10 +627,15 @@ def pencil_leaf_scan(rows, a, m, p, over_u1):
         images = [[y for row in rows for y in row[t::m]] for t in range(m)]
     if not n or not width:
         return
+    def leaf(x, basis):
+        return x, width - len(basis), partial(reduced_kernel_of, basis,
+                                              width, p)
+
     pencil = images.pop()
     basis = _row_basis(pencil, width, p)
     if len(basis) < width:
-        yield (0,) * (n - 1) + (1,), [pencil[s:s + width] for s in basis]
+        yield leaf((0,) * (n - 1) + (1,),
+                   [pencil[s:s + width] for s in basis])
     base, prev = [0] * len(pencil), (0,) * (n - 1)
     for x in projective_reps(p, n - 1):
         for i, d in enumerate(map(sub, x, prev)):
@@ -623,17 +643,18 @@ def pencil_leaf_scan(rows, a, m, p, over_u1):
                 base = [(s + d * y) % p for s, y in zip(base, images[i])]
         prev = x
         for t, basis in pencil_leaf(base, pencil, width, p):
-            yield x + (t,), basis
+            yield leaf(x + (t,), basis)
 
 
 def engine_scan(rows, a, m, p, over_u1, scan=_rank_one_scan):
-    width = m if over_u1 else a
+    """The points a scan yields with the kernels it hands out, each read
+    twice: the callable gives one reduced echelon basis each time."""
     out = []
-    for x, row_basis in scan(rows, a, m, p, over_u1):
-        # independent rows, fewer than the columns
-        work = [list(row) for row in row_basis]
-        assert len(eliminate(work, width, p)) == len(row_basis) < width
-        out.append((x, kernel_of(row_basis, width, p)))
+    for x, nullity, kernel in scan(rows, a, m, p, over_u1):
+        basis = kernel()
+        assert kernel() == basis
+        assert 0 < len(basis) == nullity
+        out.append((x, basis))
     return out
 
 
@@ -820,11 +841,17 @@ def test_engine_matches_reference_with_a_planted_eigenvector(p, width, nres,
 
 
 def brute_shifts(flat, width, p):
-    """The t where [M + tI; D] has a kernel, one elimination per t."""
+    """The t where [M + tI; D] has a kernel, each with the reduced echelon
+    basis of that kernel, one elimination per t."""
     rows = [flat[k:k + width] for k in range(0, len(flat), width)]
-    return [t for t in range(p) if kernel_of(
-        [[(x + t * (i == j)) % p for j, x in enumerate(row)]
-         for i, row in enumerate(rows)], width, p)]
+    out = []
+    for t in range(p):
+        basis = reduced_kernel_of(
+            [[(x + t * (i == j)) % p for j, x in enumerate(row)]
+             for i, row in enumerate(rows)], width, p)
+        if basis:
+            out.append((t, basis))
+    return out
 
 
 # (name, p, width, [M; D] rows, shifts, whether W != 0)
@@ -842,6 +869,13 @@ RESIDUALS = [
      [[0, 6, 0], [1, 0, 0], [0, 0, 1], [0, 0, 1]], [], True),
     # D of full rank: decided by one elimination
     ("full_residual", 5, 2, [[1, 2], [3, 4], [1, 0], [0, 1]], [], False),
+    # W = ker D of dimension 2, where M = 2I: one shift t = -2 whose
+    # kernel is all of W, ((1, 0, 4), (0, 1, 4)) in reduced form
+    ("eigenspace_is_w", 5, 3,
+     [[2, 0, 0], [0, 2, 0], [0, 0, 2], [1, 1, 1]], [3], True),
+    # W = ker D = span ((1, 6, 0), (0, 0, 1)) with the eigenvalues 1 and 3
+    ("two_eigenvalues_on_w", 7, 3,
+     [[1, 0, 0], [0, 1, 0], [0, 0, 3], [1, 1, 0]], [4, 6], True),
 ]
 
 
@@ -850,7 +884,8 @@ RESIDUALS = [
 def test_line_shifts_on_constructed_residuals(monkeypatch, name, p, width,
                                               rows, shifts, invariant):
     flat = [x for row in rows for x in row]
-    assert brute_shifts(flat, width, p) == shifts
+    brute = brute_shifts(flat, width, p)
+    assert [t for t, _ in brute] == shifts
     polys = []
 
     def counting(mat, p):
@@ -858,7 +893,7 @@ def test_line_shifts_on_constructed_residuals(monkeypatch, name, p, width,
         return _charpoly(mat, p)
 
     monkeypatch.setattr(steiner, "_charpoly", counting)
-    assert sorted(_line_shifts(flat, width, p)) == shifts
+    assert sorted(_line_shifts(flat, width, p)) == brute
     assert bool(polys) == invariant
 
 
@@ -925,35 +960,42 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
 
 
 def test_no_false_candidates(monkeypatch):
-    """diagonal_ci with K+A at p = 7: after the vertex search, every
-    member the engine eliminates is deficient, and the Valles scan takes
-    fewer than 20 characteristic polynomials for its 400 lines (the pencil
-    leaves took one per line)."""
+    """diagonal_ci with K+A at p = 7: the vertex search eliminates e_last
+    only, no member of a line past it is eliminated, the one kernel
+    elimination per point found past it is of M on W at an eigenvalue
+    (square, of the size of a characteristic polynomial taken), and the
+    Valles scan takes fewer than 20 characteristic polynomials for its
+    400 lines (the pencil leaves took one per line)."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
-    full, polys = [], []
+    calls = {"_row_basis": [], "_reduced_kernel": [], "_charpoly": []}
 
-    def row_basis(flat, width, p):
-        basis = _row_basis(flat, width, p)
-        full.append(len(basis) == width)
-        return basis
+    def counting(name):
+        func = getattr(steiner, name)
 
-    def charpoly(mat, p):
-        polys.append(len(mat))
-        return _charpoly(mat, p)
+        def wrapped(mat, width, *args):
+            calls[name].append((len(mat), width))
+            return func(mat, width, *args)
+        monkeypatch.setattr(steiner, name, wrapped)
 
-    monkeypatch.setattr(steiner, "_row_basis", row_basis)
-    monkeypatch.setattr(steiner, "_charpoly", charpoly)
+    for name in calls:
+        counting(name)
     for scan, unstable in ((validate_presentation, 0),
                            (valles_locus, 16)):
-        full.clear()
+        calls["_row_basis"].clear()
+        calls["_reduced_kernel"].clear()
         report = scan(pres)
         assert len(getattr(report, "unstable", ())) == unstable
-        # the vertex search ends at the first full-rank member: e_last
-        assert full.index(True) == 0
-        assert full[1:] == [False] * unstable
-    assert len(polys) < 20
+        # the vertex search ends at the first member, e_last, of full rank
+        assert len(calls["_row_basis"]) == 1
+        dims_w = {size for size, _ in calls["_charpoly"]}
+        assert len(calls["_reduced_kernel"]) == unstable
+        assert all(size == width * width and width in dims_w
+                   for size, width in calls["_reduced_kernel"])
+    # recovery reads the kernels the scan handed out
+    assert len(pres._phis) == 16
+    assert len(calls["_charpoly"]) < 20
 
 
 def plant_rank_one(rows, a, m, u, v, p):
@@ -1034,10 +1076,36 @@ def recovery_outcome(recover, pres, lam):
         return str(exc)
 
 
-def assert_recovery_matches_reference(pres, lams):
-    for lam in lams:
-        assert recovery_outcome(recover_section_point, pres, lam) == \
-            recovery_outcome(reference_recovery, pres, lam)
+def assert_recovery_matches_reference(pres, lams, unscaled):
+    """Recovery at each lam of `lams`, then at each lam of `unscaled`
+    times a scalar other than 1 (where F_p has one), on a fresh
+    presentation, after one scan and after a second.  Every time the same
+    psi or the same refusal message: the reference's at `lams`, and at a
+    rescaled lam the same as at lam.  After a scan the presentation holds
+    a phi at exactly the hyperplanes of cokernel 1 when r = b, and at none
+    when r < b."""
+    p = pres.field.characteristic
+    scaled = [[c * x for x in lam]
+              for lam, c in zip(unscaled, itertools.cycle(range(2, p)))]
+
+    def outcomes():
+        return [recovery_outcome(recover_section_point, pres, lam)
+                for lam in lams + scaled]
+
+    assert not pres._phis
+    before = outcomes()
+    assert before[:len(lams)] == [recovery_outcome(reference_recovery, pres,
+                                                   lam) for lam in lams]
+    assert before[len(lams):] == [recovery_outcome(recover_section_point,
+                                                   pres, lam)
+                                  for lam in unscaled[:len(scaled)]]
+    r = pres._elimination[0]
+    for _ in range(2):
+        report = valles_locus(pres)
+        ones = {lam for lam, coker in report.unstable if coker == 1}
+        assert set(pres._phis) == (ones if r == pres.dim_u0 else set())
+        assert outcomes() == before
+    return before
 
 
 def assert_kept_elimination(pres):
@@ -1066,24 +1134,15 @@ RECOVERY_PRIMES = {"seven_on_twisted_cubic": (7, 11),
     (stem, label, p) for stem, labels, _ in CATALOGUE for label in labels
     for p in RECOVERY_PRIMES.get(stem, (5, 7, 11))])
 def test_recovery_matches_reference_on_the_catalogue(stem, label, p):
-    scene = load_scene(str(SCENEDIR / f"{stem}.json"))
-    if isinstance(scene, PointSet):
-        pres = dk_presentation(scene, GF(p))
-    else:
-        pres = tautological_presentation(
-            scene, resolve_label(scene, label), GF(p))
-    unstable = [lam for lam, _ in valles_locus(pres).unstable]
+    unstable = [lam for lam, _ in valles_locus(
+        catalogue_presentation(stem, label, p)).unstable]
+    pres = catalogue_presentation(stem, label, p)
     lams = list(projective_reps(p, pres.dim_v))
     if len(lams) > RECOVERY_CAP:
         rest = sorted(set(lams) - set(unstable))
         lams = unstable + random.Random(f"{stem}:{label}:{p}").sample(
             rest, max(0, RECOVERY_CAP - len(unstable)))
-    assert_recovery_matches_reference(pres, lams)
-    # psi does not depend on the scale of lam
-    for lam, c in zip(unstable, itertools.cycle(range(2, p))):
-        assert recovery_outcome(recover_section_point, pres,
-                                [c * x for x in lam]) == \
-            recovery_outcome(recover_section_point, pres, lam)
+    assert_recovery_matches_reference(pres, lams, unstable)
 
 
 @given(st.sampled_from([2, 3, 5, 7]), SHAPES, st.integers(0, 3), st.data())
@@ -1091,15 +1150,57 @@ def test_recovery_matches_reference_on_the_catalogue(stem, label, p):
 def test_recovery_matches_reference_on_random_tensors(p, shape, deficiency,
                                                       data):
     """r = b, b - 1 and below, a = 0 and b < am included: every lam of
-    P(V)(F_p), and one rescaled."""
+    P(V)(F_p), and each of them rescaled."""
     a, m, b = shape
     r = max(0, min(b, a * m) - deficiency)
     pres = low_rank_tensor(p, a, m, b, r, data.draw(st.integers(0, 10 ** 6)))
     assert_kept_elimination(pres)
     lams = list(projective_reps(p, m))
-    assert_recovery_matches_reference(pres, lams)
-    lam = data.draw(st.sampled_from(lams))
-    c = data.draw(st.integers(1, p - 1))
-    assert recovery_outcome(recover_section_point, pres,
-                            [c * x for x in lam]) == \
-        recovery_outcome(recover_section_point, pres, lam)
+    assert_recovery_matches_reference(pres, lams, lams)
+
+
+# ---- recovery that reads the scan -------------------------------------------
+#
+# After `valles_locus`, recovery reads the phi the scan found at each
+# hyperplane of cokernel 1 instead of solving N(lam); the helper above runs
+# every recovery check with and without a prior scan.
+
+
+@pytest.mark.parametrize("degree,p", [(4, 5), (3, 7)])
+def test_recovery_reads_the_scan_on_a_direct_sum(degree, p):
+    """The block sum of the presentation of a rational normal curve (B =
+    O(5)) with itself: cokernel 2 at every curve point, where recovery
+    must refuse with and without a scan; a < m for the quartic and
+    a >= m for the cubic."""
+    a, m, b = 6 - degree, degree + 1, 6
+    tensor = P1Series(degree).multiplication_map(5 - degree, degree, GF(p))
+    pad = (0,) * (a * m)
+    rows = [row + pad for row in tensor.entries] + \
+        [pad + row for row in tensor.entries]
+    pres = SteinerPresentation(Matrix.from_rows(GF(p), rows), 2 * a, m, 2 * b)
+    assert (2 * a < m) == (degree == 4) and pres._elimination[0] == 2 * b
+    points = [rec.phi for rec in P1Series(degree).enumerate_points(p).records]
+    outcomes = assert_recovery_matches_reference(
+        pres, list(projective_reps(p, m)), points)
+    assert dict(valles_locus(pres).unstable)[points[0]] == 2
+    assert "cokernel dimension is 2, recovery needs exactly 1" in outcomes
+
+
+def test_recovery_after_the_scan_eliminates_nothing(monkeypatch):
+    """The twisted cubic with B = O(5) at p = 13 (a < m, r = b): after the
+    scan, recovery at every image point reads the scan's phi and makes
+    no elimination."""
+    pres = tc_presentation(p=13)
+    valles_locus(pres)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(steiner, "eliminate", counting)
+    points = [rec.phi for rec in P1Series(3).enumerate_points(13).records]
+    assert len(points) == 14
+    for lam in points:
+        recover_section_point(pres, lam)
+    assert not calls
