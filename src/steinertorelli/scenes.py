@@ -706,17 +706,22 @@ class PointSet(IntegerLabels):
         return self.count if i == 0 else 0
 
     def reduced_points(self, field):
-        """Normalized representatives over the working field; refuses a
-        prime where points collide or degenerate."""
-        out = []
-        for row in self.points:
-            nv = normalize_projective(field, row)
-            if nv is None:
-                raise BadPrime(f"a point reduces to zero over {field}")
-            out.append(nv)
-        if len(set(out)) != len(out):
-            raise BadPrime(f"two points collide over {field}")
-        return tuple(out)
+        """Normalized representatives over the working field, kept per
+        field; refuses a prime where points collide or degenerate, each
+        time it is asked."""
+        reduced = vars(self).setdefault("_reduced", {})
+        got = reduced.get(field)
+        if got is None:
+            out = []
+            for row in self.points:
+                nv = normalize_projective(field, row)
+                if nv is None:
+                    raise BadPrime(f"a point reduces to zero over {field}")
+                out.append(nv)
+            if len(set(out)) != len(out):
+                raise BadPrime(f"two points collide over {field}")
+            got = reduced[field] = tuple(out)
+        return got
 
     def evaluation_matrix(self, k, field):
         """d x dim S_k matrix of degree-k monomial values at the points."""
@@ -737,13 +742,17 @@ class PointSet(IntegerLabels):
                 "points are not in linear general position")
 
     def in_general_position(self, field=QQ):
-        """Every subset of min(r+1, d) points spans."""
-        pts = self.reduced_points(field)
-        k = min(self.r + 1, len(pts))
-        for sub in itertools.combinations(pts, k):
-            if not _independent(field, sub):
-                return False
-        return True
+        """Every subset of min(r+1, d) points spans.  The verdict is kept
+        per field."""
+        verdicts = vars(self).setdefault("_general", {})
+        got = verdicts.get(field)
+        if got is None:
+            pts = self.reduced_points(field)
+            k = min(self.r + 1, len(pts))
+            got = verdicts[field] = all(
+                _independent(field, sub)
+                for sub in itertools.combinations(pts, k))
+        return got
 
     def enumerate_points(self, p):
         field = GF(p)

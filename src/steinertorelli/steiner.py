@@ -28,41 +28,48 @@ Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
 walks one projective factor, contracts a set of tensors by each point
 and hands back, at each point where the small matrix that results has a
 kernel, the dimension of that kernel and a callable that gives its
-reduced echelon basis.  Past the vertex below, the decision of the
-point's line has found that basis already; before it, the callable
-eliminates, so a caller that reads only the dimension pays for no
-kernel.  It walks the smaller factor.  When a < m, validation contracts
-T over P(U1) and the instability scan contracts K over P(U1*) (when
-r = b).  Otherwise both contract over P(V), the fibers of T and the
-maps lam |-> K (. (x) lam).
+reduced echelon basis.  Where the decision of the point's line has found
+that basis already, the callable hands it back; elsewhere it eliminates
+the point's matrix, which it builds from the point, so a caller that
+reads only the dimension pays for no kernel.  It walks the smaller
+factor.  When a < m, validation contracts T over P(U1) and the
+instability scan contracts K over P(U1*) (when r = b).  Otherwise both
+contract over P(V), the fibers of T and the maps lam |-> K (. (x) lam).
 
-The walk goes through one vertex q, the first point in enumeration
-order whose contracted matrix B = N(q) has full column rank (e_last on
-generic data).  Every point before q is deficient; a walk with no
-full-rank point, as on the Fermat quartic where every hyperplane is
-unstable, is decided point by point.  Every other point is y + t q on a
-line through q, y a canonical point with y_l = 0, l the lead of q.  Take
-S a basis of the rows of B and R the rest.  One elimination per scan
-gives M_j = B_S^-1 A_S(e_j) and D_j = A_R(e_j) - B_R M_j for each
-coordinate j != l, and along the walk M(y) and D(y) are running sums.
-N(y + t q) has the kernel of M(y) + t I inside ker D(y), so it is
-deficient exactly when -t is an eigenvalue of M(y) on W, the largest
-M(y)-invariant subspace of ker D(y): ker D cut by ker D M^i until it
-stops shrinking.  That is the deflation step of the staircase algorithm
-for the Kronecker form of a pencil (Van Dooren, Linear Algebra Appl.
-1979).  Most lines cost one elimination of D(y).  The characteristic
-polynomial of M on W (Hessenberg reduction, then Horner at every point
-of F_p) is taken only where W != 0, and each of its roots is a deficient
-point, so no candidate is verified; the kernel there is the eigenspace
-of M on W.  The points found on the lines are sorted into enumeration
-order, one run of lines with the same y_0 ... y_(l-1) at a time; when
-q = e_last that is one line at a time.
+Every walk is decided line by line, through one vertex q.  q is e_last
+when its contracted matrix B = N(q) has full column rank.  Otherwise
+the first line, through e_last and e_(n-2), is decided with B =
+N(e_last): q is its first point of full rank, and when it has none, as
+on the Fermat quartic where every hyperplane is unstable, q stays
+e_last.  Every other point is y + t q on a line through q, y a canonical
+point with y_l = 0, l the lead of q.  One elimination per scan takes
+[B | A(e_j) ...] to [B' | A'_j ...] over [0 | D_j ...], B' the reduced
+echelon rows of B, for each coordinate j != l, and along the walk A'(y)
+and D(y) are running sums.  N(y + t q) has the kernel of A'(y) + t B'
+inside ker D(y).  When B has full column rank, B' = I, and with M =
+A'(y) the point is deficient exactly when -t is an eigenvalue of M on W,
+the largest M-invariant subspace of ker D(y): ker D cut by ker D M^i
+until it stops shrinking.  Most such lines cost one elimination of
+D(y).  The characteristic polynomial of M on W (Hessenberg reduction,
+then Horner at every point of F_p) is taken only where W != 0, and each
+of its roots is a deficient point, so no candidate is verified; the
+kernel there is the eigenspace of M on W.  When B is deficient, the
+pencil on ker D(y) has fewer rows, and it is reduced and decided again:
+a step of the staircase algorithm for the Kronecker form of a pencil
+(Van Dooren, Linear Algebra Appl. 27, 1979), of which the W iteration is
+the case B' = I.  It ends at B' = I or at a wide B' with D = 0, where
+the nullity at every t is the excess of columns over rows plus the
+nullity of the transposed pencil, whose B' is I.  The points found on
+the lines are sorted into enumeration order, one run of lines with the
+same y_0 ... y_(l-1) at a time; when q = e_last that is one line at a
+time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import islice
 from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
@@ -171,17 +178,21 @@ def _rank_one_scan(rows, a, m, p, over_u1):
     dimension of that kernel and a callable that gives its reduced
     echelon basis.
 
-    The points are taken in order up to the vertex q, the first with
-    N(q) = B of full column rank; those before it are yielded as found,
-    and their callable eliminates N(x), so a caller that reads only the
-    dimension pays for no kernel.  Every later point is y + t*q with
-    y_l = 0, l the lead of q.  With S a basis of the rows of B and R the
-    rest, M(y) = B_S^-1 A_S(y) and the residual D(y) = A_R(y) - B_R M(y),
-    A(y) = N(y), are linear in y, so an odometer in y keeps them as
-    running sums; `_line_shifts` reads the deficient t and their kernels
-    off them, and the callable hands the kernel back.  The points found
-    past q are sorted into enumeration order and yielded whenever y[:l]
-    changes.
+    Every point but the vertex q is y + t*q with y_l = 0, l the lead of
+    q, and N(y + t*q) = A(y) + t*B with B = N(q) and A(y) = N(y).
+    `_reference` reduces [B | A(e_j) ...] once, so the reduced rows of
+    A(y) are linear in y and an odometer in y keeps them as running sums;
+    `_line_shifts` reads the deficient t of each line off them.  q is
+    e_last when N(e_last) has full column rank.  Otherwise e_last is
+    yielded first, and the line through it and e_(n-2), the next points
+    in enumeration order, is decided with B = N(e_last) and its deficient
+    points yielded; q is its first point of full rank, or e_last when it
+    has none, and the walk through q skips that line.  On a line whose B
+    has full column rank the callable hands back the kernel that the
+    decision found; otherwise it eliminates N(x), which it builds from x,
+    so a caller that reads only the dimension pays for no kernel.  The
+    points found past the first line are sorted into enumeration order
+    and yielded whenever y[:l] changes.
     """
     # images[t]: the rows contracted by the t-th basis vector, row-major;
     # the contraction by x is the sum of x_t images[t]
@@ -194,51 +205,83 @@ def _rank_one_scan(rows, a, m, p, over_u1):
         images = [[y for row in rows for y in row[t::m]] for t in range(m)]
     if not n or not width:
         return
-    for q, big in _odometer(projective_reps(p, n), images, p):
-        basis = _row_basis(big, width, p)
-        if len(basis) == width:
-            break
-        yield q, width - len(basis), partial(_reduced_kernel, big, width, p)
-    else:
-        return
+    q = (0,) * (n - 1) + (1,)
+    ref, steps = _reference(images, q, width, p)
+    skip = len(ref) < width
+    if skip:
+        yield q, width - len(ref), partial(_point_kernel, images, q, width, p)
+        if n == 1:
+            return
+        # the first line, e_(n-2) + t e_last, whose reduced rows are
+        # steps[-1]; its points follow e_last and precede all others
+        deficient = set()
+        for t, dim, _ in sorted(_line_shifts(steps[-1], ref, width, p)):
+            x = q[:-2] + (1, t)
+            deficient.add(t)
+            yield x, dim, partial(_point_kernel, images, x, width, p)
+        t0 = next((t for t in range(p) if t not in deficient), None)
+        if t0 is not None:
+            q = q[:-2] + (1, t0)
+            ref, steps = _reference(images, q, width, p)
     lead = q.index(1)
-    others = images[:lead] + images[lead + 1:]
-    # [B_S | A_S(e_j) ...] reduces to [I | M_j ...], j != lead; then
-    # D_j = A_R(e_j) - B_R M_j
-    block = [big[s:s + width] + [y for img in others for y in img[s:s + width]]
-             for s in basis]
-    eliminate(block, n * width, p)
-    tails = [row[width:] for row in block]
-    rest = [r for r in range(0, len(big), width) if r not in basis]
-    for r in rest:
-        row = [y for img in others for y in img[r:r + width]]
-        for c, tail in zip(big[r:r + width], tails):
-            if c:
-                row = [u - c * v for u, v in zip(row, tail)]
-        tails.append(row)
-    # steps[j]: M_j, then D_j, row-major
-    steps = [[y % p for row in tails for y in row[k:k + width]]
-             for k in range(0, (n - 1) * width, width)]
     found, prefix = [], None
-    for y, cur in _odometer(projective_reps(p, n - 1), steps, p):
+    # the lines through q, each from y with y_lead = 0; the first is the
+    # line through e_last and e_(n-2), decided above when skip is set.  q
+    # is e_last or (0, ..., 0, 1, t0), so on every other line y leads in
+    # x = y + t q: x is y[:lead] + (t,), then y_last + t t0 for the latter
+    for y, cur in islice(_odometer(projective_reps(p, n - 1), steps, p),
+                         skip, None):
         if y[:lead] != prefix:
             # the points x found so far all share x[:lead] = prefix and
             # precede every later one
             yield from sorted(found)
             found, prefix = [], y[:lead]
-        y = y[:lead] + (0,) + y[lead:]
-        for t, kernel in _line_shifts(cur, width, p):
-            # x = y + t q in canonical form; the points before q came
-            # from the vertex search
-            x = [(u + t * v) % p for u, v in zip(y, q)]
-            inv = pow(next(filter(None, x)), p - 2, p)
-            x = tuple(u * inv % p for u in x)
-            if x > q:
-                # N(x) = [B_S 0; B_R I] [M + tI; D] up to the order of
-                # its rows, so both have one kernel; partial(tuple, k)
-                # hands k back
-                found.append((x, len(kernel), partial(tuple, kernel)))
+        for t, dim, kernel in _line_shifts(cur, ref, width, p):
+            x = prefix + (t,)
+            if lead < n - 1:
+                x += ((y[-1] + t * q[-1]) % p,)
+            # partial(tuple, k) hands k back
+            found.append((x, dim, partial(_point_kernel, images, x, width, p)
+                          if kernel is None else partial(tuple, kernel)))
     yield from sorted(found)
+
+
+def _reference(images, q, width, p):
+    """The reduction of the walk through q: the reduced echelon rows of
+    B = N(q), and for each coordinate j other than the lead of q the rows
+    of A(e_j) reduced with B, row-major.
+
+    One elimination takes [B | A(e_j) ...] to P [B | A(e_j) ...] with P
+    invertible: the rows with a pivot in B are [B' | A'(e_j) ...], B' the
+    reduced echelon rows of B, and the rows with no pivot in B are
+    [0 | D(e_j) ...].  N(y + t q) has the kernel of [A'(y) + t B'; D(y)].
+    When B has full column rank, B' = I.
+    """
+    lead = q.index(1)
+    others = images[:lead] + images[lead + 1:]
+    big = _member(images, q, p)
+    block = [big[s:s + width] + [y for img in others for y in img[s:s + width]]
+             for s in range(0, len(big), width)]
+    pivots = eliminate(block, len(images) * width, p)
+    block = block[:len(pivots)]
+    return [row[:width] for row, c in zip(block, pivots) if c < width], [
+        [y for row in block for y in row[k:k + width]]
+        for k in range(width, len(images) * width, width)]
+
+
+def _member(images, x, p):
+    """N(x), the sum of the x_t images[t], for a canonical point x."""
+    lead = x.index(1)
+    big = images[lead]
+    for c, img in zip(x[lead + 1:], images[lead + 1:]):
+        if c:
+            big = [(u + c * v) % p for u, v in zip(big, img)]
+    return big
+
+
+def _point_kernel(images, x, width, p):
+    """The reduced echelon basis of the kernel of N(x)."""
+    return _reduced_kernel(_member(images, x, p), width, p)
 
 
 def _odometer(points, steps, p):
@@ -254,37 +297,73 @@ def _odometer(points, steps, p):
         yield x, cur
 
 
-def _row_basis(flat, width, p):
-    """Where the rows of a basis of the row space of a row-major matrix
-    with `width` columns start in `flat`: the pivot columns of the
-    transpose, from one elimination of it."""
-    return [k * width for k in eliminate(
-        [flat[j::width] for j in range(width)], len(flat) // width, p,
-        full=False)]
+def _line_shifts(flat, ref, width, p):
+    """The t in F_p where the pencil [A + t*ref; D] has a kernel, each
+    with the dimension of that kernel and, when ref is I, its reduced
+    echelon basis (else None).
 
+    `flat` is row-major with `width` columns: the rows of A, as many as
+    `ref` has, then the rows of D.  `ref` is in reduced echelon form with
+    no zero row.  A kernel vector at t lies in ker D, so with Y a basis
+    of ker D it is Y c with (A Y + t ref Y) c = 0: a pencil with fewer
+    rows, which is reduced like [B | A] in `_reference` and decided
+    again.  That is a step of Van Dooren's staircase for the Kronecker
+    form of a pencil (Linear Algebra Appl. 27, 1979).  It stops at one of
+    two cases.
 
-def _line_shifts(flat, width, p):
-    """The t in F_p where M + t*I and D have a common kernel vector, M
-    the width x width matrix that `flat` starts with and D the rows after
-    it, each with the reduced echelon basis of that common kernel: the
-    -t that are eigenvalues of M on W, the largest M-invariant subspace
-    of ker D, and their eigenspaces.
+    ref = I, with D below it or not: the kernel at t is that of M + t*I,
+    M = A, inside ker D, so the t are the -eigenvalues of M on W, the
+    largest M-invariant subspace of ker D, and the kernels are their
+    eigenspaces.  W starts as ker D and is cut by ker D M^i, i = 1, 2,
+    ..., until it stops shrinking; only when W != 0 is the
+    characteristic polynomial of M on W taken, and its eigenspace at a
+    root costs one elimination of at most dim W rows.
 
-    W starts as ker D and is cut by ker D M^i, i = 1, 2, ..., until it
-    stops shrinking; that is the deflation step of Van Dooren's
-    staircase.  Only when W != 0 is the characteristic polynomial of M
-    on W taken, and every root in F_p is a shift; its eigenspace costs
-    one elimination of at most dim W rows.
+    ref wide and D = 0: the nullity at every t is the number of columns
+    less the rows, plus the nullity of the transposed pencil, whose
+    reference has full column rank.
     """
-    ww = width * width
-    res = [flat[k:k + width] for k in range(ww, len(flat), width)]
+    if not width:
+        return ()
+    split = len(ref) * width
+    res = [flat[i:i + width] for i in range(split, len(flat), width)]
     pivots = eliminate(res, width, p)
     if len(pivots) == width:
         return ()
     res = res[:len(pivots)]
-    mat = [flat[k:k + width] for k in range(0, ww, width)]
+    mat = [flat[i:i + width] for i in range(0, split, width)]
+    if len(ref) < width and not res:
+        # the transposed pencil: its rows at the pivots of ref are [I | M],
+        # and each other row c less its entries of ref times those rows
+        # leaves a row of D
+        lead = [row.index(1) for row in ref]
+        cols = [[row[c] for row in mat] for c in range(width)]
+        dual = [cols[c] for c in lead]
+        for c in range(width):
+            if c not in lead:
+                row = cols[c]
+                for r, top in zip(ref, dual):
+                    if r[c]:
+                        row = [u - r[c] * v for u, v in zip(row, top)]
+                dual.append([u % p for u in row])
+        eye = [[int(i == j) for j in range(len(ref))] for i in range(len(ref))]
+        dims = {t: dim for t, dim, _ in _line_shifts(
+            [x for row in dual for x in row], eye, len(ref), p)}
+        return [(t, width - len(ref) + dims.get(t, 0), None)
+                for t in range(p)]
     fld = GF(p)
     ys = zs = [list(v) for v in kernel_basis(res, pivots, width, fld)]
+    if len(ref) < width:
+        # the pencil on ker D in the basis ys, reduced
+        k = len(ys)
+        block = [[sum(map(mul, row, y)) % p for y in ys] +
+                 [sum(map(mul, top, y)) % p for y in ys]
+                 for row, top in zip(ref, mat)]
+        pivots = eliminate(block, 2 * k, p)
+        lower = [row[:k] for row, c in zip(block, pivots) if c < k]
+        return [(t, dim, None) for t, dim, _ in _line_shifts(
+            [x for row in block[:len(pivots)] for x in row[k:]], lower, k,
+            p)]
     # ys: a basis of W so far, zs: M^i applied to it
     while res:
         zs = [[sum(map(mul, row, z)) % p for row in mat] for z in zs]
@@ -306,8 +385,12 @@ def _line_shifts(flat, width, p):
     values = [0] * p
     for coeff in _charpoly(restricted, p):
         values = [(v * mu + coeff) % p for v, mu in zip(values, mus)]
-    return [(-mu % p, _eigenspace(restricted, ys, mu, p))
-            for mu, v in zip(mus, values) if not v]
+    shifts = []
+    for mu, v in zip(mus, values):
+        if not v:
+            kernel = _eigenspace(restricted, ys, mu, p)
+            shifts.append((-mu % p, len(kernel), kernel))
+    return shifts
 
 
 def _eigenspace(restricted, ys, mu, p):

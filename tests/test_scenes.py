@@ -22,6 +22,7 @@ from steinertorelli.errors import (BadClass, BadPrime, BasepointedSeries,
                                    ZeroEvaluation, ZeroPoint, ZeroSection)
 from steinertorelli.exactfield import (GF, QQ, Matrix, normalize_projective,
                                        rank, span_reduction)
+from steinertorelli import scenes
 from steinertorelli.koszul import scene_window
 from steinertorelli.polyalg import monomial_basis, monomial_index
 from steinertorelli.scenes import (CompleteIntersection, MonomialVariety,
@@ -536,6 +537,30 @@ class TestPointSet:
         flat = PointSet(3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0),
                             (0, 0, 1, 0)])
         assert not flat.in_general_position(QQ)
+
+    def test_general_position_is_decided_once_per_field(self, monkeypatch):
+        """The reduced points and the verdict are kept per field; a prime
+        where the points collide is refused each time it is asked."""
+        calls, independent = [], scenes._independent
+
+        def counting(field, rows):
+            calls.append(field)
+            return independent(field, rows)
+
+        monkeypatch.setattr(scenes, "_independent", counting)
+        # (1, 1, 7) lies on the line through e1 and e2 mod 7
+        ps = PointSet(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 7)])
+        for _ in range(2):
+            assert ps.in_general_position(QQ)
+            assert not ps.in_general_position(GF(7))
+            assert ps.in_general_position(GF(11))
+        assert ps.reduced_points(GF(11)) is ps.reduced_points(GF(11))
+        # four triples over QQ and GF(11); GF(7) stops at the second
+        assert [calls.count(f) for f in (QQ, GF(7), GF(11))] == [4, 2, 4]
+        clash = PointSet(1, [(1, 2), (1, 7)])
+        for _ in range(2):
+            with pytest.raises(BadPrime):
+                clash.in_general_position(GF(5))
 
     def test_evaluation_matrix(self):
         ps = PointSet(1, [(1, 0), (0, 1), (1, 1)])

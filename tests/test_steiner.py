@@ -12,7 +12,7 @@ from operator import sub
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from steinertorelli.cli import resolve_label
@@ -28,7 +28,7 @@ from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
 from steinertorelli.scenes import P1Series, PointSet, load_scene
 from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
                                     VallesReport, _charpoly, _line_shifts,
-                                    _rank_one_scan, _row_basis,
+                                    _rank_one_scan,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
                                     validate_presentation, valles_locus)
@@ -573,6 +573,15 @@ def reference_scan(rows, a, m, p, over_u1):
     return out
 
 
+def row_basis(flat, width, p):
+    """Where the rows of a basis of the row space of a row-major matrix
+    with `width` columns start in `flat`: the pivot columns of the
+    transpose, from one elimination of it."""
+    return [k * width for k in eliminate(
+        [flat[j::width] for j in range(width)], len(flat) // width, p,
+        full=False)]
+
+
 def pencil_leaf(base, pencil, width, p):
     """The t in F_p, ascending, where the pencil base + t*pencil of
     row-major matrices with `width` columns has a kernel, each with a
@@ -589,7 +598,7 @@ def pencil_leaf(base, pencil, width, p):
 
     for s0 in range(p):
         c = member(s0)
-        basis = _row_basis(c, width, p)
+        basis = row_basis(c, width, p)
         if len(basis) == width:
             break
         yield s0, [c[s:s + width] for s in basis]
@@ -606,7 +615,7 @@ def pencil_leaf(base, pencil, width, p):
                     for mu, y in zip(mus, values) if not y):
         if t > s0:
             flat = member(t)
-            basis = _row_basis(flat, width, p)
+            basis = row_basis(flat, width, p)
             if len(basis) < width:
                 yield t, [flat[s:s + width] for s in basis]
 
@@ -632,7 +641,7 @@ def pencil_leaf_scan(rows, a, m, p, over_u1):
                                               width, p)
 
     pencil = images.pop()
-    basis = _row_basis(pencil, width, p)
+    basis = row_basis(pencil, width, p)
     if len(basis) < width:
         yield leaf((0,) * (n - 1) + (1,),
                    [pencil[s:s + width] for s in basis])
@@ -854,6 +863,17 @@ def brute_shifts(flat, width, p):
     return out
 
 
+def line_shifts(flat, width, p):
+    """`_line_shifts` with the reference I, as (t, kernel) pairs; each
+    nullity it gives is the size of its kernel."""
+    eye = [[int(i == j) for j in range(width)] for i in range(width)]
+    out = []
+    for t, dim, kernel in _line_shifts(flat, eye, width, p):
+        assert dim == len(kernel)
+        out.append((t, kernel))
+    return sorted(out)
+
+
 # (name, p, width, [M; D] rows, shifts, whether W != 0)
 RESIDUALS = [
     # D has one row and rank 1 < 3 while W = 0: [d; dM; dM^2] spans
@@ -893,7 +913,7 @@ def test_line_shifts_on_constructed_residuals(monkeypatch, name, p, width,
         return _charpoly(mat, p)
 
     monkeypatch.setattr(steiner, "_charpoly", counting)
-    assert sorted(_line_shifts(flat, width, p)) == brute
+    assert line_shifts(flat, width, p) == brute
     assert bool(polys) == invariant
 
 
@@ -910,8 +930,168 @@ def test_line_shifts_match_a_brute_force(p, width, nres, plant, data):
         rows = [[data.draw(entries) for _ in range(width)]
                 for _ in range(width + nres)]
     flat = [x for row in rows for x in row]
-    assert sorted(_line_shifts(flat, width, p)) == \
-        brute_shifts(flat, width, p)
+    assert line_shifts(flat, width, p) == brute_shifts(flat, width, p)
+
+
+# ---- the staircase on singular pencils --------------------------------------
+
+
+def invertible(n, p, draw):
+    """A random invertible n x n matrix: unit lower triangular times
+    upper triangular with a nonzero diagonal."""
+    lower = [[1 if i == j else draw(0, p - 1) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(1, p - 1) if i == j else draw(0, p - 1) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    return [[sum(x * upper[k][j] for k, x in enumerate(row)) % p
+             for j in range(n)] for row in lower]
+
+
+def product(x, y, p):
+    return [[sum(u * y[k][j] for k, u in enumerate(row)) % p
+             for j in range(len(y[0]))] for row in x]
+
+
+def kronecker_block(kind, size, eigenvalue, p):
+    """(rows, cols, A, B) of one block of the Kronecker form of A + t B,
+    with the nullity it adds at t as a function of t.
+
+    L: size x (size + 1), a kernel at every t; LT its transpose, none;
+    J: a Jordan block, a kernel at t = eigenvalue; N: I + t N, N
+    nilpotent, none."""
+    eye = [[int(i == j) for j in range(size)] for i in range(size)]
+    shift = [[int(j == i + 1) for j in range(size)] for i in range(size)]
+    if kind == "L":
+        a = [[int(j == i + 1) for j in range(size + 1)] for i in range(size)]
+        b = [[int(j == i) for j in range(size + 1)] for i in range(size)]
+        return size, size + 1, a, b, lambda t: 1
+    if kind == "LT":
+        a = [[int(i == j + 1) for j in range(size)] for i in range(size + 1)]
+        b = [[int(i == j) for j in range(size)] for i in range(size + 1)]
+        return size + 1, size, a, b, lambda t: 0
+    if kind == "J":
+        a = [[(x - eigenvalue * y) % p for x, y in zip(srow, erow)]
+             for srow, erow in zip(shift, eye)]
+        return size, size, a, eye, lambda t: int(t == eigenvalue)
+    return size, size, eye, shift, lambda t: 0
+
+
+BLOCKS = st.tuples(st.sampled_from(["L", "LT", "J", "N"]), st.integers(0, 3),
+                   st.integers(0, 12))
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.lists(BLOCKS, min_size=1,
+                                                   max_size=4), st.data())
+@settings(max_examples=250, deadline=None)
+def test_line_decision_on_kronecker_pencils(p, blocks, data):
+    """P (L_eps + L_eta^T + Jordan + nilpotent blocks) Q, with P and Q
+    random and invertible: the line decision, whatever the rank of its
+    reference B, gives the nullity of A + t B at every t."""
+    blocks = [kronecker_block(kind, size if kind in ("L", "LT") else
+                              max(size, 1), eigenvalue % p, p)
+              for kind, size, eigenvalue in blocks]
+    nrows = sum(block[0] for block in blocks)
+    width = sum(block[1] for block in blocks)
+    assume(width > 0)
+    a = [[0] * width for _ in range(nrows)]
+    b = [[0] * width for _ in range(nrows)]
+    r0 = c0 = 0
+    for rows, cols, ablock, bblock, _ in blocks:
+        for i in range(rows):
+            a[r0 + i][c0:c0 + cols] = ablock[i]
+            b[r0 + i][c0:c0 + cols] = bblock[i]
+        r0, c0 = r0 + rows, c0 + cols
+
+    def draw(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    if nrows:
+        left, right = invertible(nrows, p, draw), invertible(width, p, draw)
+        a = product(product(left, a, p), right, p)
+        b = product(product(left, b, p), right, p)
+    # the pencil A + t B is the line through e_last = B and e_0 = A
+    images = [[x for row in a for x in row], [x for row in b for x in row]]
+    ref, steps = steiner._reference(images, (0, 1), width, p)
+    got = {t: dim for t, dim, _ in _line_shifts(steps[0], ref, width, p)}
+    brute = {}
+    for t in range(p):
+        member = [[(x + t * y) % p for x, y in zip(arow, brow)]
+                  for arow, brow in zip(a, b)]
+        nullity = len(kernel_of(member, width, p))
+        assert nullity == sum(block[4](t) for block in blocks)
+        if nullity:
+            brute[t] = nullity
+    assert got == brute
+
+
+def moving_kernel_family(p, n, k, extra, draw):
+    """n members, row-major row lists with n + k columns, such that N(x)
+    is P [x 0; 0 R(x)] Q: the row x (x) has a kernel of dimension n - 1
+    that moves with x, so no point has full rank, while R(x), k x k and
+    random, and `extra` zero rows mixed in by P let the rows outnumber
+    the columns."""
+    width, nrows = n + k, 1 + k + extra
+    left, right = invertible(nrows, p, draw), invertible(width, p, draw)
+    mats = []
+    for t in range(n):
+        rows = [[int(j == t) for j in range(n)] + [0] * k]
+        rows += [[0] * n + [draw(0, p - 1) for _ in range(k)]
+                 for _ in range(k)]
+        rows += [[0] * width for _ in range(extra)]
+        mats.append(product(product(left, rows, p), right, p))
+    return mats, width
+
+
+def common_kernel(mats, width, p):
+    return kernel_of([row for mat in mats for row in mat], width, p)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(2, 3), st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_reference_with_no_full_rank_point(p, n, data):
+    """Walks where every point is deficient and the kernel moves with x:
+    fewer rows than columns, or the family of `moving_kernel_family`
+    with as many rows as columns or more.  There is no vertex, so every
+    line goes through e_last with a deficient reference."""
+    width = data.draw(st.integers(2, 5))
+    if data.draw(st.booleans()):
+        nrows = data.draw(st.integers(1, width - 1))
+        entries = st.integers(0, p - 1)
+        mats = [[[data.draw(entries) for _ in range(width)]
+                 for _ in range(nrows)] for _ in range(n)]
+    else:
+        k = data.draw(st.integers(0, 2))
+        mats, width = moving_kernel_family(
+            p, n, k, data.draw(st.integers(0, n + 1)),
+            lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assume(not common_kernel(mats, width, p))
+    for over_u1 in (False, True):
+        rows, a, m = pencil_rows(mats, width, over_u1)
+        assert vertex_of(rows, a, m, p, over_u1) is None
+    assert_scan_matches_reference(mats, width, p)
+
+
+@given(st.sampled_from([2, 3, 5, 7, 13]), st.integers(1, 4),
+       st.integers(0, 4), st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_reference_past_an_all_deficient_first_line(
+        p, width, extra, data):
+    """Three members whose last two share a zero column: every point of
+    the first line, x_0 = 0, is deficient, and the vertex lies further
+    on, so the walk goes through e_last with a deficient reference."""
+    entries = st.integers(0, p - 1)
+    mats = [[[data.draw(entries) for _ in range(width)]
+             for _ in range(width + extra)] for _ in range(3)]
+    col = data.draw(st.integers(0, width - 1))
+    for mat in mats[1:]:
+        for row in mat:
+            row[col] = 0
+    for over_u1 in (False, True):
+        rows, a, m = pencil_rows(mats, width, over_u1)
+        vertex = vertex_of(rows, a, m, p, over_u1)
+        assume(vertex is not None)
+        assert vertex[0] == 1
+    assert_scan_matches_reference(mats, width, p)
 
 
 @pytest.mark.parametrize("p,a,m,b,r", [(7, 3, 2, 5, 3), (2, 4, 3, 6, 4),
@@ -960,39 +1140,40 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
 
 
 def test_no_false_candidates(monkeypatch):
-    """diagonal_ci with K+A at p = 7: the vertex search eliminates e_last
-    only, no member of a line past it is eliminated, the one kernel
-    elimination per point found past it is of M on W at an eigenvalue
-    (square, of the size of a characteristic polynomial taken), and the
-    Valles scan takes fewer than 20 characteristic polynomials for its
-    400 lines (the pencil leaves took one per line)."""
+    """diagonal_ci with K+A at p = 7: each scan reduces one reference,
+    e_last, of full rank, no member of a line is eliminated, the one
+    kernel elimination per point found past it is of M on W at an
+    eigenvalue (square, of the size of a characteristic polynomial
+    taken), and the Valles scan takes fewer than 20 characteristic
+    polynomials for its 400 lines (the pencil leaves took one per
+    line)."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
-    calls = {"_row_basis": [], "_reduced_kernel": [], "_charpoly": []}
+    calls = {"_reference": [], "_reduced_kernel": [], "_charpoly": []}
 
     def counting(name):
         func = getattr(steiner, name)
 
-        def wrapped(mat, width, *args):
-            calls[name].append((len(mat), width))
-            return func(mat, width, *args)
+        def wrapped(*args):
+            calls[name].append(args)
+            return func(*args)
         monkeypatch.setattr(steiner, name, wrapped)
 
     for name in calls:
         counting(name)
     for scan, unstable in ((validate_presentation, 0),
                            (valles_locus, 16)):
-        calls["_row_basis"].clear()
+        calls["_reference"].clear()
         calls["_reduced_kernel"].clear()
         report = scan(pres)
         assert len(getattr(report, "unstable", ())) == unstable
-        # the vertex search ends at the first member, e_last, of full rank
-        assert len(calls["_row_basis"]) == 1
-        dims_w = {size for size, _ in calls["_charpoly"]}
+        # the walk goes through e_last, which has full rank
+        assert [q for _, q, _, _ in calls["_reference"]] == [(0, 0, 0, 0, 1)]
+        dims_w = {len(mat) for mat, _ in calls["_charpoly"]}
         assert len(calls["_reduced_kernel"]) == unstable
-        assert all(size == width * width and width in dims_w
-                   for size, width in calls["_reduced_kernel"])
+        assert all(len(flat) == width * width and width in dims_w
+                   for flat, width, _ in calls["_reduced_kernel"])
     # recovery reads the kernels the scan handed out
     assert len(pres._phis) == 16
     assert len(calls["_charpoly"]) < 20
@@ -1022,7 +1203,8 @@ def test_invalid_presentation_matches_the_oracle(monkeypatch, a, m, b, seed,
     """A rank-one kernel vector u (x) v planted at e_last of the walked
     factor, before the vertex, or at a point after it: the report gives
     the oracle's fibers_scanned and witness either way.  When the walk is
-    over P(V), it stops at the line of the first bad fiber."""
+    over P(V), it stops at the line of the first bad fiber, or before any
+    line when that fiber is e_last."""
     p, over_u1 = 7, a < m
     n = a if over_u1 else m
     rng = random.Random(seed)
@@ -1038,9 +1220,9 @@ def test_invalid_presentation_matches_the_oracle(monkeypatch, a, m, b, seed,
     pres = SteinerPresentation(Matrix(GF(p), b, a * m, tuple(rows)), a, m, b)
     lines = []
 
-    def counting(flat, width, p):
+    def counting(flat, ref, width, p):
         lines.append(None)
-        return _line_shifts(flat, width, p)
+        return _line_shifts(flat, ref, width, p)
 
     monkeypatch.setattr(steiner, "_line_shifts", counting)
     report = validate_presentation(pres)
@@ -1048,7 +1230,9 @@ def test_invalid_presentation_matches_the_oracle(monkeypatch, a, m, b, seed,
     assert report == reference_validation(pres)
     if not over_u1:
         assert report.fibers_scanned == projective_rank(p, v) + 1
-        if not before:
+        if before:
+            assert not lines
+        else:
             # v lies on the line through e_last and v[:-1]
             assert vertex == projective_unrank(p, m, 0)
             assert len(lines) == projective_rank(p, v[:-1]) + 1
