@@ -20,9 +20,11 @@ from steinertorelli.scenes import P1Series  # noqa: E402
 
 
 def grid_mismatches(d):
+    # one scene per degree, so the three windows share its action tables
+    scene = P1Series(d)
     wrong = []
     for q in range(3):
-        window = scene_window(P1Series(d), 0, q - 1, q + 1, QQ)
+        window = scene_window(scene, 0, q - 1, q + 1, QQ)
         for p in range(d + 1):
             got = koszul_dim(window, p, q).dim
             if got != eagon_northcott_dim(d, p, q):

@@ -2,9 +2,14 @@
 
 A GradedModuleWindow holds the graded pieces M_lo .. M_hi of a module
 over the polynomial functions of an acting space U, together with the
-action of U out of each piece, stored as columns: column i * dim M_k + t
-of the degree-k table is u_i m_t in the basis of M_{k+1}.  The groups
-K_{p,q} are cohomology of
+action of U out of each piece as sparse columns: entry i * dim M_k + t
+of the degree-k table lists the (w, x) pairs with x != 0 of u_i m_t in
+the basis of M_{k+1}.  A scene keeps these tables per label and field
+(`SectionRing.action_columns`), next to its rings and evaluators, so
+every window over its whole series reads the same tables; a window over
+a subspace of the series, or over the ideal of a point set, builds its
+own.  Only tables are kept: ranks, differentials and windows are
+computed anew at every call.  The groups K_{p,q} are cohomology of
 
     Lambda^{p+1} U (x) M_{q-1}  ->  Lambda^p U (x) M_q
                                 ->  Lambda^{p-1} U (x) M_{q+1}
@@ -14,12 +19,14 @@ with d(u_{i_1} ^ ... ^ u_{i_p} (x) m) = sum_j (-1)^(j+1)
 two ranks.  Each differential is assembled once, as sparse columns read
 straight off the action tables, and each rank is a sum over independent
 blocks: the connected components of the differential's row/column
-nonzero pattern (with monomial bases, its weight pieces), each one
-eliminated densely by exactfield.eliminate.  The exterior basis of
-Lambda^p U is ordered as itertools.combinations(range(dim U), p) lists
-it, and a differential's row and column blocks follow that order.
-Windows are built either from a scene's section ring or from the
-homogeneous ideal of a finite point set.
+nonzero pattern (with monomial bases, its weight pieces).  One pass
+after the union-find numbers the rows of every component, each block's
+rows are filled from the sparse columns, and each block is eliminated
+densely by exactfield.eliminate.  The exterior basis of Lambda^p U is
+ordered as itertools.combinations(range(dim U), p) lists it, and a
+differential's row and column blocks follow that order.  Windows are
+built either from a scene's section ring or from the homogeneous ideal
+of a finite point set.
 """
 
 from __future__ import annotations
@@ -30,8 +37,8 @@ from math import comb
 
 from .errors import UnsupportedScene, WindowTooSmall
 from .exactfield import Matrix, QQ, eliminate, rank_kernel
-from .polyalg import (monomial_basis, monomial_index, products,
-                      restrict_right)
+from .polyalg import (action_columns, monomial_basis, monomial_index,
+                      products, restrict_right)
 
 
 def exterior_dim(dim_u, p):
@@ -43,14 +50,20 @@ def exterior_dim(dim_u, p):
 
 @dataclass(frozen=True)
 class GradedModuleWindow:
-    """Graded pieces and action tables over a degree range."""
+    """Graded pieces and action tables over a degree range.  An action
+    table is a tuple of sparse columns, U-major: entry i * dim M_k + t
+    lists the (w, x) pairs with x != 0 of u_i m_t = sum_w x m'_w in the
+    basis m' of M_(k+1).  A scene window over the whole series takes the
+    tables the scene keeps per label and field (`action_columns`); a
+    window over a subspace of the series, or of a point set's ideal,
+    builds its own."""
 
     field: object
     dim_u: int
     lo: int
     hi: int
     dims: tuple       # dims[k - lo] = dim M_k
-    mults: tuple      # mults[k - lo][i * dim M_k + t] = u_i m_t in M_{k+1}
+    mults: tuple      # mults[k - lo][i * dim M_k + t]: (w, x) pairs of u_i m_t
 
     def dim(self, k):
         if not self.lo <= k <= self.hi:
@@ -78,25 +91,20 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
     dims = tuple(scene.section_space(labels[k], field).dim
                  for k in range(lo, hi + 1))
     full_u = scene.series_dim(field)
-    coords = None
-    if subspace is not None:
-        coords = tuple(tuple(field.normalize(x) for x in vec)
-                       for vec in subspace)
-        for vec in coords:
-            if len(vec) != full_u:
-                raise UnsupportedScene(
-                    f"subspace vectors must have length {full_u}")
-    dim_u = full_u if coords is None else len(coords)
-    mults = []
-    for k in range(lo, hi):
-        table = scene.multiplication_map(labels[k], a_label, field)
-        if coords is not None:
-            table = restrict_right(table, coords)
-        # the table is M-major: column t * dim_u + i is m_t u_i
-        cols = table.columns()
-        mults.append(tuple(cols[t * dim_u + i] for i in range(dim_u)
-                           for t in range(dims[k - lo])))
-    return GradedModuleWindow(field, dim_u, lo, hi, dims, tuple(mults))
+    if subspace is None:
+        mults = tuple(scene.action_columns(labels[k], field)
+                      for k in range(lo, hi))
+        return GradedModuleWindow(field, full_u, lo, hi, dims, mults)
+    coords = tuple(tuple(field.normalize(x) for x in vec)
+                   for vec in subspace)
+    for vec in coords:
+        if len(vec) != full_u:
+            raise UnsupportedScene(
+                f"subspace vectors must have length {full_u}")
+    mults = tuple(action_columns(restrict_right(
+        scene.multiplication_map(labels[k], a_label, field), coords),
+        len(coords)) for k in range(lo, hi))
+    return GradedModuleWindow(field, len(coords), lo, hi, dims, mults)
 
 
 def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
@@ -125,7 +133,8 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
         forms = [[(m, c) for m, c in zip(monomial_basis(nvars, k), g) if c]
                  for g in bases[k]]
         mults.append(tuple(
-            tuple(prod[f] for f in free[k + 1])
+            tuple((w, prod[f]) for w, f in enumerate(free[k + 1])
+                  if prod[f])
             for prod in products(field, linear, forms,
                                  monomial_index(nvars, k + 1))))
     return GradedModuleWindow(field, nvars, k_lo, k_hi, dims, tuple(mults))
@@ -148,10 +157,9 @@ def _differential_columns(window: GradedModuleWindow, p, q):
     if p < 1 or rows_out == 0 or cols_in == 0:
         return rows_out, [()] * cols_in
     char = window.field.characteristic
-    plus = [[(w, x) for w, x in enumerate(col) if x]
-            for col in window.mult(q)]
+    plus = window.mult(q)
     minus = [[(w, -x % char if char else -x) for w, x in col]
-             for col in plus]
+             for col in plus] if p > 1 else None
     base = {tup: k * dm_out for k, tup in
             enumerate(itertools.combinations(range(n), p - 1))}
     cols = []
@@ -189,31 +197,35 @@ def _differential_rank(window: GradedModuleWindow, p, q):
             parent[r] = r = parent[parent[r]]
         return r
 
-    blocks = {}
     for col in cols:
         if col:
             root = find(col[0][0])
             for r, _ in col[1:]:
                 parent[find(r)] = root
+    # one pass numbers the rows of each component; parent[r] becomes the
+    # root itself
+    width = [0] * nrows
+    local = [0] * nrows
+    for r in range(nrows):
+        root = parent[r] = find(r)
+        local[r] = width[root]
+        width[root] += 1
+    zero = window.field.zero
+    blocks = {}
     for col in cols:
         if col:
-            blocks.setdefault(find(col[0][0]), []).append(col)
-    fld = window.field
-    total = 0
-    for block in blocks.values():
-        local = {r: k for k, r in enumerate(
-            dict.fromkeys(r for col in block for r, _ in col))}
-        if len(block) == 1 or len(local) == 1:
-            total += 1      # a nonzero row or column
-            continue
-        work = []
-        for col in block:
-            line = [fld.zero] * len(local)
+            root = parent[col[0][0]]
+            line = [zero] * width[root]
             for r, x in col:
                 line[local[r]] = x
-            work.append(line)
-        total += len(eliminate(work, len(local), fld.characteristic,
-                               full=False))
+            blocks.setdefault(root, []).append(line)
+    char = window.field.characteristic
+    total = 0
+    for root, block in blocks.items():
+        if len(block) == 1 or width[root] == 1:
+            total += 1      # a nonzero row or column
+        else:
+            total += len(eliminate(block, width[root], char, full=False))
     return total
 
 

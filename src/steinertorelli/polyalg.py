@@ -9,8 +9,9 @@ handled degree by degree: the degree-k piece of the ideal is spanned by
 monomial shifts of the generators and a row reduction picks out
 representative monomials for the quotient.  Multiplication tables come
 from the ring alone, and `restrict_right` cuts a table's right factor
-down to a proper series.  No Groebner bases; everything is linear
-algebra over an exact field.
+down to a proper series; `action_columns` regroups a table into the
+sparse columns that Koszul differentials read.  No Groebner bases;
+everything is linear algebra over an exact field.
 """
 
 from __future__ import annotations
@@ -85,6 +86,17 @@ def restrict_right(table, rows) -> Matrix:
                     acc = [x + c * y for x, y in zip(acc, cols[t + w])]
             out.append(acc)
     return Matrix.from_cols(field, out, table.nrows)
+
+
+def action_columns(table, width) -> tuple:
+    """A product table, left factor major with `width` right factors,
+    regrouped right factor major as sparse columns: entry i * n + t, n =
+    table.ncols / width, lists the (row, value) pairs of nonzero value of
+    column t * width + i, the t-th left element times the i-th right
+    one."""
+    cols = table.columns()
+    return tuple(tuple((w, x) for w, x in enumerate(cols[c]) if x)
+                 for i in range(width) for c in range(i, table.ncols, width))
 
 
 def _degree_sum(k, l, sign=1):

@@ -31,13 +31,15 @@ proper series V, the rows of V in the piece of A:
                      (alpha, beta) is the exponent tuple m + (i, alpha-i)
 
 The shared `SectionRing` base turns the ring into `section_space`,
-`series_dim`, `multiplication_map`, `evaluation_functional` and
-`enumerate_points`: the candidate points (P^N(F_p), or P^1 x P^1 for a
-scroll) where the generators vanish, with V's functional and, when there
-are generators, their smoothness.  Every value at a point comes from one
-evaluator, `_evaluator`, which computes each coordinate's powers once;
-the generators are evaluated once per run of candidates that differ only
-in the last coordinate, as polynomials in it.
+`series_dim`, `multiplication_map`, `action_columns` (the series acting
+on a section space, as the sparse columns Koszul windows read),
+`evaluation_functional` and `enumerate_points`: the candidate points
+(P^N(F_p), or P^1 x P^1 for a scroll) where the generators vanish, with
+V's functional and, when there are generators, their smoothness.  Every
+value at a point comes from one evaluator, `_evaluator`, which computes
+each coordinate's powers once; the generators are evaluated once per run
+of candidates that differ only in the last coordinate, as polynomials in
+it.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
 from .exactfield import (GF, QQ, Matrix, eliminate, normalize_projective,
                          projective_reps, rank)
-from .polyalg import (GradedQuotientRing, QuotientPiece, monomial_basis,
-                      restrict_right, space_dim)
+from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
+                      monomial_basis, restrict_right, space_dim)
 
 
 # ---- shared small types --------------------------------------------------
@@ -214,12 +216,32 @@ class SectionRing:
 
     def multiplication_map(self, l1, l2, field=QQ):
         """H0(L1) (x) H0(L2) -> H0(L1 + L2), left factor major.  When L2
-        is A and V is proper, the right factor runs over the series."""
+        is A and V is proper, the right factor runs over the series, and
+        that restricted table is kept per labels and field."""
         l1, l2 = self._check_label(l1), self._check_label(l2)
         self._check_label(self.label_add(l1, l2))
-        table = self.ring(field).multiplication(l1, l2)
         rows = self._series_rows(field) if l2 == self.label_A() else None
-        return table if rows is None else restrict_right(table, rows)
+        if rows is None:
+            return self.ring(field).multiplication(l1, l2)
+        tables = vars(self).setdefault("_series_tables", {})
+        got = tables.get((l1, l2, field))
+        if got is None:
+            got = tables[(l1, l2, field)] = restrict_right(
+                self.ring(field).multiplication(l1, l2), rows)
+        return got
+
+    def action_columns(self, label, field=QQ):
+        """The series acting on H0(L), as sparse columns: entry
+        i * dim H0(L) + t lists the (position, value) pairs of nonzero
+        value of u_i m_t in H0(L + A).  Kept per label and field."""
+        label = self._check_label(label)
+        actions = vars(self).setdefault("_actions", {})
+        got = actions.get((label, field))
+        if got is None:
+            got = actions[(label, field)] = action_columns(
+                self.multiplication_map(label, self.label_A(), field),
+                self.series_dim(field))
+        return got
 
     def evaluation_functional(self, params, label, field):
         """The monomials of the label's piece at params, normalized

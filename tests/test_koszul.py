@@ -22,7 +22,9 @@ from steinertorelli.koszul import (GradedModuleWindow, WindowTooSmall,
                                    green_points_test,
                                    koszul_differential, koszul_dim,
                                    pointset_ideal_window, scene_window)
+from steinertorelli import koszul
 from steinertorelli.errors import NotGeneralPosition, UnsupportedScene
+from steinertorelli.polyalg import action_columns, restrict_right
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
 from test_scenes import SCROLL_F1, diagonal_ci
@@ -164,11 +166,10 @@ def reference_differential(window, p, q):
         for j, i in enumerate(tup):
             row_block = targets.index(tup[:j] + tup[j + 1:])
             for t in range(dm_in):
-                # u_i m_t in the basis of M_(q+1)
-                image = window.mult(q)[i * dm_in + t]
-                for w in range(dm_out):
+                # the nonzero coordinates of u_i m_t in the basis of M_(q+1)
+                for w, x in window.mult(q)[i * dm_in + t]:
                     rows[row_block * dm_out + w][col_block * dm_in + t] += \
-                        (-1) ** j * image[w]
+                        (-1) ** j * x
     return tuple(tuple(fld.normalize(x) for x in row) for row in rows)
 
 
@@ -268,17 +269,20 @@ def test_block_ranks_match_reference_on_ideals(tails, lo, field):
 
 @st.composite
 def sparse_windows(draw):
-    """Windows with arbitrary action tables: empty pieces, all-zero action
-    columns and, over QQ, entries that are not integers."""
+    """Windows with arbitrary action tables: empty pieces, empty (all-zero)
+    action columns and, over QQ, entries that are not integers.  A column
+    keeps only the nonzero entries, in row order, as a window's tables
+    do."""
     field = draw(RANK_FIELDS)
     dim_u = draw(st.integers(0, 4))
     dims = tuple(draw(st.lists(st.integers(0, 3), min_size=3, max_size=4)))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2])
     den = st.integers(1, 3) if field == QQ else st.just(1)
     mults = tuple(
-        tuple(tuple(field.normalize(Fraction(draw(entry), draw(den)))
-                    for _ in range(dims[k + 1]))
-              if draw(st.booleans()) else (field.zero,) * dims[k + 1]
+        tuple(tuple((w, x) for w in range(dims[k + 1])
+                    if (x := field.normalize(Fraction(draw(entry),
+                                                      draw(den)))))
+              if draw(st.booleans()) else ()
               for _ in range(dim_u * dims[k]))
         for k in range(len(dims) - 1))
     lo = draw(st.integers(-1, 1))
@@ -302,6 +306,70 @@ def test_eagon_northcott_grid(d, field):
         for p in range(d + 1):
             want = p * math.comb(d, p + 1) if q == 1 else int(p == q == 0)
             assert koszul_dim(window, p, q).dim == want, (p, q)
+
+
+# ---- action tables kept per scene, label and field ---------------------------
+
+
+# the complete conic series in the basis s^2, st, 3s^2 - t^2: its action
+# tables have entries 3 and -1, which read 1, 1 over GF(2) and 3, 100
+# over GF(101)
+CONIC_BASIS = [(1, 0, 0), (0, 1, 0), (3, 0, -1)]
+
+
+def test_action_tables_are_kept_per_field():
+    scene = P1Series(2, basis=CONIC_BASIS)
+    seen = {}
+    for field in (QQ, GF(2), GF(101), QQ):
+        window = scene_window(scene, 0, 0, 2, field)
+        fresh = scene_window(P1Series(2, basis=CONIC_BASIS), 0, 0, 2, field)
+        assert window.field == field
+        assert window.mults == fresh.mults
+        if field in seen:
+            # asked again: the tables derived the first time
+            assert all(a is b for a, b in zip(window.mults, seen[field]))
+        seen[field] = window.mults
+    assert len({seen[f] for f in seen}) == 3
+    assert {x for table in seen[GF(2)] for col in table
+            for _, x in col} == {1}
+
+
+@pytest.mark.parametrize("full_first", [True, False])
+def test_subspace_window_never_reads_the_series_table(full_first):
+    # the doubled first coordinate gives a subspace of full dimension
+    # whose tables differ from the series' tables only by value
+    doubled = [tuple(QQ.normalize(2 if j == i == 0 else int(j == i))
+                     for j in range(4)) for i in range(4)]
+    scene = P1Series(3)
+    order = [None, doubled] if full_first else [doubled, None]
+    windows = [scene_window(scene, 0, -1, 2, QQ, subspace=sub)
+               for sub in order]
+    plain, boxed = windows if full_first else windows[::-1]
+    for k in range(-1, 2):
+        # M_k = H0(O(3k))
+        table = scene.multiplication_map(3 * k, 3, QQ)
+        assert plain.mult(k) == action_columns(table, 4)
+        assert boxed.mult(k) == action_columns(
+            restrict_right(table, doubled), 4)
+    assert plain.mult(1) != boxed.mult(1)
+
+
+def test_no_rank_is_kept_between_calls(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return eliminate(*args, **kwargs)
+
+    eliminate = koszul.eliminate
+    monkeypatch.setattr(koszul, "eliminate", counting)
+    window = scene_window(P1Series(4), 0, 0, 2, QQ)
+    first = koszul_dim(window, 2, 1)
+    once = len(calls)
+    assert once > 0
+    assert koszul_dim(window, 2, 1) == first
+    assert len(calls) == 2 * once
+    assert calls[once:] == calls[:once]
 
 
 # ---- restriction to subspaces of the series ---------------------------------

@@ -189,8 +189,15 @@ class TestP1Series:
                 sc.series_dim(GF(5))
             with pytest.raises(BadPrime):
                 sc.enumerate_points(5)
+            with pytest.raises(BadPrime):
+                sc.multiplication_map(1, 2, GF(5))
+            with pytest.raises(BadPrime):
+                sc.action_columns(1, GF(5))
         assert sc.series_dim(GF(7)) == 2
         assert sc.multiplication_map(1, 2, GF(7)).ncols == 4
+        # the table restricted to the series is kept per labels and field
+        assert sc.multiplication_map(1, 2, GF(7)) is \
+            sc.multiplication_map(1, 2, GF(7))
 
     @pytest.mark.parametrize("a,root", [
         (a, root) for a in range(1, 6)
