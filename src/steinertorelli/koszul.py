@@ -4,12 +4,13 @@ A GradedModuleWindow holds the graded pieces M_lo .. M_hi of a module
 over the polynomial functions of an acting space U, together with the
 action of U out of each piece as sparse columns: entry i * dim M_k + t
 of the degree-k table lists the (w, x) pairs with x != 0 of u_i m_t in
-the basis of M_{k+1}.  A scene keeps these tables per label and field
-(`SectionRing.action_columns`), next to its rings and evaluators, so
-every window over its whole series reads the same tables; a window over
-a subspace of the series, or over the ideal of a point set, builds its
-own.  Only tables are kept: ranks, differentials and windows are
-computed anew at every call.  The groups K_{p,q} are cohomology of
+the basis of M_{k+1}.  A scene keeps these tables and their negations
+per label and field (`SectionRing.action_columns`), next to its rings
+and evaluators, so every window over its whole series reads the same
+tables; a window over a subspace of the series, or over the ideal of a
+point set, builds its own and negates each at most once.  Only tables
+are kept: ranks, differentials and windows are computed anew at every
+call.  The groups K_{p,q} are cohomology of
 
     Lambda^{p+1} U (x) M_{q-1}  ->  Lambda^p U (x) M_q
                                 ->  Lambda^{p-1} U (x) M_{q+1}
@@ -32,13 +33,13 @@ of a finite point set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import UnsupportedScene, WindowTooSmall
 from .exactfield import Matrix, QQ, eliminate, rank_kernel
 from .polyalg import (action_columns, monomial_basis, monomial_index,
-                      products, restrict_right)
+                      negated_columns, products, restrict_right)
 
 
 def exterior_dim(dim_u, p):
@@ -54,9 +55,9 @@ class GradedModuleWindow:
     table is a tuple of sparse columns, U-major: entry i * dim M_k + t
     lists the (w, x) pairs with x != 0 of u_i m_t = sum_w x m'_w in the
     basis m' of M_(k+1).  A scene window over the whole series takes the
-    tables the scene keeps per label and field (`action_columns`); a
-    window over a subspace of the series, or of a point set's ideal,
-    builds its own."""
+    tables the scene keeps per label and field (`action_columns`), and
+    their negations; a window over a subspace of the series, or of a
+    point set's ideal, builds its own and negates them in `negated`."""
 
     field: object
     dim_u: int
@@ -64,6 +65,9 @@ class GradedModuleWindow:
     hi: int
     dims: tuple       # dims[k - lo] = dim M_k
     mults: tuple      # mults[k - lo][i * dim M_k + t]: (w, x) pairs of u_i m_t
+    # the tables negated, when a scene keeps them; derived from mults, so
+    # not compared
+    negs: tuple = dataclass_field(default=None, compare=False, repr=False)
 
     def dim(self, k):
         if not self.lo <= k <= self.hi:
@@ -77,6 +81,17 @@ class GradedModuleWindow:
                 f"no multiplication out of degree {k} in "
                 f"window [{self.lo}, {self.hi}]")
         return self.mults[k - self.lo]
+
+    def negated(self, k):
+        """mult(k) with every value negated: the scene's kept table, or
+        derived once per window."""
+        if self.negs is not None:
+            return self.negs[k - self.lo]
+        kept = vars(self).setdefault("_negated", {})
+        got = kept.get(k)
+        if got is None:
+            got = kept[k] = negated_columns(self.mult(k), self.field)
+        return got
 
 
 def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
@@ -92,9 +107,10 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
                  for k in range(lo, hi + 1))
     full_u = scene.series_dim(field)
     if subspace is None:
-        mults = tuple(scene.action_columns(labels[k], field)
-                      for k in range(lo, hi))
-        return GradedModuleWindow(field, full_u, lo, hi, dims, mults)
+        mults, negs = (tuple(scene.action_columns(labels[k], field, negated)
+                             for k in range(lo, hi))
+                       for negated in (False, True))
+        return GradedModuleWindow(field, full_u, lo, hi, dims, mults, negs)
     coords = tuple(tuple(field.normalize(x) for x in vec)
                    for vec in subspace)
     for vec in coords:
@@ -156,10 +172,8 @@ def _differential_columns(window: GradedModuleWindow, p, q):
     cols_in = exterior_dim(n, p) * dm_in
     if p < 1 or rows_out == 0 or cols_in == 0:
         return rows_out, [()] * cols_in
-    char = window.field.characteristic
     plus = window.mult(q)
-    minus = [[(w, -x % char if char else -x) for w, x in col]
-             for col in plus] if p > 1 else None
+    minus = window.negated(q) if p > 1 else None
     base = {tup: k * dm_out for k, tup in
             enumerate(itertools.combinations(range(n), p - 1))}
     cols = []

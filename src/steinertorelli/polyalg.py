@@ -10,8 +10,9 @@ monomial shifts of the generators and a row reduction picks out
 representative monomials for the quotient.  Multiplication tables come
 from the ring alone, and `restrict_right` cuts a table's right factor
 down to a proper series; `action_columns` regroups a table into the
-sparse columns that Koszul differentials read.  No Groebner bases;
-everything is linear algebra over an exact field.
+sparse columns that Koszul differentials read, and `negated_columns`
+negates them.  No Groebner bases; everything is linear algebra over an
+exact field.
 """
 
 from __future__ import annotations
@@ -97,6 +98,14 @@ def action_columns(table, width) -> tuple:
     cols = table.columns()
     return tuple(tuple((w, x) for w, x in enumerate(cols[c]) if x)
                  for i in range(width) for c in range(i, table.ncols, width))
+
+
+def negated_columns(columns, field) -> tuple:
+    """Sparse columns as `action_columns` gives them, every value
+    negated."""
+    p = field.characteristic
+    return tuple(tuple((w, -x % p if p else -x) for w, x in col)
+                 for col in columns)
 
 
 def _degree_sum(k, l, sign=1):

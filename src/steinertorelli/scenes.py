@@ -58,7 +58,8 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
 from .exactfield import (GF, QQ, Matrix, eliminate, normalize_projective,
                          projective_reps, rank)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
-                      monomial_basis, restrict_right, space_dim)
+                      monomial_basis, negated_columns, restrict_right,
+                      space_dim)
 
 
 # ---- shared small types --------------------------------------------------
@@ -230,17 +231,19 @@ class SectionRing:
                 self.ring(field).multiplication(l1, l2), rows)
         return got
 
-    def action_columns(self, label, field=QQ):
+    def action_columns(self, label, field=QQ, negated=False):
         """The series acting on H0(L), as sparse columns: entry
         i * dim H0(L) + t lists the (position, value) pairs of nonzero
-        value of u_i m_t in H0(L + A).  Kept per label and field."""
+        value of u_i m_t in H0(L + A), with every value negated when
+        `negated`.  Kept per label, field and sign."""
         label = self._check_label(label)
         actions = vars(self).setdefault("_actions", {})
-        got = actions.get((label, field))
+        got = actions.get((label, field, negated))
         if got is None:
-            got = actions[(label, field)] = action_columns(
-                self.multiplication_map(label, self.label_A(), field),
-                self.series_dim(field))
+            got = actions[(label, field, negated)] = negated_columns(
+                self.action_columns(label, field), field) if negated else \
+                action_columns(self.multiplication_map(
+                    label, self.label_A(), field), self.series_dim(field))
         return got
 
     def evaluation_functional(self, params, label, field):
@@ -746,12 +749,18 @@ class PointSet(IntegerLabels):
         return got
 
     def evaluation_matrix(self, k, field):
-        """d x dim S_k matrix of degree-k monomial values at the points."""
-        pts = self.reduced_points(field)
-        basis = monomial_basis(self.r + 1, k)
-        values = _evaluator(field, _monomial_terms(basis))
-        return Matrix(field, len(pts), len(basis),
-                      tuple(tuple(values(pt)) for pt in pts))
+        """d x dim S_k matrix of degree-k monomial values at the points,
+        kept per degree and field."""
+        kept = vars(self).setdefault("_evaluations", {})
+        got = kept.get((k, field))
+        if got is None:
+            pts = self.reduced_points(field)
+            basis = monomial_basis(self.r + 1, k)
+            values = _evaluator(field, _monomial_terms(basis))
+            got = kept[(k, field)] = Matrix(
+                field, len(pts), len(basis),
+                tuple(tuple(values(pt)) for pt in pts))
+        return got
 
     def require_general_position(self, field=QQ):
         """Refuse, with NotGeneralPosition, fewer than r+1 points or points

@@ -36,7 +36,7 @@ factor.  When a < m, validation contracts T over P(U1) and the
 instability scan contracts K over P(U1*) (when r = b).  Otherwise both
 contract over P(V), the fibers of T and the maps lam |-> K (. (x) lam).
 
-Every walk is decided line by line, through one vertex q.  q is e_last
+Every walk goes through one vertex q, along lines.  q is e_last
 when its contracted matrix B = N(q) has full column rank.  Otherwise
 the first line, through e_last and e_(n-2), is decided with B =
 N(e_last): q is its first point of full rank, and when it has none, as
@@ -59,10 +59,14 @@ a step of the staircase algorithm for the Kronecker form of a pencil
 (Van Dooren, Linear Algebra Appl. 27, 1979), of which the W iteration is
 the case B' = I.  It ends at B' = I or at a wide B' with D = 0, where
 the nullity at every t is the excess of columns over rows plus the
-nullity of the transposed pencil, whose B' is I.  The points found on
-the lines are sorted into enumeration order, one run of lines with the
-same y_0 ... y_(l-1) at a time; when q = e_last that is one line at a
-time.
+nullity of the transposed pencil, whose B' is I.
+
+When B has full column rank and n >= 3, the lines through q are decided
+a plane at a time, by pencils in s along the lines y = (y'', s)
+(`_plane_pencils`), and the line decision runs only on the lines they
+flag.  The points found on the lines are sorted into enumeration
+order, one run of lines with the same y_0 ... y_(l-1) at a time; when
+q = e_last that is one line at a time.
 """
 
 from __future__ import annotations
@@ -182,7 +186,9 @@ def _rank_one_scan(rows, a, m, p, over_u1):
     q, and N(y + t*q) = A(y) + t*B with B = N(q) and A(y) = N(y).
     `_reference` reduces [B | A(e_j) ...] once, so the reduced rows of
     A(y) are linear in y and an odometer in y keeps them as running sums;
-    `_line_shifts` reads the deficient t of each line off them.  q is
+    `_line_shifts` reads the deficient t of each line off them, on each
+    line that `_flagged_lines` hands on: when B has full column rank,
+    only the lines that the pencils of their plane flag.  q is
     e_last when N(e_last) has full column rank.  Otherwise e_last is
     yielded first, and the line through it and e_(n-2), the next points
     in enumeration order, is decided with B = N(e_last) and its deficient
@@ -225,12 +231,12 @@ def _rank_one_scan(rows, a, m, p, over_u1):
             ref, steps = _reference(images, q, width, p)
     lead = q.index(1)
     found, prefix = [], None
-    # the lines through q, each from y with y_lead = 0; the first is the
-    # line through e_last and e_(n-2), decided above when skip is set.  q
-    # is e_last or (0, ..., 0, 1, t0), so on every other line y leads in
-    # x = y + t q: x is y[:lead] + (t,), then y_last + t t0 for the latter
-    for y, cur in islice(_odometer(projective_reps(p, n - 1), steps, p),
-                         skip, None):
+    # the lines through q that may hold deficient points, each from y with
+    # y_lead = 0; the first is the line through e_last and e_(n-2),
+    # decided above when skip is set.  q is e_last or (0, ..., 0, 1, t0),
+    # so on every other line y leads in x = y + t q: x is y[:lead] + (t,),
+    # then y_last + t t0 for the latter
+    for y, cur in _flagged_lines(steps, len(ref) == width, width, p, skip):
         if y[:lead] != prefix:
             # the points x found so far all share x[:lead] = prefix and
             # precede every later one
@@ -295,6 +301,103 @@ def _odometer(points, steps, p):
                 cur = [(s + d * z) % p for s, z in zip(cur, steps[i])]
         prev = x
         yield x, cur
+
+
+def _flagged_lines(steps, full, width, p, skip):
+    """Each line y of the walk through q, in enumeration order, with the
+    reduced rows of A(y) when it may hold a deficient point: the first
+    line y = e_last unless `skip`, then the planes y = (y'', s), s in F_p.
+
+    When B has full column rank (`full`), each plane is decided at once:
+    along it [M(y); D(y)] is the pencil cur'' + s steps[-1], and
+    `_plane_pencils` gives the pencils in s whose deficient s are the only
+    lines of the plane where W can be nonzero.  Otherwise, or when it
+    gives none, every line is handed on.
+    """
+    n = len(steps)
+    if n and not skip:
+        yield (0,) * (n - 1) + (1,), steps[-1]
+    pencils = _plane_pencils(steps, width, p) if full and n > 1 else None
+    if pencils is None:
+        yield from islice(_odometer(projective_reps(p, n), steps, p), 1, None)
+        return
+    last, size = steps[-1], len(steps[-1])
+    # one odometer over y'' carries the plane's A(y'', 0) and the
+    # constant terms of its pencils
+    bounds, joined = [], [list(step) for step in steps[:-1]]
+    for ref, pencil_steps, w in pencils:
+        lo = len(joined[0])
+        bounds.append((ref, w, lo, lo + len(pencil_steps[0])))
+        for row, step in zip(joined, pencil_steps):
+            row += step
+    for plane, cur in _odometer(projective_reps(p, n - 1), joined, p):
+        flagged = set()
+        for ref, w, lo, hi in bounds:
+            flagged.update(t for t, _, _ in
+                           _line_shifts(cur[lo:hi], ref, w, p))
+        base = cur[:size]
+        for s in sorted(flagged):
+            yield plane + (s,), [(u + s * v) % p for u, v in zip(base, last)]
+
+
+def _plane_pencils(steps, width, p):
+    """The pencils in s that decide the planes of the walk, when B = I: a
+    list of (reference, steps, width) as `_reference` gives them, or None
+    when some line of every plane may hold a deficient point.
+
+    With N_j = [M_j; D_j] the steps, C_0 is the common kernel of the D_j
+    and C_(i+1) that of the parts of the M_j C_i outside C_i, down to
+    C_k = 0.  Each level's pencil is that map out of C_i (D itself for
+    i = -1, C_(-1) = V) restricted to a complement of C_(i+1).  At an s
+    where every pencil has full column rank, ker D(y) = C_0 and W lies
+    in C_(i+1) whenever it lies in C_i, so W = 0 and the line holds no
+    deficient point.  When some C_i is invariant under every M_j, it lies
+    in W on every line, and when a pencil is wide it flags every line:
+    None.
+    """
+    mats = [[step[i:i + width] for i in range(0, len(step), width)]
+            for step in steps]
+    # blocks[j]: the map out of C_i of step j, C_(-1) = V first; each
+    # basis vector of C_i is 1 at its lead and 0 at the others' leads
+    blocks = [mat[width:] for mat in mats]
+    basis = [[int(i == j) for j in range(width)] for i in range(width)]
+    leads = range(width)
+    q = (0,) * (len(steps) - 1) + (1,)
+    pencils = []
+    while True:
+        work = [list(row) for block in blocks for row in block]
+        pivots = eliminate(work, len(basis), p)
+        if not pivots:
+            return None
+        w = len(pivots)
+        if len(blocks[0]) < w:
+            # a pencil with fewer rows than columns has a kernel at every s
+            return None
+        ref, pencil_steps = _reference(
+            [[row[c] for row in block for c in pivots] for block in blocks],
+            q, w, p)
+        pencils.append((ref, pencil_steps, w))
+        # the canonical kernel basis is 1 at its free columns, and 0 at
+        # the others
+        leads = [lead for c, lead in enumerate(leads) if c not in pivots]
+        basis = [[sum(map(mul, c, col)) % p for col in zip(*basis)]
+                 for c in kernel_basis(work, pivots, len(basis), GF(p))]
+        if not basis:
+            return pencils
+        # M_j y less its part in C_i, read off the coordinates other than
+        # the leads of the basis; D_j y = 0
+        rest = [r for r in range(width) if r not in leads]
+        blocks = []
+        for mat in mats:
+            cols = []
+            for y in basis:
+                z = [sum(map(mul, row, y)) % p for row in mat[:width]]
+                for c, b in zip(leads, basis):
+                    f = z[c]
+                    if f:
+                        z = [(u - f * v) % p for u, v in zip(z, b)]
+                cols.append([z[r] for r in rest])
+            blocks.append([list(row) for row in zip(*cols)])
 
 
 def _line_shifts(flat, ref, width, p):

@@ -22,9 +22,10 @@ from steinertorelli.koszul import (GradedModuleWindow, WindowTooSmall,
                                    green_points_test,
                                    koszul_differential, koszul_dim,
                                    pointset_ideal_window, scene_window)
-from steinertorelli import koszul
+from steinertorelli import koszul, scenes
 from steinertorelli.errors import NotGeneralPosition, UnsupportedScene
-from steinertorelli.polyalg import action_columns, restrict_right
+from steinertorelli.polyalg import (action_columns, negated_columns,
+                                    restrict_right)
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
 from test_scenes import SCROLL_F1, diagonal_ci
@@ -352,6 +353,42 @@ def test_subspace_window_never_reads_the_series_table(full_first):
         assert boxed.mult(k) == action_columns(
             restrict_right(table, doubled), 4)
     assert plain.mult(1) != boxed.mult(1)
+
+
+def test_negated_tables_are_kept_per_scene_and_window(monkeypatch):
+    """A scene keeps each table's negation next to the table; a window
+    that builds its own tables negates each at most once, and only when a
+    differential with p >= 2 reads it."""
+    calls = []
+
+    def counting(columns, field):
+        calls.append(field)
+        return negated_columns(columns, field)
+
+    monkeypatch.setattr(koszul, "negated_columns", counting)
+    monkeypatch.setattr(scenes, "negated_columns", counting)
+    scene = P1Series(2, basis=CONIC_BASIS)
+    for field in (QQ, GF(101)):
+        window = scene_window(scene, 0, 0, 2, field)
+        for k in (0, 1):
+            assert window.negated(k) == tuple(
+                tuple((w, field.normalize(-x)) for w, x in col)
+                for col in window.mult(k))
+        again = scene_window(scene, 0, 0, 2, field)
+        assert all(a is b for a, b in zip(again.negs, window.negs))
+    assert calls == [QQ, QQ, GF(101), GF(101)]
+    calls.clear()
+    sub = [tuple(QQ.one if j == i else QQ.zero for j in range(3))
+           for i in range(2)]
+    window = scene_window(P1Series(2), 0, 0, 2, QQ, subspace=sub)
+    assert window.negs is None
+    koszul_dim(window, 0, 1)
+    assert not calls
+    # K_{1,1} reads Lambda^2 U (x) M_0 -> U (x) M_1
+    for _ in range(2):
+        koszul_dim(window, 1, 1)
+    assert window.negated(0) is window.negated(0)
+    assert calls == [QQ]
 
 
 def test_no_rank_is_kept_between_calls(monkeypatch):

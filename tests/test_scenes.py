@@ -573,6 +573,17 @@ class TestPointSet:
         ps = PointSet(1, [(1, 0), (0, 1), (1, 1)])
         m = ps.evaluation_matrix(2, GF(5))
         assert m.entries == ((1, 0, 0), (0, 0, 1), (1, 1, 1))
+        # kept per degree and field
+        assert ps.evaluation_matrix(2, GF(5)) is m
+        assert ps.evaluation_matrix(2, GF(7)) is not m
+        assert ps.evaluation_matrix(1, GF(5)).entries == (
+            (1, 0), (0, 1), (1, 1))
+        # a bad prime is refused each time it is asked
+        clash = PointSet(1, [(1, 2), (1, 7)])
+        for _ in range(2):
+            with pytest.raises(BadPrime):
+                clash.evaluation_matrix(2, GF(5))
+        assert clash.evaluation_matrix(2, GF(7)).nrows == 2
 
     def test_enumerate(self):
         ps = PointSet(2, [(1, 2, 3), (0, 1, 4)])

@@ -1120,6 +1120,128 @@ def test_engine_matches_reference_at_larger_primes(p, shape, seed):
     assert_engine_matches_reference(low_rank_tensor(p, a, m, b, r, seed))
 
 
+# ---- the plane walk ---------------------------------------------------------
+#
+# With a vertex of full rank and n >= 3, the lines y = (y'', s) through it
+# are decided a plane y'' at a time, from pencils in s, and the line
+# decision runs only on the lines they flag.  The families below plant what
+# makes that hard: a vertex in ker D(y) on every line (symmetric tensors),
+# common kernels at two levels of the chain, and planes whose pencils are
+# singular.
+
+
+PLANE_PRIMES = st.sampled_from([2, 3, 5, 7, 13])
+
+
+@given(PLANE_PRIMES, st.data())
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_on_symmetric_tensors(p, data):
+    """U1 = V and mu(u (x) v) = mu(v (x) u), as for diagonal_ci with
+    B = K + A, on both scans."""
+    n = data.draw(st.integers(3, 4 if p < 13 else 3))
+    b = data.draw(st.integers(n, 2 * n + 1))
+    entries = st.integers(0, p - 1)
+    rows = []
+    for _ in range(b):
+        sym = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                sym[i][j] = sym[j][i] = data.draw(entries)
+        rows.append(tuple(x for row in sym for x in row))
+    assert_engine_matches_reference(
+        SteinerPresentation(Matrix(GF(p), b, n * n, tuple(rows)), n, n, b))
+
+
+def conjugated(mats, p, draw):
+    """P mats[t] Q for random invertible P and Q: the same deficient points,
+    with kernels moved by Q^-1."""
+    left = invertible(len(mats[0]), p, draw)
+    right = invertible(len(mats[0][0]), p, draw)
+    return [product(product(left, mat, p), right, p) for mat in mats]
+
+
+def assert_walks_match_reference(mats, width, p):
+    """The engine on both factors, and both scans of the presentation whose
+    fibers over P(V) are the members."""
+    assert_scan_matches_reference(mats, width, p)
+    rows, a, m = pencil_rows(mats, width, False)
+    assert_engine_matches_reference(SteinerPresentation(
+        Matrix(GF(p), len(rows), a * m, tuple(map(tuple, rows))), a, m,
+        len(rows)))
+
+
+def plane_pencils(mats, width, p):
+    """The pencils of the plane walk through e_last, whose member is the
+    last."""
+    images = [[x for row in mat for x in row] for mat in mats]
+    q = (0,) * (len(mats) - 1) + (1,)
+    ref, steps = steiner._reference(images, q, width, p)
+    assert len(ref) == width
+    return steiner._plane_pencils(steps, width, p)
+
+
+@given(PLANE_PRIMES, st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_reference_with_kernels_planted_at_two_levels(p,
+                                                                    data):
+    """Members [M_j; D_j] over B = [I; 0] with C_0 >= span(e_0 .. e_k0-1)
+    (the D_j vanish there) and C_1 >= span(e_0 .. e_k1-1) (the M_j keep it
+    inside C_0), conjugated: the chain has pencils for C_(-1), C_0 and
+    C_1 at least, of widths that add up to dim V, or the walk goes line
+    by line, and either way it matches the reference."""
+    n = data.draw(st.integers(3, 4 if p < 13 else 3))
+    width = data.draw(st.integers(2, 4))
+    k0 = data.draw(st.integers(1, width - 1))
+    k1 = data.draw(st.integers(1, k0))
+    nres = data.draw(st.integers(width - k0, width - k0 + 2))
+    entries = st.integers(0, p - 1)
+    mats = []
+    for _ in range(n - 1):
+        top = [[0 if j < k1 and i >= k0 else data.draw(entries)
+                for j in range(width)] for i in range(width)]
+        bottom = [[0 if j < k0 else data.draw(entries) for j in range(width)]
+                  for _ in range(nres)]
+        mats.append(top + bottom)
+    mats.append(identity_over(width, nres))
+    mats = conjugated(mats, p, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    pencils = plane_pencils(mats, width, p)
+    assert pencils is None or (
+        len(pencils) >= 3 and sum(w for _, _, w in pencils) == width)
+    assert_walks_match_reference(mats, width, p)
+
+
+@given(PLANE_PRIMES, st.integers(3, 4), st.booleans(), st.data())
+@settings(max_examples=80, deadline=None)
+def test_engine_matches_reference_on_singular_planes(p, n, deep, data):
+    """A vector c with D_j c = 0 and M_j c = lambda_j c for the members j of
+    a set S that holds the one along s: on the planes y'' inside S, c lies
+    in W on every line, so a pencil of the plane is singular and flags all
+    of it.  With `deep`, c is in every ker D_j, so the singular pencil is
+    the one on C_0."""
+    assume(p < 13 or n == 3)
+    width = data.draw(st.integers(1, 4))
+    nres = data.draw(st.integers(1, 4))
+    entries = st.integers(0, p - 1)
+    others = data.draw(st.sets(st.integers(0, n - 3)))
+    vec = [1] + [data.draw(entries) for _ in range(width - 1)]
+    mats = []
+    for j in range(n - 1):
+        if j in others or j == n - 2:
+            mats.append(planted(p, width, nres, data.draw(entries), vec,
+                                lambda: data.draw(entries)))
+            continue
+        mat = [[data.draw(entries) for _ in range(width)]
+               for _ in range(width + nres)]
+        if deep:
+            # only D c = 0: the top rows stay random
+            mat[width:] = planted(p, width, nres, 0, vec,
+                                  lambda: data.draw(entries))[width:]
+        mats.append(mat)
+    mats.append(identity_over(width, nres))
+    mats = conjugated(mats, p, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    assert_walks_match_reference(mats, width, p)
+
+
 def test_pencil_leaves_cut_the_eliminations(monkeypatch):
     """diagonal_ci with K+A at p = 7 (a = m = 5): validation and the
     Valles scan together use fewer than half of the 2 |P^4(F_7)|
@@ -1141,42 +1263,110 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
 
 def test_no_false_candidates(monkeypatch):
     """diagonal_ci with K+A at p = 7: each scan reduces one reference,
-    e_last, of full rank, no member of a line is eliminated, the one
-    kernel elimination per point found past it is of M on W at an
-    eigenvalue (square, of the size of a characteristic polynomial
-    taken), and the Valles scan takes fewer than 20 characteristic
-    polynomials for its 400 lines (the pencil leaves took one per
-    line)."""
+    e_last, of full rank, and one pencil in s per level of the chain
+    [1, 0] of its planes; no member of a line is eliminated, the one
+    kernel elimination per point found past the vertex within a line's
+    decision is of M on W at an eigenvalue (square, of the size of a
+    characteristic polynomial taken, as are the plane pencils' own), and
+    both scans together, over their 800 lines, take fewer than 20
+    characteristic polynomials in line decisions (the pencil leaves took
+    one per line) and fewer than 20 in the 228 decisions of their plane
+    pencils."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
     calls = {"_reference": [], "_reduced_kernel": [], "_charpoly": []}
+    # per running line shifts, outermost first: whether they decide a line
+    # of the walk, whose reference the first reduction gives, or a plane
+    deciding = []
 
     def counting(name):
         func = getattr(steiner, name)
 
         def wrapped(*args):
-            calls[name].append(args)
-            return func(*args)
+            calls[name].append((bool(deciding) and deciding[0],) + args)
+            out = func(*args)
+            if name == "_reference":
+                calls[name][-1] += (out[0],)
+            return out
         monkeypatch.setattr(steiner, name, wrapped)
+
+    def tracking(flat, ref, width, p):
+        deciding.append(ref is calls["_reference"][0][-1])
+        try:
+            return line_shifts(flat, ref, width, p)
+        finally:
+            deciding.pop()
 
     for name in calls:
         counting(name)
+    line_shifts = steiner._line_shifts
+    monkeypatch.setattr(steiner, "_line_shifts", tracking)
+    taken = []
     for scan, unstable in ((validate_presentation, 0),
                            (valles_locus, 16)):
-        calls["_reference"].clear()
-        calls["_reduced_kernel"].clear()
+        for name in calls:
+            calls[name].clear()
         report = scan(pres)
         assert len(getattr(report, "unstable", ())) == unstable
-        # the walk goes through e_last, which has full rank
-        assert [q for _, q, _, _ in calls["_reference"]] == [(0, 0, 0, 0, 1)]
-        dims_w = {len(mat) for mat, _ in calls["_charpoly"]}
-        assert len(calls["_reduced_kernel"]) == unstable
+        # the walk goes through e_last, which has full rank, and each
+        # level's pencil in s is reduced once
+        assert [q for _, _, q, _, _, _ in calls["_reference"]] == \
+            [(0, 0, 0, 0, 1)] + [(0, 0, 0, 1)] * 2
+        dims_w = {len(mat) for _, mat, _ in calls["_charpoly"]}
+        assert sum(line for line, _, _, _ in calls["_reduced_kernel"]) == \
+            unstable
         assert all(len(flat) == width * width and width in dims_w
-                   for flat, width, _ in calls["_reduced_kernel"])
+                   for _, flat, width, _ in calls["_reduced_kernel"])
+        taken += calls["_charpoly"]
     # recovery reads the kernels the scan handed out
     assert len(pres._phis) == 16
-    assert len(calls["_charpoly"]) < 20
+    # over both scans: those taken in line decisions, then those of the
+    # plane pencils, 57 planes of two levels per scan
+    assert len([call for call in taken if call[0]]) < 20
+    assert len([call for call in taken if not call[0]]) < 20
+
+
+def test_planes_replace_line_decisions(monkeypatch):
+    """diagonal_ci with K+A at p = 7 (a = m = 5): each scan decides the
+    57 planes of lines through the vertex, one pencil in s per level of
+    the chain [1, 0], and runs the line decision only on the line through
+    e_last and the lines that the planes flag: 5 and 9 lines, where a
+    walk line by line decided all 400."""
+    scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
+    pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
+                                     GF(7))
+    decisions, depth, lines = [], [0], []
+    line_shifts = steiner._line_shifts
+    flagged_lines = steiner._flagged_lines
+
+    def counting(flat, ref, width, p):
+        if not depth[0]:
+            decisions.append(width)
+        depth[0] += 1
+        try:
+            return line_shifts(flat, ref, width, p)
+        finally:
+            depth[0] -= 1
+
+    def recording(*args):
+        for y, cur in flagged_lines(*args):
+            lines.append(y)
+            yield y, cur
+
+    monkeypatch.setattr(steiner, "_line_shifts", counting)
+    monkeypatch.setattr(steiner, "_flagged_lines", recording)
+    planes = projective_count(7, 3)
+    assert planes == 57 and projective_count(7, 4) == 400
+    for scan, decided in ((validate_presentation, 5), (valles_locus, 9)):
+        decisions.clear()
+        lines.clear()
+        scan(pres)
+        assert len(lines) == len(set(lines)) == decided
+        # two pencils per plane, of widths 4 and 1, then one decision of
+        # width 5 per line handed on
+        assert sorted(decisions) == \
+            [1] * planes + [4] * planes + [5] * decided
 
 
 def plant_rank_one(rows, a, m, u, v, p):
@@ -1219,12 +1409,15 @@ def test_invalid_presentation_matches_the_oracle(monkeypatch, a, m, b, seed,
     assert vertex is not None and (walked < vertex) == before
     pres = SteinerPresentation(Matrix(GF(p), b, a * m, tuple(rows)), a, m, b)
     lines = []
+    flagged_lines = steiner._flagged_lines
 
-    def counting(flat, ref, width, p):
-        lines.append(None)
-        return _line_shifts(flat, ref, width, p)
+    def recording(*args):
+        for y, cur in flagged_lines(*args):
+            yield y, cur
+            # the walk asks for the next line once y is decided
+            lines.append(y)
 
-    monkeypatch.setattr(steiner, "_line_shifts", counting)
+    monkeypatch.setattr(steiner, "_flagged_lines", recording)
     report = validate_presentation(pres)
     assert not report.valid
     assert report == reference_validation(pres)
@@ -1233,9 +1426,12 @@ def test_invalid_presentation_matches_the_oracle(monkeypatch, a, m, b, seed,
         if before:
             assert not lines
         else:
-            # v lies on the line through e_last and v[:-1]
+            # v lies on the line through e_last and v[:-1], the last line
+            # decided; the planes before it hand on no more lines than a
+            # walk line by line decides
             assert vertex == projective_unrank(p, m, 0)
-            assert len(lines) == projective_rank(p, v[:-1]) + 1
+            assert lines[-1] == v[:-1]
+            assert len(lines) <= projective_rank(p, v[:-1]) + 1
 
 
 # ---- recovery against the left kernel of the restricted matrix -------------
