@@ -7,13 +7,15 @@ here, so kernels come out in a fixed reduced-echelon canonical form (each
 basis vector carries a leading 1 in a distinct non-pivot coordinate) and
 identical inputs always produce identical output.
 
-Arithmetic convention: the field classes do no arithmetic.  Callers
+Arithmetic convention: the field classes do no arithmetic.  Inside the
+package, linear data travels as lists of canonical row lists: callers
 combine canonical entries with Python's own operators and canonicalize
-the result once, either with one `field.normalize` per scalar they
-produce or by handing the raw values to the `Matrix` constructor, which
-is the one boundary that normalizes.  Accumulators start from the
-shared `field.zero`, so over QQ an untouched entry is that one Fraction
-rather than an int the boundary has to convert.
+the result once, with one `field.normalize` per scalar they produce, and
+`span_reduction` takes such rows to their pivots and kernel.  `Matrix` is
+the public boundary: it is built only where a public function returns
+one, and its constructor normalizes every entry and checks the shape, as
+outside input needs.  Accumulators start from the shared `field.zero`,
+so over QQ an untouched entry is that one Fraction rather than an int.
 
 Elimination over QQ does no Fraction arithmetic: `eliminate` scales each
 row to coprime integers and eliminates fraction-free.  Only the finished
@@ -151,24 +153,6 @@ class Matrix:
             norm.append(tuple(map(normalize, row)))
         object.__setattr__(self, "entries", tuple(norm))
 
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def from_rows(field, rows):
-        rows = [tuple(r) for r in rows]
-        ncols = len(rows[0]) if rows else 0
-        return Matrix(field, len(rows), ncols, tuple(rows))
-
-    @staticmethod
-    def from_cols(field, cols, nrows=None):
-        cols = [tuple(c) for c in cols]
-        if nrows is None:
-            if not cols:
-                raise ShapeMismatch("from_cols with no columns needs nrows")
-            nrows = len(cols[0])
-        rows = tuple(tuple(c[i] for c in cols) for i in range(nrows))
-        return Matrix(field, nrows, len(cols), rows)
-
     # -- basic operations ---------------------------------------------
 
     def _check_field(self, other):
@@ -198,18 +182,6 @@ class Matrix:
 
 
 # -- reduction -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Echelon:
-    """Reduced row echelon data: `rows` are the rank many nonzero rows."""
-
-    rows: tuple
-    pivots: tuple
-
-    @property
-    def rank(self):
-        return len(self.pivots)
 
 
 _numerator = attrgetter("numerator")
@@ -292,6 +264,19 @@ def eliminate(work, ncols, p, full=True):
     return pivots
 
 
+# test oracle kept while benchmark/layertrace.py wraps it (ROADMAP item 1)
+@dataclass(frozen=True)
+class Echelon:
+    """Reduced row echelon data: `rows` are the rank many nonzero rows."""
+
+    rows: tuple
+    pivots: tuple
+
+    @property
+    def rank(self):
+        return len(self.pivots)
+
+
 def rref(m: Matrix) -> Echelon:
     work = [list(row) for row in m.entries]
     pivots = eliminate(work, m.ncols, m.field.characteristic)
@@ -306,30 +291,49 @@ def rank(m: Matrix) -> int:
 
 @dataclass(frozen=True)
 class KernelData:
-    rank: int
+    """Pivots and canonical kernel basis of one row reduction.  Each
+    kernel vector has entry 1 at its own free coordinate and 0 at every
+    other free coordinate, so coordinates of any kernel element in this
+    basis can be read off at the free positions; read as rows, the basis
+    maps ambient coordinates to coordinates of the quotient by the row
+    span, and a vector lies in the span iff it maps to zero."""
+
     kernel: tuple       # tuple of canonical kernel vectors (length ncols)
     pivots: tuple
+
+    @property
+    def rank(self):
+        return len(self.pivots)
 
     @property
     def nullity(self):
         return len(self.kernel)
 
+    @property
+    def complement(self):
+        """The free (non-pivot) coordinates, one per kernel vector; a
+        basis of the quotient by the row span."""
+        pivots = set(self.pivots)
+        return tuple(j for j in range(self.rank + self.nullity)
+                     if j not in pivots)
+
+
+def span_reduction(rows, ncols, field) -> KernelData:
+    """Pivots and canonical kernel basis of the canonical row lists `rows`,
+    each of length `ncols`, acting on column vectors."""
+    work = [list(row) for row in rows]
+    pivots = eliminate(work, ncols, field.characteristic)
+    return KernelData(kernel_basis(work, pivots, ncols, field),
+                      tuple(pivots))
+
 
 def rank_kernel(m: Matrix) -> KernelData:
-    """Rank and a canonical kernel basis of M acting on column vectors.
-
-    Each kernel vector has entry 1 at its own free coordinate and 0 at
-    every other free coordinate, so coordinates of any kernel element in
-    this basis can be read off at the free positions.
-    """
-    ech = rref(m)
-    return KernelData(ech.rank,
-                      kernel_basis(ech.rows, ech.pivots, m.ncols, m.field),
-                      ech.pivots)
+    """The span_reduction of the rows of M."""
+    return span_reduction(m.entries, m.ncols, m.field)
 
 
 def kernel_basis(rows, pivots, ncols, field):
-    """The canonical kernel basis of rank_kernel, read off the reduced
+    """The canonical kernel basis of span_reduction, read off the reduced
     echelon `rows` and their `pivots`.  Mod p the rows are residues, as
     `eliminate` leaves them, so an entry is one `%`."""
     p = field.characteristic
@@ -347,33 +351,6 @@ def kernel_basis(rows, pivots, ncols, field):
 
 def left_kernel(m: Matrix) -> KernelData:
     return rank_kernel(m.transpose())
-
-
-@dataclass(frozen=True)
-class SpanReduction:
-    """Quotient of an ambient coordinate space by the row span of a matrix.
-
-    `complement` lists the non-pivot ambient coordinates, which represent a
-    basis of the quotient; `reduce` maps ambient coordinates to quotient
-    coordinates.  A vector lies in the span iff reduce sends it to zero.
-    """
-
-    ambient: int
-    pivots: tuple
-    complement: tuple
-    reduce: Matrix
-
-    @property
-    def dim(self):
-        return len(self.complement)
-
-
-def span_reduction(rows: Matrix) -> SpanReduction:
-    kd = rank_kernel(rows)
-    pivotset = set(kd.pivots)
-    complement = tuple(j for j in range(rows.ncols) if j not in pivotset)
-    reduce = Matrix(rows.field, len(complement), rows.ncols, kd.kernel)
-    return SpanReduction(rows.ncols, kd.pivots, complement, reduce)
 
 
 # -- projective enumeration ----------------------------------------------

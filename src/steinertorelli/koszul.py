@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import UnsupportedScene, WindowTooSmall
-from .exactfield import Matrix, QQ, eliminate, rank_kernel
+from .exactfield import Matrix, QQ, eliminate, span_reduction
 from .polyalg import (action_columns, monomial_basis, monomial_index,
                       negated_columns, products, restrict_right)
 
@@ -126,9 +126,10 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
 def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
         GradedModuleWindow:
     """Window for M_k = I_k, the degree-k forms vanishing on the point
-    set, acted on by all linear forms.  Graded pieces come out of the
-    evaluation matrices in canonical kernel form, so coordinates in each
-    basis can be read off at the free monomial positions."""
+    set, acted on by all linear forms.  Graded pieces are the canonical
+    kernels of the evaluation rows, one `span_reduction` per degree, so
+    coordinates in each basis can be read off at its free monomial
+    positions, the reduction's complement."""
     if k_hi < k_lo + 1:
         raise WindowTooSmall("a window needs at least two degrees")
     nvars = points.r + 1
@@ -137,11 +138,9 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
         if k < 0:
             bases[k], free[k] = (), ()
             continue
-        kd = rank_kernel(points.evaluation_matrix(k, field))
-        pivots = set(kd.pivots)
-        bases[k] = kd.kernel
-        free[k] = [j for j in range(len(monomial_index(nvars, k)))
-                   if j not in pivots]
+        kd = span_reduction(points.evaluation_matrix(k, field),
+                            len(monomial_basis(nvars, k)), field)
+        bases[k], free[k] = kd.kernel, kd.complement
     dims = tuple(len(bases[k]) for k in range(k_lo, k_hi + 1))
     linear = monomial_basis(nvars, 1)
     mults = []
@@ -186,6 +185,7 @@ def _differential_columns(window: GradedModuleWindow, p, q):
     return rows_out, cols
 
 
+# test oracle kept while benchmark/layertrace.py wraps it (ROADMAP item 1)
 def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
     """Lambda^p U (x) M_q -> Lambda^(p-1) U (x) M_(q+1), exterior-major
     row and column blocks."""

@@ -6,13 +6,14 @@ significant, so x0^2 > x0*x1 > x0*x2 > x1^2 > ...  A ring may take any
 other graded monomial basis, with integer or integer-pair degrees, such
 as the Cox ring of a scroll.  A quotient by a homogeneous ideal is
 handled degree by degree: the degree-k piece of the ideal is spanned by
-monomial shifts of the generators and a row reduction picks out
-representative monomials for the quotient.  Multiplication tables come
-from the ring alone, and `restrict_right` cuts a table's right factor
-down to a proper series; `action_columns` regroups a table into the
-sparse columns that Koszul differentials read, and `negated_columns`
-negates them.  No Groebner bases; everything is linear algebra over an
-exact field.
+the monomial shifts of the generators, as row lists, and one
+`span_reduction` of them picks out representative monomials for the
+quotient, with the kernel rows that reduce onto them.  Multiplication
+tables, the only `Matrix` here, come from the ring alone, and
+`restrict_right` cuts a table's right factor down to a proper series;
+`action_columns` regroups a table into the sparse columns that Koszul
+differentials read, and `negated_columns` negates them.  No Groebner
+bases; everything is linear algebra over an exact field.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadPrime, ShapeMismatch, ZeroSection
-from .exactfield import Matrix, SpanReduction, span_reduction
+from .exactfield import KernelData, Matrix, span_reduction
 
 
 @lru_cache(maxsize=None)
@@ -76,17 +77,14 @@ def restrict_right(table, rows) -> Matrix:
     basis: column t * len(rows) + i is the t-th left element times the
     i-th row."""
     field = table.field
-    cols = table.columns()
     width = len(rows[0]) if rows else 1
-    out = []
-    for t in range(0, table.ncols, width):
-        for vec in rows:
-            acc = [field.zero] * table.nrows
-            for w, c in enumerate(vec):
-                if c:
-                    acc = [x + c * y for x, y in zip(acc, cols[t + w])]
-            out.append(acc)
-    return Matrix.from_cols(field, out, table.nrows)
+    # the (table column, coefficient) pairs of each restricted column
+    terms = [[(t + w, c) for w, c in enumerate(vec) if c]
+             for t in range(0, table.ncols, width) for vec in rows]
+    return Matrix(field, table.nrows, len(terms), tuple(
+        tuple(sum((c * row[j] for j, c in term), field.zero)
+              for term in terms)
+        for row in table.entries))
 
 
 def action_columns(table, width) -> tuple:
@@ -118,11 +116,12 @@ def _degree_sum(k, l, sign=1):
 @dataclass(frozen=True)
 class QuotientPiece:
     """Degree-k piece of S/I: representative monomials plus the reduction
-    matrix from ambient S_k coordinates to quotient coordinates."""
+    of the ideal piece, whose kernel rows map ambient S_k coordinates to
+    quotient coordinates."""
 
     degree: object
     monomials: tuple          # representative exponent tuples
-    reduction: SpanReduction  # quotient of S_k by the ideal piece
+    reduction: KernelData     # pivots and kernel of the ideal piece's rows
 
     @property
     def dim(self):
@@ -175,20 +174,21 @@ class GradedQuotientRing:
                 m: i for i, m in enumerate(self.basis(self.num_vars, k))}
         return got
 
-    def ideal_rows(self, k) -> Matrix:
-        """Spanning set of I_k: all monomial shifts of the generators."""
+    def ideal_rows(self, k) -> list:
+        """Spanning set of I_k, canonical row lists over the monomials of
+        S_k: all monomial shifts of the generators."""
         idx = self._positions(k)
         rows = []
         for degree, terms in self.generators:
             shifts = self.basis(self.num_vars, _degree_sum(k, degree, -1))
             rows += products(self.field, shifts, (terms,), idx)
-        return Matrix(self.field, len(rows), len(idx), tuple(rows))
+        return rows
 
     def piece(self, k) -> QuotientPiece:
         got = self._pieces.get(k)
         if got is None:
             amb = self.basis(self.num_vars, k)
-            red = span_reduction(self.ideal_rows(k))
+            red = span_reduction(self.ideal_rows(k), len(amb), self.field)
             got = self._pieces[k] = QuotientPiece(
                 k, tuple(amb[c] for c in red.complement), red)
         return got
@@ -204,10 +204,11 @@ class GradedQuotientRing:
             kl = _degree_sum(k, l)
             out = self.piece(kl)
             idx = self._positions(kl)
-            reduced = out.reduction.reduce.columns()
-            cols = [reduced[idx[monomial_product(m1, m2)]]
+            cols = [idx[monomial_product(m1, m2)]
                     for m1 in self.piece(k).monomials
                     for m2 in self.piece(l).monomials]
-            got = self._mults[(k, l)] = Matrix.from_cols(
-                self.field, cols, out.dim)
+            got = self._mults[(k, l)] = Matrix(
+                self.field, out.dim, len(cols),
+                tuple(tuple(v[c] for c in cols)
+                      for v in out.reduction.kernel))
         return got

@@ -55,8 +55,8 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      BasepointedSeries, NotGeneralPosition, SchemaError,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
-from .exactfield import (GF, QQ, Matrix, eliminate, normalize_projective,
-                         projective_reps, rank)
+from .exactfield import (GF, QQ, eliminate, normalize_projective,
+                         projective_reps)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
                       monomial_basis, negated_columns, restrict_right,
                       space_dim)
@@ -377,8 +377,9 @@ class P1Series(IntegerLabels, SectionRing):
         series = vars(self).setdefault("_series", {})
         rows = series.get(field)
         if rows is None:
-            m = Matrix.from_rows(field, self.basis)
-            rows = series[field] = m.entries if rank(m) == m.nrows else ()
+            rows = tuple(tuple(map(field.normalize, row))
+                         for row in self.basis)
+            rows = series[field] = rows if _independent(field, rows) else ()
         if not rows:
             raise BadPrime(
                 f"series basis degenerates over {field}")
@@ -749,17 +750,16 @@ class PointSet(IntegerLabels):
         return got
 
     def evaluation_matrix(self, k, field):
-        """d x dim S_k matrix of degree-k monomial values at the points,
-        kept per degree and field."""
+        """The d rows, canonical tuples over the monomials of S_k, of
+        degree-k monomial values at the points, kept per degree and
+        field."""
         kept = vars(self).setdefault("_evaluations", {})
         got = kept.get((k, field))
         if got is None:
-            pts = self.reduced_points(field)
-            basis = monomial_basis(self.r + 1, k)
-            values = _evaluator(field, _monomial_terms(basis))
-            got = kept[(k, field)] = Matrix(
-                field, len(pts), len(basis),
-                tuple(tuple(values(pt)) for pt in pts))
+            values = _evaluator(
+                field, _monomial_terms(monomial_basis(self.r + 1, k)))
+            got = kept[(k, field)] = tuple(
+                tuple(values(pt)) for pt in self.reduced_points(field))
         return got
 
     def require_general_position(self, field=QQ):

@@ -313,17 +313,15 @@ def dk_presentation(points, field) -> SteinerPresentation:
             stacklevel=2)
     reps = tuple(tuple(field.normalize(c) for c in row)
                  for row in points.points)
-    ones = Matrix(field, 1, d, ((1,) * d,))
-    quot0 = span_reduction(ones)
-    lin = Matrix.from_rows(field, reps).transpose()   # (r+1) x d
-    quot1 = span_reduction(lin)
-    a, m, b = quot1.dim, r + 1, quot0.dim
+    # the quotients of F^d by the values at the points of linear forms,
+    # and of constants: the all-ones row, of pivot 0 and complement 1..d-1
+    quot1 = span_reduction(tuple(zip(*reps)), d, field)
+    a, m, b = quot1.nullity, r + 1, d - 1
     # mult by x_j maps the quotient by constants to the quotient by
     # linears; column i*m + j of mu is row i of that map, transposed
-    red = quot1.reduce.entries
-    cols = [[reps[c][j] * red[i][c] for c in quot0.complement]
-            for i in range(a) for j in range(m)]
-    tensor = Matrix.from_cols(field, cols, b)
+    tensor = Matrix(field, b, a * m, tuple(
+        tuple(reps[c][j] * vec[c] for vec in quot1.kernel for j in range(m))
+        for c in range(1, d)))
     return SteinerPresentation(tensor, a, m, b, f"dk({points.name})")
 
 

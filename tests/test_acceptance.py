@@ -24,6 +24,8 @@ from steinertorelli.torelli import (dk_check, dk_presentation,
                                     tautological_presentation,
                                     torelli_check, vanishing_check)
 
+from test_exactfield import matrix
+
 SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
 PRIMES = (5, 7, 11)
 
@@ -227,7 +229,7 @@ def test_c09_koszul_calculus_properties():
     while changes < 20:
         rows = [tuple(rng.randrange(5) for _ in range(4))
                 for _ in range(4)]
-        if rank_kernel(Matrix.from_rows(f5, rows)).rank != 4:
+        if rank_kernel(matrix(f5, rows)).rank != 4:
             continue
         window = scene_window(tc, 0, -1, 3, f5, subspace=rows)
         for (p, q), expect in [((1, 1), 3), ((2, 1), 2), ((1, 2), 0),

@@ -3,7 +3,7 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from steinertorelli.errors import (BadPrime, FieldMismatch, NonPrimeModulus,
@@ -26,6 +26,15 @@ def mat_vec(m, vec):
     zero = m.field.zero
     return tuple(m.field.normalize(sum(map(mul, row, vec), zero))
                  for row in m.entries)
+
+
+def matrix(field, rows, ncols=None):
+    """The Matrix with these rows, its constructor normalizing each entry;
+    `ncols` defaults to the length of the first row (0 with no rows)."""
+    rows = tuple(map(tuple, rows))
+    if ncols is None:
+        ncols = len(rows[0]) if rows else 0
+    return Matrix(field, len(rows), ncols, rows)
 
 
 # ---- fields -------------------------------------------------------------
@@ -100,7 +109,7 @@ def test_field_coercion_rejects_junk():
 # ---- matrices -----------------------------------------------------------
 
 def test_matrix_normalizes_entries():
-    m = Matrix.from_rows(GF(5), [(7, -1, Fraction(1, 2))])
+    m = matrix(GF(5), [(7, -1, Fraction(1, 2))])
     assert m.entries == ((2, 4, 3),)
 
 
@@ -108,24 +117,24 @@ def test_shape_checks():
     with pytest.raises(ShapeMismatch):
         Matrix(GF(5), 2, 2, ((1, 2),))
     with pytest.raises(ShapeMismatch):
-        Matrix.from_rows(GF(5), [(1, 2), (1,)])
-    a = Matrix.from_rows(GF(5), [(1, 2)])
-    b = Matrix.from_rows(GF(5), [(1, 2)])
+        matrix(GF(5), [(1, 2), (1,)])
+    a = matrix(GF(5), [(1, 2)])
+    b = matrix(GF(5), [(1, 2)])
     with pytest.raises(ShapeMismatch):
         a.mul(b)
 
 
 def test_field_mismatch_on_mixing():
-    a = Matrix.from_rows(GF(5), [(1,)])
-    b = Matrix.from_rows(GF(7), [(1,)])
+    a = matrix(GF(5), [(1,)])
+    b = matrix(GF(7), [(1,)])
     with pytest.raises(FieldMismatch):
         a.mul(b)
 
 
 def test_matmul_and_transpose():
     fld = GF(7)
-    a = Matrix.from_rows(fld, [(1, 2), (3, 4)])
-    b = Matrix.from_rows(fld, [(5, 6), (0, 1)])
+    a = matrix(fld, [(1, 2), (3, 4)])
+    b = matrix(fld, [(5, 6), (0, 1)])
     assert a.mul(b).entries == ((5, 1), (1, 1))    # [[5,8],[15,22]] mod 7
     assert a.transpose().entries == ((1, 3), (2, 4))
     assert mat_vec(a, (1, 1)) == (3, 0)
@@ -136,7 +145,7 @@ def test_matmul_and_transpose():
 # matrix over QQ has rank 2 with one dimensional kernel spanned by
 # (-2, 1, 0), orthogonal to both rows.
 def test_rank_kernel_f5_example():
-    m = Matrix.from_rows(GF(5), [(1, 2, 3), (2, 4, 1)])
+    m = matrix(GF(5), [(1, 2, 3), (2, 4, 1)])
     kd = rank_kernel(m)
     assert kd.rank == 1
     assert kd.kernel == ((3, 1, 0), (2, 0, 1))
@@ -145,7 +154,7 @@ def test_rank_kernel_f5_example():
 
 
 def test_rank_kernel_qq_example():
-    m = Matrix.from_rows(QQ, [(1, 2, 3), (2, 4, 1)])
+    m = matrix(QQ, [(1, 2, 3), (2, 4, 1)])
     kd = rank_kernel(m)
     assert kd.rank == 2
     assert kd.kernel == ((Fraction(-2), Fraction(1), Fraction(0)),)
@@ -153,7 +162,7 @@ def test_rank_kernel_qq_example():
 
 
 def test_rref_canonical_form():
-    m = Matrix.from_rows(QQ, [(0, 2, 4), (1, 1, 1)])
+    m = matrix(QQ, [(0, 2, 4), (1, 1, 1)])
     ech = rref(m)
     assert ech.pivots == (0, 1)
     assert ech.rows == ((Fraction(1), Fraction(0), Fraction(-1)),
@@ -162,12 +171,12 @@ def test_rref_canonical_form():
 
 def test_identity_and_zero():
     fld = GF(3)
-    assert not Matrix.from_rows(fld, [(1, 0), (0, 1)]).is_zero()
+    assert not matrix(fld, [(1, 0), (0, 1)]).is_zero()
     assert Matrix(fld, 2, 3, ((0, 0, 0),) * 2).is_zero()
 
 
 def test_left_kernel():
-    m = Matrix.from_rows(GF(5), [(1, 0), (2, 0), (0, 0)])
+    m = matrix(GF(5), [(1, 0), (2, 0), (0, 0)])
     kd = left_kernel(m)
     assert kd.rank == 1
     # row relations: r1 - 2 r0 = 0 and r2 = 0
@@ -177,9 +186,9 @@ def test_left_kernel():
 def test_map_to_reduces_rationals():
     # the Matrix constructor is the one boundary that reduces QQ data
     rows = [(Fraction(1, 2), 3)]
-    assert Matrix.from_rows(GF(5), rows).entries == ((3, 3),)
+    assert matrix(GF(5), rows).entries == ((3, 3),)
     with pytest.raises(BadPrime):
-        Matrix.from_rows(GF(2), rows)
+        matrix(GF(2), rows)
 
 
 # ---- hypothesis properties ----------------------------------------------
@@ -193,7 +202,7 @@ def _matrix_strategy(field_st):
         ent = draw(st.lists(
             st.lists(st.integers(-20, 20), min_size=ncols, max_size=ncols),
             min_size=nrows, max_size=nrows))
-        return Matrix.from_rows(fld, ent)
+        return matrix(fld, ent)
     return build()
 
 
@@ -229,24 +238,6 @@ def test_rank_equals_transpose_rank(m):
     assert rank(m) == rank(m.transpose())
 
 
-@given(matrices)
-@settings(max_examples=80, deadline=None)
-def test_span_reduction_kills_rows(m):
-    sr = span_reduction(m)
-    assert sr.dim == m.ncols - rank(m)
-    zero = (m.field.zero,) * sr.dim
-    for row in m.entries:
-        assert mat_vec(sr.reduce, row) == zero
-    # complement coordinates really are coordinates: reducing the unit
-    # vector at complement position i gives the i-th standard vector
-    for i, c in enumerate(sr.complement):
-        unit = [m.field.zero] * m.ncols
-        unit[c] = m.field.one
-        out = mat_vec(sr.reduce, unit)
-        assert out[i] == m.field.one
-        assert all(x == m.field.zero for j, x in enumerate(out) if j != i)
-
-
 # ---- the elimination kernel ---------------------------------------------
 
 @st.composite
@@ -261,6 +252,35 @@ def sparse_matrices(draw, fields=any_field):
                        else draw(st.integers(-9, 9)) for j in range(ncols))
                  for i in range(nrows))
     return Matrix(fld, nrows, ncols, rows)
+
+
+@given(sparse_matrices())
+@example(Matrix(GF(5), 0, 3, ()))
+@example(Matrix(QQ, 0, 2, ()))
+@example(Matrix(GF(7), 2, 3, ((0, 0, 0),) * 2))
+@example(Matrix(QQ, 1, 3, ((0, 0, 0),)))
+# the kernel vector (1, 1) holds a 1 at the pivot 0 as well as at its
+# free coordinate 1, so the complement is not where a kernel vector is 1
+@example(Matrix(GF(5), 1, 2, ((1, 4),)))
+@settings(max_examples=150, deadline=None)
+def test_span_reduction_kills_rows(m):
+    kd = span_reduction(m.entries, m.ncols, m.field)
+    pivots = rref(m).pivots
+    assert kd.pivots == pivots
+    assert kd.complement == tuple(j for j in range(m.ncols)
+                                  if j not in pivots)
+    assert kd.rank + kd.nullity == m.ncols
+    zero, one = m.field.zero, m.field.one
+    reduce = matrix(m.field, kd.kernel, m.ncols)
+    for row in m.entries:
+        assert mat_vec(reduce, row) == (zero,) * kd.nullity
+    # complement coordinates really are coordinates: reducing the unit
+    # vector at complement position i gives the i-th standard vector
+    for i, c in enumerate(kd.complement):
+        unit = [zero] * m.ncols
+        unit[c] = one
+        assert mat_vec(reduce, unit) == tuple(
+            one if j == i else zero for j in range(kd.nullity))
 
 
 @given(sparse_matrices())

@@ -28,6 +28,7 @@ from steinertorelli.polyalg import (action_columns, negated_columns,
                                     restrict_right)
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
+from test_exactfield import matrix
 from test_scenes import SCROLL_F1, diagonal_ci
 
 TC = P1Series(3)
@@ -464,7 +465,7 @@ def test_dims_invariant_under_basis_change(entries):
     f5 = GF(5)
     rows = [tuple(f5.normalize(x) for x in entries[4 * i:4 * i + 4])
             for i in range(4)]
-    assume(rank_kernel(Matrix.from_rows(f5, rows)).rank == 4)
+    assume(rank_kernel(matrix(f5, rows)).rank == 4)
     w = scene_window(TC, 0, -1, 3, f5, subspace=rows)
     assert koszul_dim(w, 1, 1).dim == 3
     assert koszul_dim(w, 2, 1).dim == 2

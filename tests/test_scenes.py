@@ -20,7 +20,7 @@ from steinertorelli.errors import (BadClass, BadPrime, BasepointedSeries,
                                    SchemaError, ShapeMismatch,
                                    UnsupportedLabel, UnsupportedScene,
                                    ZeroEvaluation, ZeroPoint, ZeroSection)
-from steinertorelli.exactfield import (GF, QQ, Matrix, normalize_projective,
+from steinertorelli.exactfield import (GF, QQ, normalize_projective,
                                        rank, span_reduction)
 from steinertorelli import scenes
 from steinertorelli.koszul import scene_window
@@ -29,6 +29,8 @@ from steinertorelli.scenes import (CompleteIntersection, MonomialVariety,
                                    P1Series, PointSet, ScrollCurve,
                                    load_scene, parse_scalar, save_scene,
                                    scene_from_dict, scroll_basis)
+
+from test_exactfield import matrix
 
 
 # ---- shared fixtures -----------------------------------------------------
@@ -226,7 +228,7 @@ class TestP1Series:
             rows = [_binary_product(factor, data.draw(
                 st.lists(coeff, min_size=a, max_size=a)))
                 for _ in range(count)]
-        assume(rank(Matrix.from_rows(QQ, rows)) == count)
+        assume(rank(matrix(QQ, rows)) == count)
         expected = gcd_basepoint_oracle(rows)
         assert expected or root == "none"
         if expected:
@@ -572,18 +574,18 @@ class TestPointSet:
     def test_evaluation_matrix(self):
         ps = PointSet(1, [(1, 0), (0, 1), (1, 1)])
         m = ps.evaluation_matrix(2, GF(5))
-        assert m.entries == ((1, 0, 0), (0, 0, 1), (1, 1, 1))
+        assert m == ((1, 0, 0), (0, 0, 1), (1, 1, 1))
         # kept per degree and field
         assert ps.evaluation_matrix(2, GF(5)) is m
         assert ps.evaluation_matrix(2, GF(7)) is not m
-        assert ps.evaluation_matrix(1, GF(5)).entries == (
+        assert ps.evaluation_matrix(1, GF(5)) == (
             (1, 0), (0, 1), (1, 1))
         # a bad prime is refused each time it is asked
         clash = PointSet(1, [(1, 2), (1, 7)])
         for _ in range(2):
             with pytest.raises(BadPrime):
                 clash.evaluation_matrix(2, GF(5))
-        assert clash.evaluation_matrix(2, GF(7)).nrows == 2
+        assert len(clash.evaluation_matrix(2, GF(7))) == 2
 
     def test_enumerate(self):
         ps = PointSet(2, [(1, 2, 3), (0, 1, 4)])
@@ -710,7 +712,8 @@ def _table(field, left, right, index):
             for e, c in form:
                 col[index[tuple(x + y for x, y in zip(m, e))]] += c
             cols.append(col)
-    return Matrix.from_cols(field, cols, len(index))
+    return matrix(field, [[col[i] for col in cols]
+                          for i in range(len(index))], len(cols))
 
 
 def _scroll_pairs(a, b, alpha, beta):
@@ -746,7 +749,7 @@ class ReferenceScroll:
         down = (label[0] - sc.d, label[1] - sc.e)
         shifts = _pair_exponents(_scroll_pairs(sc.a, sc.b, *down), down[0])
         rows = _table(self.field, shifts, [self.form], index).transpose()
-        red = span_reduction(rows)
+        red = span_reduction(rows.entries, rows.ncols, self.field)
         return tuple(amb[c] for c in red.complement), red
 
     def basis(self, label):
@@ -758,10 +761,10 @@ class ReferenceScroll:
         _, red = self.piece(out)
         idx = {lab: i for i, lab in
                enumerate(_scroll_pairs(self.sc.a, self.sc.b, *out))}
-        cols = red.reduce.columns()
-        return Matrix.from_cols(self.field, [
-            cols[idx[(i1 + i2, tuple(x + y for x, y in zip(m1, m2)))]]
-            for i1, m1 in b1 for i2, m2 in b2], red.dim)
+        cols = [idx[(i1 + i2, tuple(x + y for x, y in zip(m1, m2)))]
+                for i1, m1 in b1 for i2, m2 in b2]
+        return matrix(self.field, [[v[c] for c in cols] for v in red.kernel],
+                      len(cols))
 
 
 class ReferenceFree:
@@ -815,7 +818,7 @@ class ReferenceCI:
         for d, form in self.forms:
             rows += _table(self.field, monomial_basis(self.n, k - d),
                            [form], index).transpose().entries
-        red = span_reduction(Matrix(self.field, len(rows), len(index), rows))
+        red = span_reduction(rows, len(index), self.field)
         amb = monomial_basis(self.n, k)
         return tuple(amb[c] for c in red.complement), red
 
@@ -825,10 +828,10 @@ class ReferenceCI:
     def multiplication(self, l1, l2):
         _, red = self.piece(l1 + l2)
         idx = monomial_index(self.n, l1 + l2)
-        cols = red.reduce.columns()
-        return Matrix.from_cols(self.field, [
-            cols[idx[tuple(x + y for x, y in zip(m1, m2))]]
-            for m1 in self.basis(l1) for m2 in self.basis(l2)], red.dim)
+        cols = [idx[tuple(x + y for x, y in zip(m1, m2))]
+                for m1 in self.basis(l1) for m2 in self.basis(l2)]
+        return matrix(self.field, [[v[c] for c in cols] for v in red.kernel],
+                      len(cols))
 
 
 def _reference(sc, field):
@@ -1054,7 +1057,7 @@ def test_proper_p1_series_enumeration_matches_plain_powers(a, p, data):
     count = data.draw(st.integers(2, a + 1))
     rows = [data.draw(st.lists(st.integers(-3, 3), min_size=a + 1,
                                max_size=a + 1)) for _ in range(count)]
-    assume(rank(Matrix.from_rows(QQ, rows)) == count)
+    assume(rank(matrix(QQ, rows)) == count)
     try:
         sc = P1Series(a, rows)
     except BasepointedSeries:
@@ -1111,8 +1114,8 @@ def test_evaluation_matrix_over_qq_is_fraction_powers(points, k):
             Fraction(pt[0]) ** m[0] * pt[1] ** m[1] * pt[2] ** m[2]
             for m in monomial_basis(3, k)))
     m = ps.evaluation_matrix(k, QQ)
-    assert m.entries == tuple(want)
-    assert all(type(x) is Fraction for row in m.entries for x in row)
+    assert m == tuple(want)
+    assert all(type(x) is Fraction for row in m for x in row)
 
 
 @pytest.mark.parametrize("stem", POINT_SCENES)
@@ -1160,7 +1163,7 @@ def test_general_position_matches_matrix_ranks(r, count, p, data):
     except BadPrime:
         return
     k = min(r + 1, len(pts))
-    want = all(rank(Matrix.from_rows(field, sub)) == k
+    want = all(rank(matrix(field, sub)) == k
                for sub in itertools.combinations(pts, k))
     assert ps.in_general_position(field) == want
     if p == 0 and count >= 2 and r >= 1:
@@ -1168,8 +1171,8 @@ def test_general_position_matches_matrix_ranks(r, count, p, data):
         try:
             P1Series(r, points)
         except DependentBasis:
-            assert rank(Matrix.from_rows(QQ, points)) < count
+            assert rank(matrix(QQ, points)) < count
         except (BasepointedSeries, BadClass, ShapeMismatch):
             pass
         else:
-            assert rank(Matrix.from_rows(QQ, points)) == count
+            assert rank(matrix(QQ, points)) == count

@@ -34,7 +34,7 @@ from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
                                     validate_presentation, valles_locus)
 from steinertorelli.torelli import dk_presentation, tautological_presentation
 
-from test_exactfield import mat_vec
+from test_exactfield import mat_vec, matrix
 from test_scenes import SCROLL_F1, SCROLL_F2, diagonal_ci, fermat_quartic, \
     scroll
 
@@ -211,7 +211,7 @@ class TestUnstable:
         rng.shuffle(perm)
         cols = [P.tensor.columns()[i * P.dim_v + perm[j]]
                 for i in range(2) for j in range(3)]
-        P3 = SteinerPresentation(Matrix.from_cols(GF(p), cols, 4), 2, 3, 4)
+        P3 = SteinerPresentation(matrix(GF(p), zip(*cols)), 2, 3, 4)
         lam3 = tuple(lam[perm[j]] for j in range(3))
         assert unstable_test(P3, lam3)[1] == c0
 
@@ -253,7 +253,7 @@ class TestRecovery:
         # kernel of T, here the functional of the added zero row
         P = tc_presentation()
         Z = SteinerPresentation(
-            Matrix.from_rows(GF(5), P.tensor.entries + ((0,) * 12,)),
+            matrix(GF(5), P.tensor.entries + ((0,) * 12,)),
             3, 4, 7)
         assert recover_section_point(Z, (1, 0, 0, 1)) == (0,) * 6 + (1,)
         with pytest.raises(NonUniqueQuotient):
@@ -264,7 +264,7 @@ class TestRecovery:
         P = tc_presentation()
         pad = (0,) * 12
         D = SteinerPresentation(
-            Matrix.from_rows(GF(5), [row + pad for row in P.tensor.entries]
+            matrix(GF(5), [row + pad for row in P.tensor.entries]
                              + [pad + row for row in P.tensor.entries]),
             6, 4, 12)
         assert (D.dim_u1, D.dim_v, D.dim_u0) == (6, 4, 12)
@@ -1495,10 +1495,10 @@ def assert_kept_elimination(pres):
     kd = rank_kernel(pres.tensor)
     assert (r, kernel, tuple(pivots)) == (kd.rank, kd.kernel, kd.pivots)
     ech = rref(pres.tensor)
-    prod = Matrix.from_rows(pres.field, rows).mul(pres.tensor).entries
+    prod = matrix(pres.field, rows).mul(pres.tensor).entries
     assert prod[:r] == ech.rows
     assert not any(map(any, prod[r:]))
-    assert rank(Matrix.from_rows(pres.field, rows)) == pres.dim_u0
+    assert rank(matrix(pres.field, rows)) == pres.dim_u0
 
 
 # P(V)(F_p) of more points than this is checked at its unstable points and a
@@ -1557,7 +1557,7 @@ def test_recovery_reads_the_scan_on_a_direct_sum(degree, p):
     pad = (0,) * (a * m)
     rows = [row + pad for row in tensor.entries] + \
         [pad + row for row in tensor.entries]
-    pres = SteinerPresentation(Matrix.from_rows(GF(p), rows), 2 * a, m, 2 * b)
+    pres = SteinerPresentation(matrix(GF(p), rows), 2 * a, m, 2 * b)
     assert (2 * a < m) == (degree == 4) and pres._elimination[0] == 2 * b
     points = [rec.phi for rec in P1Series(degree).enumerate_points(p).records]
     outcomes = assert_recovery_matches_reference(
