@@ -50,13 +50,14 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      BasepointedSeries, NotGeneralPosition, SchemaError,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
 from .exactfield import (GF, QQ, eliminate, normalize_projective,
-                         projective_reps)
+                         projective_reps, span_reduction)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
                       monomial_basis, negated_columns, restrict_right,
                       space_dim)
@@ -95,17 +96,18 @@ def _evaluator(field, term_lists):
     """The function taking a point to the values there of a list of term
     lists, (exponents, coefficient) pairs.  The powers of each coordinate
     value, up to the largest exponent, are computed once and kept for
-    later points."""
+    later points.  With field None the values are those of integer
+    coordinates and coefficients, as plain ints."""
     # each term as its (variable, exponent) factors of positive exponent
     # and its coefficient
     terms = [[([(k, e) for k, e in enumerate(m) if e], c) for m, c in t]
              for t in term_lists]
     top = max((e for t in term_lists for m, _ in t for e in m), default=0)
-    normalize = field.normalize
+    one, normalize = (field.one, field.normalize) if field else (1, int)
     powers = {}
 
     def power_row(x):
-        row = [field.one]
+        row = [one]
         for _ in range(top):
             row.append(normalize(row[-1] * x))
         powers[x] = row
@@ -139,6 +141,40 @@ def _independent(field, rows):
     work = [list(row) for row in rows]
     return len(eliminate(work, len(work[0]) if work else 0,
                          field.characteristic, full=False)) == len(work)
+
+
+def _cleared(row):
+    """The lcm of the denominators of the Fractions `row`, and the row
+    times it, as ints."""
+    den = lcm(*(x.denominator for x in row))
+    return den, [x.numerator * (den // x.denominator) for x in row]
+
+
+def _minors_nonzero(rows, p):
+    """Whether every square minor of the matrix `rows`, of ints (residues
+    mod p when p), is nonzero.  The minors of each size come by Laplace
+    expansion along their last column from those of the size below, of
+    which only one size is kept; the first zero stops it."""
+    ncols = len(rows[0]) if rows else 0
+    prev = {((), ()): 1}
+    for k in range(1, min(len(rows), ncols) + 1):
+        cur = {}
+        for cols in itertools.combinations(range(ncols), k):
+            c, rest = cols[-1], cols[:-1]
+            for sub in itertools.combinations(range(len(rows)), k):
+                det = 0
+                for t, i in enumerate(sub):
+                    x = rows[i][c]
+                    if x:
+                        minor = x * prev[(sub[:t] + sub[t + 1:], rest)]
+                        det += -minor if (k - 1 - t) % 2 else minor
+                if p:
+                    det %= p
+                if not det:
+                    return False
+                cur[(sub, cols)] = det
+        prev = cur
+    return True
 
 
 def _normalized_phi(field, values, what):
@@ -711,6 +747,7 @@ class PointSet(IntegerLabels):
             norm.append(nv)
         if len(set(norm)) != len(norm):
             raise DuplicatePoints("two points are projectively equal")
+        self._reduced = {QQ: tuple(norm)}
         self.name = name or f"points(d={len(pts)}, r={r})"
 
     @property
@@ -752,14 +789,43 @@ class PointSet(IntegerLabels):
     def evaluation_matrix(self, k, field):
         """The d rows, canonical tuples over the monomials of S_k, of
         degree-k monomial values at the points, kept per degree and
-        field."""
+        field.  Over QQ each point x is evaluated at its integer
+        representative den*x, den the lcm of its denominators, and each
+        value is divided once by den^k: the same Fractions, with no
+        Fraction products."""
         kept = vars(self).setdefault("_evaluations", {})
         got = kept.get((k, field))
         if got is None:
-            values = _evaluator(
-                field, _monomial_terms(monomial_basis(self.r + 1, k)))
-            got = kept[(k, field)] = tuple(
-                tuple(values(pt)) for pt in self.reduced_points(field))
+            terms = _monomial_terms(monomial_basis(self.r + 1, k))
+            pts = self.reduced_points(field)
+            if field.characteristic:
+                values = _evaluator(field, terms)
+                got = tuple(tuple(values(pt)) for pt in pts)
+            else:
+                values, rows = _evaluator(None, terms), []
+                for pt in pts:
+                    den, ints = _cleared(pt)
+                    scale = den ** k
+                    rows.append(tuple(Fraction(v, scale)
+                                      for v in values(ints)))
+                got = tuple(rows)
+            kept[(k, field)] = got
+        return got
+
+    def normal_form(self, field):
+        """The pivots and canonical kernel basis of the (r+1) x d matrix
+        whose columns are the fixed representatives over the field: one
+        `span_reduction`, kept per field.  The kernel is the space of
+        linear relations among the representatives.  When the first r+1
+        of them span, the reduced echelon form is [I | A] and the kernel
+        basis is (-A_j, e_j), one vector per later point j."""
+        kept = vars(self).setdefault("_normal", {})
+        got = kept.get(field)
+        if got is None:
+            normalize = field.normalize
+            got = kept[field] = span_reduction(
+                [[normalize(row[i]) for row in self.points]
+                 for i in range(self.r + 1)], self.count, field)
         return got
 
     def require_general_position(self, field=QQ):
@@ -773,16 +839,30 @@ class PointSet(IntegerLabels):
                 "points are not in linear general position")
 
     def in_general_position(self, field=QQ):
-        """Every subset of min(r+1, d) points spans.  The verdict is kept
-        per field."""
+        """Every subset of min(r+1, d) points spans, decided from the
+        normal form [I | A] of the representatives: the first min(r+1, d)
+        points must span, and then the points in S span exactly when
+        their minor of [I | A] is nonzero, which is up to sign the minor
+        of A on the rows outside S and the columns of the later points in
+        S.  So every square minor of A must be nonzero (`_minors_nonzero`).
+        One elimination per field; the verdict is kept per field, and a
+        prime where the points collide or degenerate is refused each time
+        it is asked."""
         verdicts = vars(self).setdefault("_general", {})
         got = verdicts.get(field)
         if got is None:
-            pts = self.reduced_points(field)
-            k = min(self.r + 1, len(pts))
-            got = verdicts[field] = all(
-                _independent(field, sub)
-                for sub in itertools.combinations(pts, k))
+            self.reduced_points(field)      # refuses a bad prime
+            form = self.normal_form(field)
+            k = min(self.r + 1, self.count)
+            got = form.pivots == tuple(range(k))
+            if got:
+                # the kernel vectors' entries at the pivots are the
+                # columns of -A; over QQ each is scaled to integers
+                cols = [v[:k] for v in form.kernel]
+                if not field.characteristic:
+                    cols = [_cleared(col)[1] for col in cols]
+                got = _minors_nonzero(cols, field.characteristic)
+            verdicts[field] = got
         return got
 
     def enumerate_points(self, p):

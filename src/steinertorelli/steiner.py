@@ -64,9 +64,10 @@ nullity of the transposed pencil, whose B' is I.
 When B has full column rank and n >= 3, the lines through q are decided
 a plane at a time, by pencils in s along the lines y = (y'', s)
 (`_plane_pencils`), and the line decision runs only on the lines they
-flag.  The points found on the lines are sorted into enumeration
-order, one run of lines with the same y_0 ... y_(l-1) at a time; when
-q = e_last that is one line at a time.
+flag; a plane's pencils give only their roots (`_line_roots`), with no
+eigenspace taken.  The points found on the lines are sorted into
+enumeration order, one run of lines with the same y_0 ... y_(l-1) at a
+time; when q = e_last that is one line at a time.
 """
 
 from __future__ import annotations
@@ -333,8 +334,7 @@ def _flagged_lines(steps, full, width, p, skip):
     for plane, cur in _odometer(projective_reps(p, n - 1), joined, p):
         flagged = set()
         for ref, w, lo, hi in bounds:
-            flagged.update(t for t, _, _ in
-                           _line_shifts(cur[lo:hi], ref, w, p))
+            flagged.update(_line_roots(cur[lo:hi], ref, w, p))
         base = cur[:size]
         for s in sorted(flagged):
             yield plane + (s,), [(u + s * v) % p for u, v in zip(base, last)]
@@ -403,7 +403,45 @@ def _plane_pencils(steps, width, p):
 def _line_shifts(flat, ref, width, p):
     """The t in F_p where the pencil [A + t*ref; D] has a kernel, each
     with the dimension of that kernel and, when ref is I, its reduced
-    echelon basis (else None).
+    echelon basis (else None).  `_pencil_end` reduces the pencil; with
+    ref = I each root has its eigenspace, one elimination of at most
+    dim W rows.
+    """
+    end = _pencil_end(flat, ref, width, p)
+    if end is None:
+        return ()
+    smaller, eigen = end
+    if eigen:
+        mus, restricted, ys = eigen
+        return [(-mu % p, len(kernel), kernel) for mu in mus
+                for kernel in [_eigenspace(restricted, ys, mu, p)]]
+    pencil, extra = smaller
+    dims = {t: dim for t, dim, _ in _line_shifts(*pencil, p)}
+    if not extra:
+        return [(t, dim, None) for t, dim in dims.items()]
+    return [(t, extra + dims.get(t, 0), None) for t in range(p)]
+
+
+def _line_roots(flat, ref, width, p):
+    """The t in F_p where the pencil [A + t*ref; D] has a kernel, as
+    `_line_shifts` finds them but with no kernel taken: the plane
+    pencils read only where their lines lie."""
+    end = _pencil_end(flat, ref, width, p)
+    if end is None:
+        return ()
+    smaller, eigen = end
+    if eigen:
+        return [-mu % p for mu in eigen[0]]
+    pencil, extra = smaller
+    return range(p) if extra else _line_roots(*pencil, p)
+
+
+def _pencil_end(flat, ref, width, p):
+    """The pencil [A + t*ref; D] reduced to where its deficient t can be
+    read: None when it has a kernel at no t; else (None, (mus, M on W,
+    basis of W)) when ref is I, the t being the -mus; else ((pencil,
+    extra), None), a smaller pencil as (flat, ref, width), whose
+    nullity at each t plus `extra` is this one's.
 
     `flat` is row-major with `width` columns: the rows of A, as many as
     `ref` has, then the rows of D.  `ref` is in reduced echelon form with
@@ -419,20 +457,19 @@ def _line_shifts(flat, ref, width, p):
     largest M-invariant subspace of ker D, and the kernels are their
     eigenspaces.  W starts as ker D and is cut by ker D M^i, i = 1, 2,
     ..., until it stops shrinking; only when W != 0 is the
-    characteristic polynomial of M on W taken, and its eigenspace at a
-    root costs one elimination of at most dim W rows.
+    characteristic polynomial of M on W taken.
 
     ref wide and D = 0: the nullity at every t is the number of columns
     less the rows, plus the nullity of the transposed pencil, whose
     reference has full column rank.
     """
     if not width:
-        return ()
+        return None
     split = len(ref) * width
     res = [flat[i:i + width] for i in range(split, len(flat), width)]
     pivots = eliminate(res, width, p)
     if len(pivots) == width:
-        return ()
+        return None
     res = res[:len(pivots)]
     mat = [flat[i:i + width] for i in range(0, split, width)]
     if len(ref) < width and not res:
@@ -450,10 +487,8 @@ def _line_shifts(flat, ref, width, p):
                         row = [u - r[c] * v for u, v in zip(row, top)]
                 dual.append([u % p for u in row])
         eye = [[int(i == j) for j in range(len(ref))] for i in range(len(ref))]
-        dims = {t: dim for t, dim, _ in _line_shifts(
-            [x for row in dual for x in row], eye, len(ref), p)}
-        return [(t, width - len(ref) + dims.get(t, 0), None)
-                for t in range(p)]
+        return (([x for row in dual for x in row], eye, len(ref)),
+                width - len(ref)), None
     fld = GF(p)
     ys = zs = [list(v) for v in kernel_basis(res, pivots, width, fld)]
     if len(ref) < width:
@@ -464,9 +499,8 @@ def _line_shifts(flat, ref, width, p):
                  for row, top in zip(ref, mat)]
         pivots = eliminate(block, 2 * k, p)
         lower = [row[:k] for row, c in zip(block, pivots) if c < k]
-        return [(t, dim, None) for t, dim, _ in _line_shifts(
-            [x for row in block[:len(pivots)] for x in row[k:]], lower, k,
-            p)]
+        return (([x for row in block[:len(pivots)] for x in row[k:]], lower,
+                 k), 0), None
     # ys: a basis of W so far, zs: M^i applied to it
     while res:
         zs = [[sum(map(mul, row, z)) % p for row in mat] for z in zs]
@@ -475,7 +509,7 @@ def _line_shifts(flat, ref, width, p):
         if not pivots:
             break
         if len(pivots) == len(ys):
-            return ()
+            return None
         coeffs = kernel_basis(cut, pivots, len(ys), fld)
         ys = [[sum(map(mul, c, col)) % p for col in zip(*ys)] for c in coeffs]
         zs = [[sum(map(mul, c, col)) % p for col in zip(*zs)] for c in coeffs]
@@ -488,12 +522,8 @@ def _line_shifts(flat, ref, width, p):
     values = [0] * p
     for coeff in _charpoly(restricted, p):
         values = [(v * mu + coeff) % p for v, mu in zip(values, mus)]
-    shifts = []
-    for mu, v in zip(mus, values):
-        if not v:
-            kernel = _eigenspace(restricted, ys, mu, p)
-            shifts.append((-mu % p, len(kernel), kernel))
-    return shifts
+    return None, ([mu for mu, v in zip(mus, values) if not v], restricted,
+                  ys)
 
 
 def _eigenspace(restricted, ys, mu, p):

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 
 from .errors import (BadPrime, ClassMismatch, NonUniqueQuotient,
                      NotGeneralPosition, UnsupportedScene)
-from .exactfield import (GF, QQ, Matrix, projective_count,
-                         projective_unrank, span_reduction)
+from .exactfield import GF, QQ, Matrix, projective_count, projective_unrank
 from .koszul import green_points_test
 from .scenes import PointSet, _scalar_json
 from .steiner import (SteinerPresentation, recover_section_point,
@@ -300,6 +299,9 @@ def dk_presentation(points, field) -> SteinerPresentation:
     With d points in general position in P^r, U1 and U0 are the duals of
     the cokernels of evaluating linear forms, resp. constants, at the
     fixed representatives; V acts by the transposed diagonal action.
+    U1 is the space of linear relations among the representatives, read
+    off the point set's normal form [I | A] as its canonical basis
+    (-A_j, e_j), which the general position check has already made.
     d = r + 1 is allowed but the bundle degenerates to a trivial one
     (U1 = 0), which is reported as a warning, not an error.
     """
@@ -315,7 +317,7 @@ def dk_presentation(points, field) -> SteinerPresentation:
                  for row in points.points)
     # the quotients of F^d by the values at the points of linear forms,
     # and of constants: the all-ones row, of pivot 0 and complement 1..d-1
-    quot1 = span_reduction(tuple(zip(*reps)), d, field)
+    quot1 = points.normal_form(field)
     a, m, b = quot1.nullity, r + 1, d - 1
     # mult by x_j maps the quotient by constants to the quotient by
     # linears; column i*m + j of mu is row i of that map, transposed

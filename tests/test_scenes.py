@@ -22,7 +22,7 @@ from steinertorelli.errors import (BadClass, BadPrime, BasepointedSeries,
                                    ZeroEvaluation, ZeroPoint, ZeroSection)
 from steinertorelli.exactfield import (GF, QQ, normalize_projective,
                                        rank, span_reduction)
-from steinertorelli import scenes
+from steinertorelli import exactfield, scenes
 from steinertorelli.koszul import scene_window
 from steinertorelli.polyalg import monomial_basis, monomial_index
 from steinertorelli.scenes import (CompleteIntersection, MonomialVariety,
@@ -548,15 +548,17 @@ class TestPointSet:
         assert not flat.in_general_position(QQ)
 
     def test_general_position_is_decided_once_per_field(self, monkeypatch):
-        """The reduced points and the verdict are kept per field; a prime
-        where the points collide is refused each time it is asked."""
-        calls, independent = [], scenes._independent
+        """The reduced points, the normal form and the verdict are kept
+        per field, and each field costs one elimination; a prime where the
+        points collide is refused each time it is asked."""
+        calls, eliminate = [], exactfield.eliminate
 
-        def counting(field, rows):
-            calls.append(field)
-            return independent(field, rows)
+        def counting(work, ncols, p, full=True):
+            calls.append(p)
+            return eliminate(work, ncols, p, full)
 
-        monkeypatch.setattr(scenes, "_independent", counting)
+        monkeypatch.setattr(exactfield, "eliminate", counting)
+        monkeypatch.setattr(scenes, "eliminate", counting)
         # (1, 1, 7) lies on the line through e1 and e2 mod 7
         ps = PointSet(2, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 7)])
         for _ in range(2):
@@ -564,12 +566,27 @@ class TestPointSet:
             assert not ps.in_general_position(GF(7))
             assert ps.in_general_position(GF(11))
         assert ps.reduced_points(GF(11)) is ps.reduced_points(GF(11))
-        # four triples over QQ and GF(11); GF(7) stops at the second
-        assert [calls.count(f) for f in (QQ, GF(7), GF(11))] == [4, 2, 4]
+        assert ps.normal_form(GF(11)) is ps.normal_form(GF(11))
+        # one reduction of the 3 x 4 coordinate matrix per field, where
+        # the four triples took [4, 2, 4] rank checks
+        assert [calls.count(p) for p in (0, 7, 11)] == [1, 1, 1]
         clash = PointSet(1, [(1, 2), (1, 7)])
         for _ in range(2):
             with pytest.raises(BadPrime):
                 clash.in_general_position(GF(5))
+
+    def test_reduced_points_over_qq_are_kept_from_construction(
+            self, monkeypatch):
+        """The duplicate check's normalized points are the reduced points
+        over QQ; no point is normalized again."""
+        ps = PointSet(2, [(2, 4, Fraction(-1, 3)), (0, Fraction(3, 2), 3)])
+
+        def refuse(field, vec):
+            raise AssertionError("normalized again")
+
+        monkeypatch.setattr(scenes, "normalize_projective", refuse)
+        assert ps.reduced_points(QQ) == (
+            (1, 2, Fraction(-1, 6)), (0, 1, 2))
 
     def test_evaluation_matrix(self):
         ps = PointSet(1, [(1, 0), (0, 1), (1, 1)])
@@ -1096,23 +1113,30 @@ def test_non_injective_monomial_map_keeps_first_seen_points(n, d, g, p,
     assert len(got[0]) < len(_plain_reps(p, n))
 
 
-@given(st.lists(st.lists(st.sampled_from(
-    [0, 0, 1, -2, Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)]),
-    min_size=3, max_size=3), min_size=1, max_size=5),
-    st.integers(0, 3))
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(st.just(r), st.lists(
+    st.tuples(*[st.fractions(-5, 5, max_denominator=7)] * (r + 1)),
+    min_size=1, max_size=5))), st.integers(0, 4))
 @settings(max_examples=60, deadline=None)
-def test_evaluation_matrix_over_qq_is_fraction_powers(points, k):
+def test_evaluation_matrix_over_qq_is_fraction_powers(shape, k):
+    """Over QQ the values at the integer representatives, each divided
+    once, are the products of Fraction powers of the normalized points,
+    for coordinates with denominators and signs."""
+    r, points = shape
     try:
-        ps = PointSet(2, points)
+        ps = PointSet(r, points)
     except (ZeroPoint, DuplicatePoints):
         assume(False)
     want = []
     for row in points:
         lead = next(x for x in row if x)
         pt = [Fraction(x) / lead for x in row]
-        want.append(tuple(
-            Fraction(pt[0]) ** m[0] * pt[1] ** m[1] * pt[2] ** m[2]
-            for m in monomial_basis(3, k)))
+        values = []
+        for m in monomial_basis(r + 1, k):
+            value = Fraction(1)
+            for x, e in zip(pt, m):
+                value *= x ** e
+            values.append(value)
+        want.append(tuple(values))
     m = ps.evaluation_matrix(k, QQ)
     assert m == tuple(want)
     assert all(type(x) is Fraction for row in m for x in row)
@@ -1146,25 +1170,59 @@ def test_evaluation_functional_at_points_with_a_zero_coordinate(stem):
                                                     field) == want
 
 
-@given(r=st.integers(1, 3), count=st.integers(1, 6),
-       p=st.sampled_from([0, 2, 3, 5, 7]), data=st.data())
-@settings(max_examples=80, deadline=None)
-def test_general_position_matches_matrix_ranks(r, count, p, data):
-    """The rank-only checks agree with rank(Matrix) on every subset of
-    min(r+1, d) points, over QQ and mod p, including dependent sets."""
-    coords = st.integers(-3, 3) if not p else st.integers(0, p - 1)
+PLANTS = ("none", "basis", "zero_entry", "avoiding", "few", "square")
+
+
+@given(r=st.integers(1, 4), p=st.sampled_from([0, 2, 3, 5, 7, 13]),
+       plant=st.sampled_from(PLANTS), data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_general_position_matches_matrix_ranks(r, p, plant, data):
+    """The verdict from the minors of one normal form agrees with the rank
+    of every subset of min(r+1, d) points, over QQ (Fraction coordinates)
+    and mod p.  Planted: the first r+1 points dependent ("basis"); a later
+    point in the span of all but one of them, a zero entry of A
+    ("zero_entry"); a later point in the span of r others, later ones
+    where there are enough, so only a larger minor of A vanishes
+    ("avoiding"); d < r+1 ("few") and d = r+1 ("square")."""
+    field = GF(p) if p else QQ
+    coords = st.integers(0, p - 1) if p else st.fractions(
+        -3, 3, max_denominator=3)
+    if plant == "few":
+        count = data.draw(st.integers(1, r))
+    else:
+        count = r + 1 if plant == "square" else data.draw(
+            st.integers(r + 2, 9))
     points = data.draw(st.lists(
         st.tuples(*[coords] * (r + 1)).filter(any), min_size=count,
-        max_size=count, unique_by=lambda pt: normalize_projective(QQ, pt)))
-    field = GF(p) if p else QQ
-    ps = PointSet(r, points)
+        max_size=count, unique_by=lambda pt: normalize_projective(field, pt)))
+    if plant in ("basis", "zero_entry", "avoiding"):
+        j = r if plant == "basis" else data.draw(st.integers(r + 1,
+                                                             count - 1))
+        if plant == "basis":
+            span = list(range(r))
+        elif plant == "zero_entry":
+            zero = data.draw(st.integers(0, r))
+            span = [i for i in range(r + 1) if i != zero]
+        else:
+            later = [i for i in range(r + 1, count) if i != j]
+            span = sorted(data.draw(st.permutations(
+                later if len(later) >= r else
+                [i for i in range(count) if i != j]))[:r])
+        cs = [data.draw(st.integers(1, max(p - 1, 1)) if p else coords)
+              for _ in span]
+        points[j] = tuple(field.normalize(sum(
+            c * points[i][t] for c, i in zip(cs, span)))
+            for t in range(r + 1))
     try:
+        ps = PointSet(r, points)
         pts = ps.reduced_points(field)
-    except BadPrime:
+    except (ZeroPoint, DuplicatePoints, BadPrime):
         return
     k = min(r + 1, len(pts))
     want = all(rank(matrix(field, sub)) == k
                for sub in itertools.combinations(pts, k))
+    if plant in ("basis", "zero_entry", "avoiding"):
+        assert not want
     assert ps.in_general_position(field) == want
     if p == 0 and count >= 2 and r >= 1:
         # the same rows as a P^1 series basis of degree r

@@ -27,8 +27,8 @@ from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
                                        rank, rank_kernel, rref)
 from steinertorelli.scenes import P1Series, PointSet, load_scene
 from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
-                                    VallesReport, _charpoly, _line_shifts,
-                                    _rank_one_scan,
+                                    VallesReport, _charpoly, _line_roots,
+                                    _line_shifts, _rank_one_scan,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
                                     validate_presentation, valles_locus)
@@ -930,7 +930,10 @@ def test_line_shifts_match_a_brute_force(p, width, nres, plant, data):
         rows = [[data.draw(entries) for _ in range(width)]
                 for _ in range(width + nres)]
     flat = [x for row in rows for x in row]
-    assert line_shifts(flat, width, p) == brute_shifts(flat, width, p)
+    brute = brute_shifts(flat, width, p)
+    assert line_shifts(flat, width, p) == brute
+    eye = [[int(i == j) for j in range(width)] for i in range(width)]
+    assert sorted(_line_roots(flat, eye, width, p)) == [t for t, _ in brute]
 
 
 # ---- the staircase on singular pencils --------------------------------------
@@ -1022,6 +1025,7 @@ def test_line_decision_on_kronecker_pencils(p, blocks, data):
         if nullity:
             brute[t] = nullity
     assert got == brute
+    assert sorted(_line_roots(steps[0], ref, width, p)) == sorted(brute)
 
 
 def moving_kernel_family(p, n, k, extra, draw):
@@ -1267,7 +1271,7 @@ def test_no_false_candidates(monkeypatch):
     [1, 0] of its planes; no member of a line is eliminated, the one
     kernel elimination per point found past the vertex within a line's
     decision is of M on W at an eigenvalue (square, of the size of a
-    characteristic polynomial taken, as are the plane pencils' own), and
+    characteristic polynomial taken), the plane pencils take no kernel, and
     both scans together, over their 800 lines, take fewer than 20
     characteristic polynomials in line decisions (the pencil leaves took
     one per line) and fewer than 20 in the 228 decisions of their plane
@@ -1314,6 +1318,9 @@ def test_no_false_candidates(monkeypatch):
         assert [q for _, _, q, _, _, _ in calls["_reference"]] == \
             [(0, 0, 0, 0, 1)] + [(0, 0, 0, 1)] * 2
         dims_w = {len(mat) for _, mat, _ in calls["_charpoly"]}
+        # every kernel elimination is a line decision's, one per point
+        # found: the plane pencils take none
+        assert len(calls["_reduced_kernel"]) == unstable
         assert sum(line for line, _, _, _ in calls["_reduced_kernel"]) == \
             unstable
         assert all(len(flat) == width * width and width in dims_w
@@ -1332,29 +1339,34 @@ def test_planes_replace_line_decisions(monkeypatch):
     57 planes of lines through the vertex, one pencil in s per level of
     the chain [1, 0], and runs the line decision only on the line through
     e_last and the lines that the planes flag: 5 and 9 lines, where a
-    walk line by line decided all 400."""
+    walk line by line decided all 400.  The pencils' roots are found with
+    no eigenspace taken."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
     decisions, depth, lines = [], [0], []
-    line_shifts = steiner._line_shifts
     flagged_lines = steiner._flagged_lines
 
-    def counting(flat, ref, width, p):
-        if not depth[0]:
-            decisions.append(width)
-        depth[0] += 1
-        try:
-            return line_shifts(flat, ref, width, p)
-        finally:
-            depth[0] -= 1
+    def counting(name):
+        func = getattr(steiner, name)
+
+        def wrapped(flat, ref, width, p):
+            if not depth[0]:
+                decisions.append((name, width))
+            depth[0] += 1
+            try:
+                return func(flat, ref, width, p)
+            finally:
+                depth[0] -= 1
+        monkeypatch.setattr(steiner, name, wrapped)
 
     def recording(*args):
         for y, cur in flagged_lines(*args):
             lines.append(y)
             yield y, cur
 
-    monkeypatch.setattr(steiner, "_line_shifts", counting)
+    counting("_line_shifts")
+    counting("_line_roots")
     monkeypatch.setattr(steiner, "_flagged_lines", recording)
     planes = projective_count(7, 3)
     assert planes == 57 and projective_count(7, 4) == 400
@@ -1363,10 +1375,10 @@ def test_planes_replace_line_decisions(monkeypatch):
         lines.clear()
         scan(pres)
         assert len(lines) == len(set(lines)) == decided
-        # two pencils per plane, of widths 4 and 1, then one decision of
-        # width 5 per line handed on
-        assert sorted(decisions) == \
-            [1] * planes + [4] * planes + [5] * decided
+        # two pencils per plane, of widths 4 and 1, whose roots alone are
+        # found, then one decision of width 5 per line handed on
+        assert sorted(decisions) == [("_line_roots", 1)] * planes + \
+            [("_line_roots", 4)] * planes + [("_line_shifts", 5)] * decided
 
 
 def plant_rank_one(rows, a, m, u, v, p):

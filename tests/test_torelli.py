@@ -3,17 +3,21 @@ several primes, scroll invariance, and the point-set bundle."""
 
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from steinertorelli.cli import main
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
                                    UnsupportedLabel, UnsupportedScene,
                                    ZeroEvaluation)
-from steinertorelli.exactfield import (GF, Matrix, projective_count,
-                                       projective_reps, projective_unrank,
-                                       rank)
+from steinertorelli.exactfield import (GF, QQ, Matrix, normalize_projective,
+                                       projective_count, projective_reps,
+                                       projective_unrank, rank,
+                                       span_reduction)
 from steinertorelli.koszul import green_points_test
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve, load_scene)
@@ -213,6 +217,43 @@ def test_dk_presentation_dims():
     p6 = dk_presentation(SIX_GENERAL, GF(7))
     assert (p6.dim_u1, p6.dim_v, p6.dim_u0) == (2, 4, 5)
     assert p6.bundle_rank == 3
+
+
+def span_reduction_tensor(points, field):
+    """The dk tensor built as before the normal form was kept: U1 from a
+    span_reduction of the coordinate rows of the representatives."""
+    d, m = points.count, points.r + 1
+    reps = [[field.normalize(c) for c in row] for row in points.points]
+    quot1 = span_reduction(tuple(zip(*reps)), d, field)
+    return Matrix(field, d - 1, quot1.nullity * m, tuple(
+        tuple(reps[c][j] * vec[c] for vec in quot1.kernel for j in range(m))
+        for c in range(1, d)))
+
+
+@given(r=st.integers(1, 3), extra=st.integers(0, 4),
+       p=st.sampled_from([0, 5, 7, 13]), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_dk_tensor_matches_the_span_reduction(r, extra, p, data):
+    """U1 read off the kept normal form gives the tensor that its own
+    span_reduction gave, over GF(p) and over QQ with Fraction
+    coordinates, and the normal form is not made again."""
+    field = GF(p) if p else QQ
+    coords = st.integers(0, p - 1) if p else st.fractions(
+        -4, 4, max_denominator=5)
+    points = data.draw(st.lists(
+        st.tuples(*[coords] * (r + 1)).filter(any), min_size=r + 1 + extra,
+        max_size=r + 1 + extra,
+        unique_by=lambda pt: normalize_projective(field, pt)))
+    ps = PointSet(r, points)
+    assume(ps.in_general_position(field))
+    form = ps.normal_form(field)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        pres = dk_presentation(ps, field)
+    assert ps.normal_form(field) is form
+    assert pres.tensor == span_reduction_tensor(ps, field)
+    assert (pres.dim_u1, pres.dim_v, pres.dim_u0) == (extra, r + 1,
+                                                      r + extra)
 
 
 def test_dk_presentation_degenerate_minimum():
