@@ -27,7 +27,10 @@ terms.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import itertools
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
@@ -121,14 +124,59 @@ class RationalField:
 
 QQ = RationalField()
 
-_gf_cache: dict[int, PrimeField] = {}
 
-
+@functools.cache
 def GF(p: int) -> PrimeField:
-    fld = _gf_cache.get(p)
-    if fld is None:
-        fld = _gf_cache[p] = PrimeField(p)
-    return fld
+    return PrimeField(p)
+
+
+_MISSING = object()
+
+
+def kept(method):
+    """Keep the value of `method` per instance, keyed by its arguments
+    taken as positional ones with the defaults filled in, so `f(x)`,
+    `f(x, d)` and `f(x, name=d)`, d the default, share one value.  A body
+    that raises keeps nothing, so a refused input, such as a bad prime,
+    is refused on every call.  Values live on the instance as long as it
+    does; `method.seed(obj, *args, value=v)` keeps v at `args` without
+    running the body.  This is the package's one per-instance cache."""
+    slot = sys.intern(f"_kept_{method.__qualname__}")
+    nargs = method.__code__.co_argcount - 1
+    defaults = method.__defaults__ or ()
+
+    def key(obj, args, kwargs):
+        missing = nargs - len(args)
+        if not kwargs and 0 <= missing <= len(defaults):
+            return args + defaults[len(defaults) - missing:]
+        bound = inspect.signature(method).bind(obj, *args, **kwargs)
+        bound.apply_defaults()
+        return bound.args[1:]
+
+    def values(obj):
+        # an attribute, set as frozen dataclasses allow: going through the
+        # instance's __dict__ would slow every other attribute read on it
+        got = getattr(obj, slot, None)
+        if got is None:
+            got = {}
+            object.__setattr__(obj, slot, got)
+        return got
+
+    @functools.wraps(method)
+    def wrapper(obj, *args, **kwargs):
+        if kwargs or len(args) != nargs:
+            args = key(obj, args, kwargs)
+        table = getattr(obj, slot, None) or values(obj)
+        got = table.get(args, _MISSING)
+        if got is _MISSING:
+            got = table[args] = method(obj, *args)
+        return got
+
+    def seed(obj, *args, value):
+        values(obj)[key(obj, args, {})] = value
+
+    wrapper.seed = seed
+    return wrapper
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import UnsupportedScene, WindowTooSmall
-from .exactfield import Matrix, QQ, eliminate, span_reduction
+from .exactfield import Matrix, QQ, eliminate, kept, span_reduction
 from .polyalg import (action_columns, monomial_basis, monomial_index,
                       negated_columns, products, restrict_right)
 
@@ -82,16 +82,13 @@ class GradedModuleWindow:
                 f"window [{self.lo}, {self.hi}]")
         return self.mults[k - self.lo]
 
+    @kept
     def negated(self, k):
         """mult(k) with every value negated: the scene's kept table, or
         derived once per window."""
         if self.negs is not None:
             return self.negs[k - self.lo]
-        kept = vars(self).setdefault("_negated", {})
-        got = kept.get(k)
-        if got is None:
-            got = kept[k] = negated_columns(self.mult(k), self.field)
-        return got
+        return negated_columns(self.mult(k), self.field)
 
 
 def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \

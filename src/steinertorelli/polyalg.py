@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadPrime, ShapeMismatch, ZeroSection
-from .exactfield import KernelData, Matrix, span_reduction
+from .exactfield import KernelData, Matrix, kept, span_reduction
 
 
 @lru_cache(maxsize=None)
@@ -162,17 +162,11 @@ class GradedQuotientRing:
                     f"degree {degree} generator vanishes over {field}")
             gens.append((degree, terms))
         self.generators = tuple(gens)   # (degree, term list) pairs
-        self._position_maps: dict = {}
-        self._pieces: dict = {}
-        self._mults: dict[tuple, Matrix] = {}
 
+    @kept
     def _positions(self, k) -> dict:
         """Monomial -> coordinate position in S_k."""
-        got = self._position_maps.get(k)
-        if got is None:
-            got = self._position_maps[k] = {
-                m: i for i, m in enumerate(self.basis(self.num_vars, k))}
-        return got
+        return {m: i for i, m in enumerate(self.basis(self.num_vars, k))}
 
     def ideal_rows(self, k) -> list:
         """Spanning set of I_k, canonical row lists over the monomials of
@@ -184,31 +178,25 @@ class GradedQuotientRing:
             rows += products(self.field, shifts, (terms,), idx)
         return rows
 
+    @kept
     def piece(self, k) -> QuotientPiece:
-        got = self._pieces.get(k)
-        if got is None:
-            amb = self.basis(self.num_vars, k)
-            red = span_reduction(self.ideal_rows(k), len(amb), self.field)
-            got = self._pieces[k] = QuotientPiece(
-                k, tuple(amb[c] for c in red.complement), red)
-        return got
+        amb = self.basis(self.num_vars, k)
+        red = span_reduction(self.ideal_rows(k), len(amb), self.field)
+        return QuotientPiece(k, tuple(amb[c] for c in red.complement), red)
 
     def dim(self, k) -> int:
         return self.piece(k).dim
 
+    @kept
     def multiplication(self, k, l) -> Matrix:
         """(S/I)_k (x) (S/I)_l -> (S/I)_{k+l} on representative monomials,
         left factor major."""
-        got = self._mults.get((k, l))
-        if got is None:
-            kl = _degree_sum(k, l)
-            out = self.piece(kl)
-            idx = self._positions(kl)
-            cols = [idx[monomial_product(m1, m2)]
-                    for m1 in self.piece(k).monomials
-                    for m2 in self.piece(l).monomials]
-            got = self._mults[(k, l)] = Matrix(
-                self.field, out.dim, len(cols),
-                tuple(tuple(v[c] for c in cols)
-                      for v in out.reduction.kernel))
-        return got
+        kl = _degree_sum(k, l)
+        out = self.piece(kl)
+        idx = self._positions(kl)
+        cols = [idx[monomial_product(m1, m2)]
+                for m1 in self.piece(k).monomials
+                for m2 in self.piece(l).monomials]
+        return Matrix(self.field, out.dim, len(cols),
+                      tuple(tuple(v[c] for c in cols)
+                            for v in out.reduction.kernel))

@@ -56,7 +56,7 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      BasepointedSeries, NotGeneralPosition, SchemaError,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
-from .exactfield import (GF, QQ, eliminate, normalize_projective,
+from .exactfield import (GF, QQ, eliminate, kept, normalize_projective,
                          projective_reps, span_reduction)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
                       monomial_basis, negated_columns, restrict_right,
@@ -235,12 +235,9 @@ class SectionRing:
     def _series_rows(self, field):
         return None
 
+    @kept
     def ring(self, field) -> GradedQuotientRing:
-        rings = vars(self).setdefault("_rings", {})
-        got = rings.get(field)
-        if got is None:
-            got = rings[field] = self._new_ring(field)
-        return got
+        return self._new_ring(field)
 
     def section_space(self, label, field=QQ) -> QuotientPiece:
         return self.ring(field).piece(self._check_label(label))
@@ -251,48 +248,37 @@ class SectionRing:
             return self.section_space(self.label_A(), field).dim
         return len(rows)
 
+    @kept
     def multiplication_map(self, l1, l2, field=QQ):
         """H0(L1) (x) H0(L2) -> H0(L1 + L2), left factor major.  When L2
-        is A and V is proper, the right factor runs over the series, and
-        that restricted table is kept per labels and field."""
+        is A and V is proper, the right factor runs over the series."""
         l1, l2 = self._check_label(l1), self._check_label(l2)
         self._check_label(self.label_add(l1, l2))
         rows = self._series_rows(field) if l2 == self.label_A() else None
-        if rows is None:
-            return self.ring(field).multiplication(l1, l2)
-        tables = vars(self).setdefault("_series_tables", {})
-        got = tables.get((l1, l2, field))
-        if got is None:
-            got = tables[(l1, l2, field)] = restrict_right(
-                self.ring(field).multiplication(l1, l2), rows)
-        return got
+        table = self.ring(field).multiplication(l1, l2)
+        return table if rows is None else restrict_right(table, rows)
 
+    @kept
     def action_columns(self, label, field=QQ, negated=False):
         """The series acting on H0(L), as sparse columns: entry
         i * dim H0(L) + t lists the (position, value) pairs of nonzero
         value of u_i m_t in H0(L + A), with every value negated when
-        `negated`.  Kept per label, field and sign."""
-        label = self._check_label(label)
-        actions = vars(self).setdefault("_actions", {})
-        got = actions.get((label, field, negated))
-        if got is None:
-            got = actions[(label, field, negated)] = negated_columns(
-                self.action_columns(label, field), field) if negated else \
-                action_columns(self.multiplication_map(
-                    label, self.label_A(), field), self.series_dim(field))
-        return got
+        `negated`."""
+        if negated:
+            return negated_columns(self.action_columns(label, field), field)
+        return action_columns(self.multiplication_map(
+            label, self.label_A(), field), self.series_dim(field))
 
     def evaluation_functional(self, params, label, field):
         """The monomials of the label's piece at params, normalized
-        projectively.  One evaluator is kept per label and field."""
-        label = self._check_label(label)
-        evaluators = vars(self).setdefault("_evaluators", {})
-        got = evaluators.get((label, field))
-        if got is None:
-            got = evaluators[(label, field)] = _evaluator(
-                field,
-                _monomial_terms(self.section_space(label, field).monomials))
-        return _normalized_phi(field, got(params), params)
+        projectively, from one evaluator per label and field."""
+        return _normalized_phi(
+            field, self._label_evaluator(label, field)(params), params)
+
+    @kept
+    def _label_evaluator(self, label, field):
+        return _evaluator(field, _monomial_terms(
+            self.section_space(label, field).monomials))
 
     def _candidates(self, p):
         """The points of P^N(F_p) in enumeration order, as runs that
@@ -404,21 +390,16 @@ class P1Series(IntegerLabels, SectionRing):
     def _new_ring(self, field):
         return GradedQuotientRing(field, 2)
 
+    @kept
     def _series_rows(self, field):
         """The series basis in monomial coordinates of O(a); None for the
-        complete series.  The rows are kept per field, and a basis that
-        degenerates over the field is kept as () and refused each time."""
+        complete series.  A basis that degenerates over the field is
+        refused."""
         if self.basis is None:
             return None
-        series = vars(self).setdefault("_series", {})
-        rows = series.get(field)
-        if rows is None:
-            rows = tuple(tuple(map(field.normalize, row))
-                         for row in self.basis)
-            rows = series[field] = rows if _independent(field, rows) else ()
-        if not rows:
-            raise BadPrime(
-                f"series basis degenerates over {field}")
+        rows = tuple(tuple(map(field.normalize, row)) for row in self.basis)
+        if not _independent(field, rows):
+            raise BadPrime(f"series basis degenerates over {field}")
         return rows
 
     def cohomology_dim(self, label, i, field=QQ):
@@ -747,7 +728,7 @@ class PointSet(IntegerLabels):
             norm.append(nv)
         if len(set(norm)) != len(norm):
             raise DuplicatePoints("two points are projectively equal")
-        self._reduced = {QQ: tuple(norm)}
+        PointSet.reduced_points.seed(self, QQ, value=tuple(norm))
         self.name = name or f"points(d={len(pts)}, r={r})"
 
     @property
@@ -768,65 +749,52 @@ class PointSet(IntegerLabels):
     def cohomology_dim(self, label, i, field=QQ):
         return self.count if i == 0 else 0
 
+    @kept
     def reduced_points(self, field):
-        """Normalized representatives over the working field, kept per
-        field; refuses a prime where points collide or degenerate, each
-        time it is asked."""
-        reduced = vars(self).setdefault("_reduced", {})
-        got = reduced.get(field)
-        if got is None:
-            out = []
-            for row in self.points:
-                nv = normalize_projective(field, row)
-                if nv is None:
-                    raise BadPrime(f"a point reduces to zero over {field}")
-                out.append(nv)
-            if len(set(out)) != len(out):
-                raise BadPrime(f"two points collide over {field}")
-            got = reduced[field] = tuple(out)
-        return got
+        """Normalized representatives over the working field; refuses a
+        prime where points collide or degenerate.  The constructor seeds
+        the QQ entry with the points its duplicate check normalized."""
+        out = []
+        for row in self.points:
+            nv = normalize_projective(field, row)
+            if nv is None:
+                raise BadPrime(f"a point reduces to zero over {field}")
+            out.append(nv)
+        if len(set(out)) != len(out):
+            raise BadPrime(f"two points collide over {field}")
+        return tuple(out)
 
+    @kept
     def evaluation_matrix(self, k, field):
         """The d rows, canonical tuples over the monomials of S_k, of
-        degree-k monomial values at the points, kept per degree and
-        field.  Over QQ each point x is evaluated at its integer
-        representative den*x, den the lcm of its denominators, and each
-        value is divided once by den^k: the same Fractions, with no
-        Fraction products."""
-        kept = vars(self).setdefault("_evaluations", {})
-        got = kept.get((k, field))
-        if got is None:
-            terms = _monomial_terms(monomial_basis(self.r + 1, k))
-            pts = self.reduced_points(field)
-            if field.characteristic:
-                values = _evaluator(field, terms)
-                got = tuple(tuple(values(pt)) for pt in pts)
-            else:
-                values, rows = _evaluator(None, terms), []
-                for pt in pts:
-                    den, ints = _cleared(pt)
-                    scale = den ** k
-                    rows.append(tuple(Fraction(v, scale)
-                                      for v in values(ints)))
-                got = tuple(rows)
-            kept[(k, field)] = got
-        return got
+        degree-k monomial values at the points.  Over QQ each point x is
+        evaluated at its integer representative den*x, den the lcm of its
+        denominators, and each value is divided once by den^k: the same
+        Fractions, with no Fraction products."""
+        terms = _monomial_terms(monomial_basis(self.r + 1, k))
+        pts = self.reduced_points(field)
+        if field.characteristic:
+            values = _evaluator(field, terms)
+            return tuple(tuple(values(pt)) for pt in pts)
+        values, rows = _evaluator(None, terms), []
+        for pt in pts:
+            den, ints = _cleared(pt)
+            scale = den ** k
+            rows.append(tuple(Fraction(v, scale) for v in values(ints)))
+        return tuple(rows)
 
+    @kept
     def normal_form(self, field):
         """The pivots and canonical kernel basis of the (r+1) x d matrix
         whose columns are the fixed representatives over the field: one
-        `span_reduction`, kept per field.  The kernel is the space of
-        linear relations among the representatives.  When the first r+1
-        of them span, the reduced echelon form is [I | A] and the kernel
-        basis is (-A_j, e_j), one vector per later point j."""
-        kept = vars(self).setdefault("_normal", {})
-        got = kept.get(field)
-        if got is None:
-            normalize = field.normalize
-            got = kept[field] = span_reduction(
-                [[normalize(row[i]) for row in self.points]
-                 for i in range(self.r + 1)], self.count, field)
-        return got
+        `span_reduction`.  The kernel is the space of linear relations
+        among the representatives.  When the first r+1 of them span, the
+        reduced echelon form is [I | A] and the kernel basis is
+        (-A_j, e_j), one vector per later point j."""
+        normalize = field.normalize
+        return span_reduction([[normalize(row[i]) for row in self.points]
+                               for i in range(self.r + 1)],
+                              self.count, field)
 
     def require_general_position(self, field=QQ):
         """Refuse, with NotGeneralPosition, fewer than r+1 points or points
@@ -838,6 +806,7 @@ class PointSet(IntegerLabels):
             raise NotGeneralPosition(
                 "points are not in linear general position")
 
+    @kept
     def in_general_position(self, field=QQ):
         """Every subset of min(r+1, d) points spans, decided from the
         normal form [I | A] of the representatives: the first min(r+1, d)
@@ -845,25 +814,19 @@ class PointSet(IntegerLabels):
         their minor of [I | A] is nonzero, which is up to sign the minor
         of A on the rows outside S and the columns of the later points in
         S.  So every square minor of A must be nonzero (`_minors_nonzero`).
-        One elimination per field; the verdict is kept per field, and a
-        prime where the points collide or degenerate is refused each time
-        it is asked."""
-        verdicts = vars(self).setdefault("_general", {})
-        got = verdicts.get(field)
-        if got is None:
-            self.reduced_points(field)      # refuses a bad prime
-            form = self.normal_form(field)
-            k = min(self.r + 1, self.count)
-            got = form.pivots == tuple(range(k))
-            if got:
-                # the kernel vectors' entries at the pivots are the
-                # columns of -A; over QQ each is scaled to integers
-                cols = [v[:k] for v in form.kernel]
-                if not field.characteristic:
-                    cols = [_cleared(col)[1] for col in cols]
-                got = _minors_nonzero(cols, field.characteristic)
-            verdicts[field] = got
-        return got
+        One elimination per field.  A prime where the points collide or
+        degenerate is refused."""
+        self.reduced_points(field)      # refuses a bad prime
+        form = self.normal_form(field)
+        k = min(self.r + 1, self.count)
+        if form.pivots != tuple(range(k)):
+            return False
+        # the kernel vectors' entries at the pivots are the columns of
+        # -A; over QQ each is scaled to integers
+        cols = [v[:k] for v in form.kernel]
+        if not field.characteristic:
+            cols = [_cleared(col)[1] for col in cols]
+        return _minors_nonzero(cols, field.characteristic)
 
     def enumerate_points(self, p):
         field = GF(p)

@@ -170,7 +170,7 @@ def _consensus(verdicts):
     return ("DISAGREEMENT" if len(set(good)) > 1 else lead), bad
 
 
-def _compare_prime(scene, p, build):
+def _compare_prime(scene, field, build):
     """Validate, scan, and compare the unstable set with the image.
 
     build(field) gives the presentation over GF(p); the image is the set
@@ -179,8 +179,9 @@ def _compare_prime(scene, p, build):
     run.  Returns the comparison, the presentation and the enumeration,
     the last two None unless the scan ran.
     """
+    p = field.characteristic
     try:
-        pres = build(GF(p))
+        pres = build(field)
         report = validate_presentation(pres)
         if not report.valid:
             return PrimeComparison(p, "INVALID",
@@ -225,11 +226,12 @@ def torelli_check(scene, b_label, primes=PRIMES_DEFAULT) -> TorelliReport:
     """Compare the unstable-hyperplane locus of the tautological
     presentation for B with the scene's image points, prime by prime.
     Where the presentation is valid and no image point is missing from
-    the unstable set, every image point also gets a recovery row."""
+    the unstable set, every image point also gets a recovery row.  A
+    modulus that is not prime is refused before any prime is scanned."""
     results = []
-    for p in primes:
+    for field in [GF(p) for p in primes]:
         comparison, pres, enum = _compare_prime(
-            scene, p, lambda field: tautological_presentation(
+            scene, field, lambda field: tautological_presentation(
                 scene, b_label, field))
         rows = () if pres is None or comparison.missing else \
             _recovery_rows(scene, b_label, pres, enum.records)
@@ -357,13 +359,14 @@ def dk_check(points, primes=PRIMES_DEFAULT) -> DKReport:
     itself always sits inside the unstable locus; a SUPERSET verdict is
     expected to coincide with the points lying on a rational normal
     curve, and that implication is re-checked per prime.  Points not in
-    general position over QQ are refused before any prime is tried."""
+    general position over QQ, and a modulus that is not prime, are
+    refused before any prime is tried."""
     points.require_general_position(QQ)
     results = []
-    for p in primes:
+    for field in [GF(p) for p in primes]:
         comparison, pres, _ = _compare_prime(
-            points, p, lambda field: dk_presentation(points, field))
-        rnc = pres is not None and green_points_test(points, GF(p)).on_rnc
+            points, field, lambda field: dk_presentation(points, field))
+        rnc = pres is not None and green_points_test(points, field).on_rnc
         results.append(DKPrimeResult(
             **vars(comparison), rnc_flag=rnc,
             implication_ok=comparison.verdict != "SUPERSET" or rnc))

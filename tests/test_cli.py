@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+from steinertorelli import torelli
 from steinertorelli.cli import (build_arg_parser, default_b_label, emit,
                                 main, parse_label_text, resolve_label)
 from steinertorelli.errors import UsageError
 from steinertorelli.scenes import P1Series, load_scene
+from steinertorelli.steiner import validate_presentation
 
 SCENEDIR = Path(__file__).resolve().parent.parent / "scenefiles"
 
@@ -240,6 +242,27 @@ def test_prime_zero_is_refused(capsys, argv):
     code, rep = run_json(capsys, argv)
     assert code == 5
     assert rep["error"] == "NonPrimeModulus"
+
+
+@pytest.mark.parametrize("argv", [
+    ["torelli", CI_PATH, "--B", "K+2A", "--primes", "17,4"],
+    ["dk", SIX_PATH, "--primes", "7,1"],
+])
+def test_non_prime_modulus_is_refused_before_any_prime(capsys, monkeypatch,
+                                                       argv):
+    """A multi-prime run refuses a modulus that is not prime up front: no
+    presentation is validated at the primes listed before it."""
+    calls = []
+
+    def counting(pres):
+        calls.append(pres.field)
+        return validate_presentation(pres)
+
+    monkeypatch.setattr(torelli, "validate_presentation", counting)
+    code, rep = run_json(capsys, argv)
+    assert code == 5
+    assert rep["error"] == "NonPrimeModulus"
+    assert calls == []
 
 
 SINGLE_SCENE_VERBS = [

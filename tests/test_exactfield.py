@@ -1,6 +1,8 @@
+import ast
 import math
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,7 +11,8 @@ from hypothesis import strategies as st
 from steinertorelli.errors import (BadPrime, FieldMismatch, NonPrimeModulus,
                                    ShapeMismatch)
 from steinertorelli.exactfield import (GF, QQ, Matrix, _is_prime,
-                                       eliminate, kernel_basis, left_kernel,
+                                       eliminate, kept, kernel_basis,
+                                       left_kernel,
                                        normalize_projective,
                                        projective_count, projective_rank,
                                        projective_reps, projective_unrank,
@@ -495,3 +498,98 @@ def test_normalize_projective():
     fld = GF(7)
     assert normalize_projective(fld, (0, 3, 5)) == (0, 1, 4)
     assert normalize_projective(fld, (0, 0, 0)) is None
+
+
+# ---- values kept per instance -------------------------------------------
+
+
+class Counted:
+    """A method under `kept` that records every run of its body and
+    refuses a negative argument."""
+
+    def __init__(self):
+        self.runs = []
+
+    @kept
+    def table(self, k, field=QQ):
+        self.runs.append((k, field))
+        if k < 0:
+            raise BadPrime(f"refused {k}")
+        return [k, field]
+
+
+def test_kept_returns_the_same_object():
+    obj = Counted()
+    first = obj.table(2, GF(5))
+    assert obj.table(2, GF(5)) is first
+    assert obj.table(3, GF(5)) == [3, GF(5)]
+    assert obj.runs == [(2, GF(5)), (3, GF(5))]
+
+
+def test_kept_keeps_nothing_when_the_body_raises():
+    obj = Counted()
+    for _ in range(3):
+        with pytest.raises(BadPrime):
+            obj.table(-1)
+    assert obj.runs == [(-1, QQ)] * 3
+    assert all(not table for table in vars(obj).values()
+               if isinstance(table, dict))
+
+
+def test_kept_fills_in_defaults_before_keying():
+    obj = Counted()
+    first = obj.table(1)
+    assert obj.table(1, QQ) is first
+    assert obj.table(1, field=QQ) is first
+    assert obj.table(k=1) is first
+    assert obj.runs == [(1, QQ)]
+
+
+def test_kept_values_are_per_instance():
+    a, b = Counted(), Counted()
+    assert a.table(4) is not b.table(4)
+    assert a.runs == b.runs == [(4, QQ)]
+
+
+def test_kept_seed_keeps_a_value_without_running_the_body():
+    obj = Counted()
+    Counted.table.seed(obj, 5, value="seeded")
+    assert obj.table(5, QQ) == "seeded"
+    assert obj.runs == []
+
+
+def _instance_dict_writes(tree):
+    """Lines that keep values on an instance by hand: any use of
+    `__dict__`, a call on `vars(...)`, or a subscript store or
+    `setdefault`/`update` on an attribute of `self`.  `kept` itself
+    stores with object.__setattr__."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+            lines.append(node.lineno)
+        elif isinstance(node, (ast.Attribute, ast.Subscript)) and \
+                isinstance(node.value, ast.Call) and \
+                isinstance(node.value.func, ast.Name) and \
+                node.value.func.id == "vars":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Subscript) and \
+                isinstance(node.ctx, ast.Store) and \
+                isinstance(node.value, ast.Attribute) and \
+                isinstance(node.value.value, ast.Name) and \
+                node.value.value.id == "self":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and \
+                isinstance(node.func, ast.Attribute) and \
+                node.func.attr in ("setdefault", "update") and \
+                isinstance(node.func.value, ast.Attribute) and \
+                isinstance(node.func.value.value, ast.Name) and \
+                node.func.value.value.id == "self":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_every_per_instance_cache_goes_through_kept():
+    package = Path(__file__).resolve().parent.parent / "src" / "steinertorelli"
+    found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
+             for line in _instance_dict_writes(ast.parse(path.read_text()))]
+    assert found == []
