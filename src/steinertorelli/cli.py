@@ -17,7 +17,8 @@ import json
 import os
 import sys
 
-from .errors import SchemaError, SteinerTorelliError, UsageError
+from .errors import (SchemaError, SteinerTorelliError, UsageError,
+                     WindowTooSmall)
 from .exactfield import GF, QQ
 from .koszul import (duality_check, green_kp1, green_points_test, koszul_dim,
                      pointset_ideal_window, scene_window)
@@ -29,8 +30,8 @@ from .torelli import (PRIMES_DEFAULT, dk_check, dk_presentation,
                       scroll_invariance, tautological_presentation,
                       torelli_check)
 
-# the koszul verb always evaluates on this window; K_{p,q} with q
-# outside 0..2 needs degrees this window does not hold
+# the koszul verb accepts K_{p,q} only when the degrees it reads, q - 1,
+# q and q + 1, lie in this window: q in 0..2
 KOSZUL_WINDOW = (-1, 3)
 
 
@@ -181,20 +182,32 @@ def _run_valles(args):
             **rep}
 
 
+def _koszul_degrees(q):
+    """The window q - 1 .. q + 1 that K_{p,q} reads.  A degree outside
+    KOSZUL_WINDOW is refused, the first of q, q + 1, q - 1, the order in
+    which koszul_dim reads them."""
+    lo, hi = KOSZUL_WINDOW
+    for k in (q, q + 1, q - 1):
+        if not lo <= k <= hi:
+            raise WindowTooSmall(f"degree {k} outside window [{lo}, {hi}]")
+    return q - 1, q + 1
+
+
 def _run_koszul(args):
     scene = load_scene(args.scene)
     field = _field_from(args)
-    lo, hi = KOSZUL_WINDOW
     if scene.kind == "point_set":
         if args.N is not None:
             raise UsageError("--N twists a section module; on a point set "
                              "the koszul verb reads the ideal")
-        window = pointset_ideal_window(scene, lo, hi, field)
+        window = pointset_ideal_window(scene, *_koszul_degrees(args.q),
+                                       field)
         n_str = "ideal"
     else:
         n_label = resolve_label(scene, args.N) if args.N is not None else \
             scene.label_scale(scene.label_A(), 0)
-        window = scene_window(scene, n_label, lo, hi, field)
+        window = scene_window(scene, n_label, *_koszul_degrees(args.q),
+                              field)
         n_str = scene.label_str(n_label)
     group = koszul_dim(window, args.p, args.q).to_json_dict()
     return {"scene": scene.name, "N": n_str, **group}

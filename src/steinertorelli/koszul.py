@@ -18,12 +18,15 @@ call.  The groups K_{p,q} are cohomology of
 with d(u_{i_1} ^ ... ^ u_{i_p} (x) m) = sum_j (-1)^(j+1)
 (drop i_j) (x) u_{i_j} m, so a dimension is one middle dimension and
 two ranks.  Each differential is assembled once, as sparse columns read
-straight off the action tables, and each rank is a sum over independent
-blocks: the connected components of the differential's row/column
-nonzero pattern (with monomial bases, its weight pieces).  One pass
-after the union-find numbers the rows of every component, each block's
-rows are filled from the sparse columns, and each block is eliminated
-densely by exactfield.eliminate.  The exterior basis of Lambda^p U is
+straight off the action tables, and its rank comes from a sparse echelon
+reduction of those columns (`_differential_rank`), exact over QQ with
+fraction-free integer updates.  A differential is mostly zeros: with
+monomial bases it splits into weight pieces, and a reduction that only
+combines columns sharing a row never fills in across them, so the
+sparse reduction does no work on the zeros that a dense elimination
+would.  The package's one dense kernel, exactfield.eliminate, serves
+the matrices that are dense: scans, rings, point sets and the rank
+oracle of the tests.  The exterior basis of Lambda^p U is
 ordered as itertools.combinations(range(dim U), p) lists it, and a
 differential's row and column blocks follow that order.  Windows are
 built either from a scene's section ring or from the homogeneous ideal
@@ -34,10 +37,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import UnsupportedScene, WindowTooSmall
-from .exactfield import Matrix, QQ, eliminate, kept, span_reduction
+from .exactfield import Matrix, QQ, kept, span_reduction
 from .polyalg import (action_columns, monomial_basis, monomial_index,
                       negated_columns, products, restrict_right)
 
@@ -155,21 +158,38 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
 # ---- differentials and dimensions -------------------------------------------
 
 
-def _differential_columns(window: GradedModuleWindow, p, q):
+def _integral(table):
+    """A QQ action table times the least common denominator of all its
+    entries, as integers.  Every column of a differential read off such
+    tables is the true column times that one constant, so the rank is
+    the same."""
+    den = lcm(*[x.denominator for col in table for _, x in col])
+    return tuple(tuple((w, x.numerator * (den // x.denominator))
+                       for w, x in col) for col in table)
+
+
+def _differential_columns(window: GradedModuleWindow, p, q,
+                          integral=False):
     """Row count and sparse columns of Lambda^p U (x) M_q ->
-    Lambda^(p-1) U (x) M_(q+1): column k lists the (row, entry) pairs of
-    its nonzero entries.  The terms u_(i_j) m_t of one column land in
-    distinct exterior row blocks, so every entry is plus or minus an
-    action entry and nothing is summed."""
+    Lambda^(p-1) U (x) M_(q+1): column k maps the row of each of its
+    nonzero entries to that entry.  The terms u_(i_j) m_t of one column
+    land in distinct exterior row blocks, so every entry is plus or minus
+    an action entry and nothing is summed.  With `integral` the tables
+    are read through `_integral`."""
     n = window.dim_u
     dm_in = window.dim(q)
     dm_out = window.dim(q + 1)
     rows_out = exterior_dim(n, p - 1) * dm_out
     cols_in = exterior_dim(n, p) * dm_in
     if p < 1 or rows_out == 0 or cols_in == 0:
-        return rows_out, [()] * cols_in
-    plus = window.mult(q)
-    minus = window.negated(q) if p > 1 else None
+        return rows_out, [{} for _ in range(cols_in)]
+    if integral:
+        plus = _integral(window.mult(q))
+        minus = tuple(tuple((w, -x) for w, x in col)
+                      for col in plus) if p > 1 else None
+    else:
+        plus = window.mult(q)
+        minus = window.negated(q) if p > 1 else None
     base = {tup: k * dm_out for k, tup in
             enumerate(itertools.combinations(range(n), p - 1))}
     cols = []
@@ -177,8 +197,8 @@ def _differential_columns(window: GradedModuleWindow, p, q):
         terms = [(base[tup[:j] + tup[j + 1:]], minus if j % 2 else plus,
                   i * dm_in) for j, i in enumerate(tup)]
         for t in range(dm_in):
-            cols.append([(start + w, x) for start, action, at in terms
-                         for w, x in action[at + t]])
+            cols.append({start + w: x for start, action, at in terms
+                         for w, x in action[at + t]})
     return rows_out, cols
 
 
@@ -190,54 +210,70 @@ def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
     ncols = len(cols)
     rows = [[window.field.zero] * ncols for _ in range(nrows)]
     for c, col in enumerate(cols):
-        for r, x in col:
+        for r, x in col.items():
             rows[r][c] = x
     return Matrix(window.field, nrows, ncols, tuple(map(tuple, rows)))
 
 
 def _differential_rank(window: GradedModuleWindow, p, q):
-    """Rank of the differential out of Lambda^p U (x) M_q, as the sum of
-    the ranks of the connected components of its row/column nonzero
-    pattern.  Each component is eliminated densely, with the columns of
-    the differential as its rows."""
-    nrows, cols = _differential_columns(window, p, q)
-    parent = list(range(nrows))
+    """Rank of the differential out of Lambda^p U (x) M_q, by a sparse
+    echelon reduction of its columns.  A column is reduced by the kept
+    vector whose pivot is its least row until that row is new, and is
+    then kept with that row as pivot; the rank is the number of kept
+    vectors.  Mod p a kept vector is scaled to lead 1.  Over QQ the
+    columns are integral (`_integral`), each is divided by its content,
+    a kept vector is negated to a positive lead, and updates are
+    fraction-free, as in `eliminate`: a column with entry f at the lead
+    of a kept vector v becomes (lead/g) col - (f/g) v, g = gcd(lead, f),
+    divided by its content when lead/g is not 1.
 
-    def find(r):
-        while parent[r] != r:
-            parent[r] = r = parent[parent[r]]
-        return r
-
-    for col in cols:
-        if col:
-            root = find(col[0][0])
-            for r, _ in col[1:]:
-                parent[find(r)] = root
-    # one pass numbers the rows of each component; parent[r] becomes the
-    # root itself
-    width = [0] * nrows
-    local = [0] * nrows
-    for r in range(nrows):
-        root = parent[r] = find(r)
-        local[r] = width[root]
-        width[root] += 1
-    zero = window.field.zero
-    blocks = {}
-    for col in cols:
-        if col:
-            root = parent[col[0][0]]
-            line = [zero] * width[root]
-            for r, x in col:
-                line[local[r]] = x
-            blocks.setdefault(root, []).append(line)
-    char = window.field.characteristic
-    total = 0
-    for root, block in blocks.items():
-        if len(block) == 1 or width[root] == 1:
-            total += 1      # a nonzero row or column
-        else:
-            total += len(eliminate(block, width[root], char, full=False))
-    return total
+    A reduction only ever combines vectors that share a row, so fill-in
+    stays inside a connected component of the differential's nonzero
+    pattern (with monomial bases, a weight piece): the sparse reduction
+    does the work of a blockwise one without finding the blocks."""
+    p_char = window.field.characteristic
+    _, cols = _differential_columns(window, p, q, integral=not p_char)
+    pivots = {}
+    for vec in cols:
+        if not p_char and vec:
+            g = gcd(*vec.values())
+            if g > 1:
+                vec = {r: x // g for r, x in vec.items()}
+        while vec:
+            lead = min(vec)
+            other = pivots.get(lead)
+            f = vec[lead]
+            if other is None:
+                if p_char and f != 1:
+                    inv = pow(f, -1, p_char)
+                    vec = {r: x * inv % p_char for r, x in vec.items()}
+                elif f < 0:
+                    vec = {r: -x for r, x in vec.items()}
+                pivots[lead] = vec
+                break
+            if p_char:
+                for r, y in other.items():
+                    x = (vec.get(r, 0) - f * y) % p_char
+                    if x:
+                        vec[r] = x
+                    else:
+                        del vec[r]
+                continue
+            g = gcd(other[lead], f)
+            a, b = other[lead] // g, f // g
+            if a != 1:
+                vec = {r: a * x for r, x in vec.items()}
+            for r, y in other.items():
+                x = vec.get(r, 0) - b * y
+                if x:
+                    vec[r] = x
+                else:
+                    del vec[r]
+            if a != 1 and vec:
+                g = gcd(*vec.values())
+                if g > 1:
+                    vec = {r: x // g for r, x in vec.items()}
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -233,6 +233,18 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("path", [TC_PATH, SIX_PATH])
+@pytest.mark.parametrize("q, degree", [(-2, -2), (-1, -2), (3, 4), (5, 5)])
+def test_koszul_degrees_outside_the_window_are_refused(capsys, path, q,
+                                                       degree):
+    # K_{p,q} reads M_q, M_(q+1) and M_(q-1); the first of them outside
+    # [-1, 3] is the one named
+    assert main(["koszul", path, "--p", "1", f"--q={q}"]) == 5
+    assert capsys.readouterr().out == (
+        '{\n "error": "WindowTooSmall",\n "message": "degree '
+        f'{degree} outside window [-1, 3]"\n}}\n')
+
+
 @pytest.mark.parametrize("argv", [
     ["torelli", TC_PATH, "--prime", "0"],
     ["koszul", TC_PATH, "--p", "1", "--q", "1", "--prime", "0"],

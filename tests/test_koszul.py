@@ -217,7 +217,7 @@ def test_differential_matches_reference_on_ideals(tails, lo):
         pointset_ideal_window(pts, lo, lo + 3, GF(7)))
 
 
-# ---- block ranks against the dense reference ---------------------------------
+# ---- ranks against the dense reference ---------------------------------------
 
 
 def reference_rank(window, p, q):
@@ -259,6 +259,34 @@ def test_block_ranks_match_reference_on_subspaces(d, seed, field):
         scene_window(P1Series(d), 0, -1, 2, field, subspace=sub))
 
 
+def unimodular(n, rng):
+    """A product of random lower and upper unitriangular integer matrices:
+    determinant 1, so a basis over every field."""
+    lower = [[int(i == j) or (rng.randint(-2, 2) if j < i else 0)
+              for j in range(n)] for i in range(n)]
+    upper = [[int(i == j) or (rng.randint(-2, 2) if j > i else 0)
+              for j in range(n)] for i in range(n)]
+    return [tuple(sum(lower[i][k] * upper[k][j] for k in range(n))
+                  for j in range(n)) for i in range(n)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(-1, 1),
+       RANK_FIELDS)
+def test_block_ranks_match_reference_on_seeded_bases(d, seed, lo, field):
+    # a series given by a basis is proper even when the basis spans all
+    # of H0(O(d)): its scene keeps tables built through restrict_right,
+    # and a seeded change of basis mixes every weight in every column.
+    # Rows divided by 5 or 7, units in every field here, give QQ tables
+    # whose columns have different denominators.
+    rng = random.Random(seed)
+    basis = [tuple(Fraction(x, den) for x in row)
+             for row, den in zip(unimodular(d + 1, rng),
+                                 rng.choices((1, 5, 7), k=d + 1))]
+    scene = P1Series(d, basis=basis)
+    assert_ranks_match_reference(scene_window(scene, 0, lo, lo + 3, field))
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)),
                 min_size=1, max_size=6, unique=True),
@@ -272,14 +300,15 @@ def test_block_ranks_match_reference_on_ideals(tails, lo, field):
 @st.composite
 def sparse_windows(draw):
     """Windows with arbitrary action tables: empty pieces, empty (all-zero)
-    action columns and, over QQ, entries that are not integers.  A column
-    keeps only the nonzero entries, in row order, as a window's tables
-    do."""
+    action columns and, over QQ, entries that are not integers.  Entries
+    3, -3 and 5 and dimensions up to 5 give non-unit leads, content to
+    divide out and long chains of fill-in.  A column keeps only the
+    nonzero entries, in row order, as a window's tables do."""
     field = draw(RANK_FIELDS)
-    dim_u = draw(st.integers(0, 4))
-    dims = tuple(draw(st.lists(st.integers(0, 3), min_size=3, max_size=4)))
-    entry = st.sampled_from([0, 0, 0, 1, -1, 2])
-    den = st.integers(1, 3) if field == QQ else st.just(1)
+    dim_u = draw(st.integers(0, 5))
+    dims = tuple(draw(st.lists(st.integers(0, 5), min_size=3, max_size=4)))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 3, -3, 5])
+    den = st.integers(1, 4) if field == QQ else st.just(1)
     mults = tuple(
         tuple(tuple((w, x) for w in range(dims[k + 1])
                     if (x := field.normalize(Fraction(draw(entry),
@@ -397,10 +426,10 @@ def test_no_rank_is_kept_between_calls(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(args[1:3])
-        return eliminate(*args, **kwargs)
+        return columns(*args, **kwargs)
 
-    eliminate = koszul.eliminate
-    monkeypatch.setattr(koszul, "eliminate", counting)
+    columns = koszul._differential_columns
+    monkeypatch.setattr(koszul, "_differential_columns", counting)
     window = scene_window(P1Series(4), 0, 0, 2, QQ)
     first = koszul_dim(window, 2, 1)
     once = len(calls)
