@@ -4,13 +4,15 @@ A GradedModuleWindow holds the graded pieces M_lo .. M_hi of a module
 over the polynomial functions of an acting space U, together with the
 action of U out of each piece as sparse columns: entry i * dim M_k + t
 of the degree-k table lists the (w, x) pairs with x != 0 of u_i m_t in
-the basis of M_{k+1}.  A scene keeps these tables and their negations
-per label and field (`SectionRing.action_columns`), next to its rings
-and evaluators, so every window over its whole series reads the same
-tables; a window over a subspace of the series, or over the ideal of a
-point set, builds its own and negates each at most once.  Only tables
-are kept: ranks, differentials and windows are computed anew at every
-call.  The groups K_{p,q} are cohomology of
+the basis of M_{k+1}.  Differentials read a table as the pair of it
+and its negation, over QQ both times the lcm of the table's
+denominators, as ints (`polyalg.signed_columns`).  A scene keeps the
+tables and pairs per label and field, next to its rings and evaluators,
+so every window over its whole series reads the same pairs; a window
+over a subspace of the series, or over the ideal of a point set, builds
+its own tables and derives each pair at most once.  Only tables and
+pairs are kept: ranks, differentials and windows are computed anew at
+every call.  The groups K_{p,q} are cohomology of
 
     Lambda^{p+1} U (x) M_{q-1}  ->  Lambda^p U (x) M_q
                                 ->  Lambda^{p-1} U (x) M_{q+1}
@@ -18,7 +20,7 @@ call.  The groups K_{p,q} are cohomology of
 with d(u_{i_1} ^ ... ^ u_{i_p} (x) m) = sum_j (-1)^(j+1)
 (drop i_j) (x) u_{i_j} m, so a dimension is one middle dimension and
 two ranks.  Each differential is assembled once, as sparse columns read
-straight off the action tables, and its rank comes from a sparse echelon
+straight off the signed pairs, and its rank comes from a sparse echelon
 reduction of those columns (`_differential_rank`), exact over QQ with
 fraction-free integer updates.  A differential is mostly zeros: with
 monomial bases it splits into weight pieces, and a reduction that only
@@ -37,12 +39,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field as dataclass_field
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import UnsupportedScene, WindowTooSmall
 from .exactfield import Matrix, QQ, kept, span_reduction
 from .polyalg import (action_columns, monomial_basis, monomial_index,
-                      negated_columns, products, restrict_right)
+                      products, restrict_right, signed_columns)
 
 
 def exterior_dim(dim_u, p):
@@ -58,9 +60,9 @@ class GradedModuleWindow:
     table is a tuple of sparse columns, U-major: entry i * dim M_k + t
     lists the (w, x) pairs with x != 0 of u_i m_t = sum_w x m'_w in the
     basis m' of M_(k+1).  A scene window over the whole series takes the
-    tables the scene keeps per label and field (`action_columns`), and
-    their negations; a window over a subspace of the series, or of a
-    point set's ideal, builds its own and negates them in `negated`."""
+    tables and signed pairs the scene keeps per label and field; a window
+    over a subspace of the series, or of a point set's ideal, builds its
+    own tables and derives their pairs in `signed`."""
 
     field: object
     dim_u: int
@@ -68,9 +70,9 @@ class GradedModuleWindow:
     hi: int
     dims: tuple       # dims[k - lo] = dim M_k
     mults: tuple      # mults[k - lo][i * dim M_k + t]: (w, x) pairs of u_i m_t
-    # the tables negated, when a scene keeps them; derived from mults, so
-    # not compared
-    negs: tuple = dataclass_field(default=None, compare=False, repr=False)
+    # the tables' signed pairs, when a scene keeps them; derived from
+    # mults, so not compared
+    pairs: tuple = dataclass_field(default=None, compare=False, repr=False)
 
     def dim(self, k):
         if not self.lo <= k <= self.hi:
@@ -86,12 +88,12 @@ class GradedModuleWindow:
         return self.mults[k - self.lo]
 
     @kept
-    def negated(self, k):
-        """mult(k) with every value negated: the scene's kept table, or
-        derived once per window."""
-        if self.negs is not None:
-            return self.negs[k - self.lo]
-        return negated_columns(self.mult(k), self.field)
+    def signed(self, k):
+        """The (plus, minus) pair of mult(k) (`polyalg.signed_columns`):
+        the scene's kept pair, or derived once per window."""
+        if self.pairs is not None:
+            return self.pairs[k - self.lo]
+        return signed_columns(self.mult(k), self.field)
 
 
 def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
@@ -107,10 +109,10 @@ def scene_window(scene, n_label, lo, hi, field=QQ, subspace=None) -> \
                  for k in range(lo, hi + 1))
     full_u = scene.series_dim(field)
     if subspace is None:
-        mults, negs = (tuple(scene.action_columns(labels[k], field, negated)
-                             for k in range(lo, hi))
-                       for negated in (False, True))
-        return GradedModuleWindow(field, full_u, lo, hi, dims, mults, negs)
+        mults, pairs = (tuple(table(labels[k], field) for k in range(lo, hi))
+                        for table in (scene.action_columns,
+                                      scene.signed_columns))
+        return GradedModuleWindow(field, full_u, lo, hi, dims, mults, pairs)
     coords = tuple(tuple(field.normalize(x) for x in vec)
                    for vec in subspace)
     for vec in coords:
@@ -158,24 +160,14 @@ def pointset_ideal_window(points, k_lo, k_hi, field=QQ) -> \
 # ---- differentials and dimensions -------------------------------------------
 
 
-def _integral(table):
-    """A QQ action table times the least common denominator of all its
-    entries, as integers.  Every column of a differential read off such
-    tables is the true column times that one constant, so the rank is
-    the same."""
-    den = lcm(*[x.denominator for col in table for _, x in col])
-    return tuple(tuple((w, x.numerator * (den // x.denominator))
-                       for w, x in col) for col in table)
-
-
-def _differential_columns(window: GradedModuleWindow, p, q,
-                          integral=False):
+def _differential_columns(window: GradedModuleWindow, p, q):
     """Row count and sparse columns of Lambda^p U (x) M_q ->
-    Lambda^(p-1) U (x) M_(q+1): column k maps the row of each of its
-    nonzero entries to that entry.  The terms u_(i_j) m_t of one column
-    land in distinct exterior row blocks, so every entry is plus or minus
-    an action entry and nothing is summed.  With `integral` the tables
-    are read through `_integral`."""
+    Lambda^(p-1) U (x) M_(q+1), read off the signed pair out of M_q:
+    column k maps the row of each of its nonzero entries to that entry.
+    The terms u_(i_j) m_t of one column land in distinct exterior row
+    blocks, so every entry is an entry of plus or of minus and nothing
+    is summed.  Over QQ the columns are ints, the true ones times the
+    pair's one constant."""
     n = window.dim_u
     dm_in = window.dim(q)
     dm_out = window.dim(q + 1)
@@ -183,13 +175,7 @@ def _differential_columns(window: GradedModuleWindow, p, q,
     cols_in = exterior_dim(n, p) * dm_in
     if p < 1 or rows_out == 0 or cols_in == 0:
         return rows_out, [{} for _ in range(cols_in)]
-    if integral:
-        plus = _integral(window.mult(q))
-        minus = tuple(tuple((w, -x) for w, x in col)
-                      for col in plus) if p > 1 else None
-    else:
-        plus = window.mult(q)
-        minus = window.negated(q) if p > 1 else None
+    plus, minus = window.signed(q)
     base = {tup: k * dm_out for k, tup in
             enumerate(itertools.combinations(range(n), p - 1))}
     cols = []
@@ -205,14 +191,20 @@ def _differential_columns(window: GradedModuleWindow, p, q,
 # test oracle kept while benchmark/layertrace.py wraps it (ROADMAP item 1)
 def koszul_differential(window: GradedModuleWindow, p, q) -> Matrix:
     """Lambda^p U (x) M_q -> Lambda^(p-1) U (x) M_(q+1), exterior-major
-    row and column blocks."""
+    row and column blocks, over the window's field: the columns the ranks
+    read, divided by the constant of the signed pair out of M_q."""
     nrows, cols = _differential_columns(window, p, q)
+    field = window.field
+    unscale = field.one
+    if any(cols) and not field.characteristic:
+        unscale = next(true[0][1] / plus[0][1] for plus, true in
+                       zip(window.signed(q)[0], window.mult(q)) if true)
     ncols = len(cols)
-    rows = [[window.field.zero] * ncols for _ in range(nrows)]
+    rows = [[field.zero] * ncols for _ in range(nrows)]
     for c, col in enumerate(cols):
         for r, x in col.items():
-            rows[r][c] = x
-    return Matrix(window.field, nrows, ncols, tuple(map(tuple, rows)))
+            rows[r][c] = x * unscale
+    return Matrix(field, nrows, ncols, tuple(map(tuple, rows)))
 
 
 def _differential_rank(window: GradedModuleWindow, p, q):
@@ -221,18 +213,18 @@ def _differential_rank(window: GradedModuleWindow, p, q):
     vector whose pivot is its least row until that row is new, and is
     then kept with that row as pivot; the rank is the number of kept
     vectors.  Mod p a kept vector is scaled to lead 1.  Over QQ the
-    columns are integral (`_integral`), each is divided by its content,
-    a kept vector is negated to a positive lead, and updates are
-    fraction-free, as in `eliminate`: a column with entry f at the lead
-    of a kept vector v becomes (lead/g) col - (f/g) v, g = gcd(lead, f),
-    divided by its content when lead/g is not 1.
+    columns are ints, read off the window's signed pairs; each is divided
+    by its content, a kept vector is negated to a positive lead, and
+    updates are fraction-free, as in `eliminate`: a column with entry f
+    at the lead of a kept vector v becomes (lead/g) col - (f/g) v,
+    g = gcd(lead, f), divided by its content when lead/g is not 1.
 
     A reduction only ever combines vectors that share a row, so fill-in
     stays inside a connected component of the differential's nonzero
     pattern (with monomial bases, a weight piece): the sparse reduction
     does the work of a blockwise one without finding the blocks."""
     p_char = window.field.characteristic
-    _, cols = _differential_columns(window, p, q, integral=not p_char)
+    _, cols = _differential_columns(window, p, q)
     pivots = {}
     for vec in cols:
         if not p_char and vec:

@@ -11,9 +11,10 @@ the monomial shifts of the generators, as row lists, and one
 quotient, with the kernel rows that reduce onto them.  Multiplication
 tables, the only `Matrix` here, come from the ring alone, and
 `restrict_right` cuts a table's right factor down to a proper series;
-`action_columns` regroups a table into the sparse columns that Koszul
-differentials read, and `negated_columns` negates them.  No Groebner
-bases; everything is linear algebra over an exact field.
+`action_columns` regroups a table into sparse columns, and
+`signed_columns` gives the pair of them, over QQ scaled to integers,
+and their negation that Koszul differentials read.  No Groebner bases;
+everything is linear algebra over an exact field.
 """
 
 from __future__ import annotations
@@ -98,12 +99,20 @@ def action_columns(table, width) -> tuple:
                  for i in range(width) for c in range(i, table.ncols, width))
 
 
-def negated_columns(columns, field) -> tuple:
-    """Sparse columns as `action_columns` gives them, every value
-    negated."""
+def signed_columns(columns, field) -> tuple:
+    """The pair (plus, minus) that Koszul differentials read off sparse
+    columns as `action_columns` gives them: mod p the columns and their
+    negation; over QQ the columns times the lcm of all their
+    denominators, as ints, and the negation of those.  Every entry of
+    the pair is the true one times the same positive constant."""
     p = field.characteristic
-    return tuple(tuple((w, -x % p if p else -x) for w, x in col)
-                 for col in columns)
+    if p:
+        return columns, tuple(tuple((w, -x % p) for w, x in col)
+                              for col in columns)
+    den = math.lcm(*[x.denominator for col in columns for _, x in col])
+    plus = tuple(tuple((w, x.numerator * (den // x.denominator))
+                       for w, x in col) for col in columns)
+    return plus, tuple(tuple((w, -x) for w, x in col) for col in plus)
 
 
 def _degree_sum(k, l, sign=1):

@@ -32,14 +32,14 @@ proper series V, the rows of V in the piece of A:
 
 The shared `SectionRing` base turns the ring into `section_space`,
 `series_dim`, `multiplication_map`, `action_columns` (the series acting
-on a section space, as the sparse columns Koszul windows read),
-`evaluation_functional` and `enumerate_points`: the candidate points
-(P^N(F_p), or P^1 x P^1 for a scroll) where the generators vanish, with
-V's functional and, when there are generators, their smoothness.  Every
-value at a point comes from one evaluator, `_evaluator`, which computes
-each coordinate's powers once; the generators are evaluated once per run
-of candidates that differ only in the last coordinate, as polynomials in
-it.
+on a section space, as sparse columns), `signed_columns` (the pair of
+them that Koszul differentials read), `evaluation_functional` and
+`enumerate_points`: the candidate points (P^N(F_p), or P^1 x P^1 for a
+scroll) where the generators vanish, with V's functional and, when
+there are generators, their smoothness.  Every value at a point comes
+from one evaluator, `_evaluator`, which computes each coordinate's
+powers once; the generators are evaluated once per run of candidates
+that differ only in the last coordinate, as polynomials in it.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
 from .exactfield import (GF, QQ, eliminate, kept, normalize_projective,
                          projective_reps, span_reduction)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
-                      monomial_basis, negated_columns, restrict_right,
+                      monomial_basis, restrict_right, signed_columns,
                       space_dim)
 
 
@@ -259,15 +259,18 @@ class SectionRing:
         return table if rows is None else restrict_right(table, rows)
 
     @kept
-    def action_columns(self, label, field=QQ, negated=False):
+    def action_columns(self, label, field=QQ):
         """The series acting on H0(L), as sparse columns: entry
         i * dim H0(L) + t lists the (position, value) pairs of nonzero
-        value of u_i m_t in H0(L + A), with every value negated when
-        `negated`."""
-        if negated:
-            return negated_columns(self.action_columns(label, field), field)
+        value of u_i m_t in H0(L + A)."""
         return action_columns(self.multiplication_map(
             label, self.label_A(), field), self.series_dim(field))
+
+    @kept
+    def signed_columns(self, label, field=QQ):
+        """The (plus, minus) pair of `action_columns` that Koszul
+        differentials read (`polyalg.signed_columns`)."""
+        return signed_columns(self.action_columns(label, field), field)
 
     def evaluation_functional(self, params, label, field):
         """The monomials of the label's piece at params, normalized

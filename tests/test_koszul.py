@@ -24,8 +24,8 @@ from steinertorelli.koszul import (GradedModuleWindow, WindowTooSmall,
                                    pointset_ideal_window, scene_window)
 from steinertorelli import koszul, scenes
 from steinertorelli.errors import NotGeneralPosition, UnsupportedScene
-from steinertorelli.polyalg import (action_columns, negated_columns,
-                                    restrict_right)
+from steinertorelli.polyalg import (action_columns, restrict_right,
+                                    signed_columns)
 from steinertorelli.scenes import (MonomialVariety, P1Series, PointSet,
                                    ScrollCurve)
 from test_exactfield import matrix
@@ -270,20 +270,24 @@ def unimodular(n, rng):
                   for j in range(n)) for i in range(n)]
 
 
+def seeded_series(d, rng):
+    """P1Series(d) on a seeded unimodular basis, its rows divided by 1, 5
+    or 7, units in every field here: QQ tables whose columns have
+    different denominators."""
+    return P1Series(d, basis=[
+        tuple(Fraction(x, den) for x in row)
+        for row, den in zip(unimodular(d + 1, rng),
+                            rng.choices((1, 5, 7), k=d + 1))])
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(-1, 1),
        RANK_FIELDS)
 def test_block_ranks_match_reference_on_seeded_bases(d, seed, lo, field):
     # a series given by a basis is proper even when the basis spans all
     # of H0(O(d)): its scene keeps tables built through restrict_right,
-    # and a seeded change of basis mixes every weight in every column.
-    # Rows divided by 5 or 7, units in every field here, give QQ tables
-    # whose columns have different denominators.
-    rng = random.Random(seed)
-    basis = [tuple(Fraction(x, den) for x in row)
-             for row, den in zip(unimodular(d + 1, rng),
-                                 rng.choices((1, 5, 7), k=d + 1))]
-    scene = P1Series(d, basis=basis)
+    # and a seeded change of basis mixes every weight in every column
+    scene = seeded_series(d, random.Random(seed))
     assert_ranks_match_reference(scene_window(scene, 0, lo, lo + 3, field))
 
 
@@ -385,40 +389,95 @@ def test_subspace_window_never_reads_the_series_table(full_first):
     assert plain.mult(1) != boxed.mult(1)
 
 
-def test_negated_tables_are_kept_per_scene_and_window(monkeypatch):
-    """A scene keeps each table's negation next to the table; a window
-    that builds its own tables negates each at most once, and only when a
-    differential with p >= 2 reads it."""
+def test_signed_pairs_are_kept_per_scene_and_window(monkeypatch):
+    """A scene keeps each table's signed pair next to the table, and a
+    second window over the same scene and field builds no pair and shares
+    the scene's; a window that builds its own tables derives each
+    degree's pair at most once, and only when a differential with p >= 1
+    reads it."""
     calls = []
 
     def counting(columns, field):
         calls.append(field)
-        return negated_columns(columns, field)
+        return signed_columns(columns, field)
 
-    monkeypatch.setattr(koszul, "negated_columns", counting)
-    monkeypatch.setattr(scenes, "negated_columns", counting)
+    monkeypatch.setattr(koszul, "signed_columns", counting)
+    monkeypatch.setattr(scenes, "signed_columns", counting)
     scene = P1Series(2, basis=CONIC_BASIS)
     for field in (QQ, GF(101)):
         window = scene_window(scene, 0, 0, 2, field)
-        for k in (0, 1):
-            assert window.negated(k) == tuple(
-                tuple((w, field.normalize(-x)) for w, x in col)
-                for col in window.mult(k))
+        built = len(calls)
         again = scene_window(scene, 0, 0, 2, field)
-        assert all(a is b for a, b in zip(again.negs, window.negs))
+        assert len(calls) == built
+        assert all(a is b for a, b in zip(again.pairs, window.pairs))
+        assert all(again.signed(k) is window.pairs[k] for k in (0, 1))
     assert calls == [QQ, QQ, GF(101), GF(101)]
     calls.clear()
     sub = [tuple(QQ.one if j == i else QQ.zero for j in range(3))
            for i in range(2)]
-    window = scene_window(P1Series(2), 0, 0, 2, QQ, subspace=sub)
-    assert window.negs is None
-    koszul_dim(window, 0, 1)
+    window = scene_window(P1Series(2), 0, -1, 2, QQ, subspace=sub)
+    assert window.pairs is None
+    # K_{0,0} reads no differential with p >= 1 and columns
+    koszul_dim(window, 0, 0)
     assert not calls
-    # K_{1,1} reads Lambda^2 U (x) M_0 -> U (x) M_1
+    # K_{0,1} reads U (x) M_0 -> M_1, K_{1,1} also M_1 -> M_2 with p = 1
+    koszul_dim(window, 0, 1)
+    assert calls == [QQ]
     for _ in range(2):
         koszul_dim(window, 1, 1)
-    assert window.negated(0) is window.negated(0)
-    assert calls == [QQ]
+    assert window.signed(0) is window.signed(0)
+    assert calls == [QQ, QQ]
+    calls.clear()
+    for field in (QQ, GF(11)):
+        window = pointset_ideal_window(GENERAL_SEVEN, 1, 3, field)
+        assert not calls
+        # K_{1,2} reads I_2 -> I_3; I_1 = 0, so Lambda^2 U (x) I_1 has no
+        # columns and its pair is never derived
+        for _ in range(2):
+            koszul_dim(window, 1, 2)
+        assert calls == [field]
+        calls.clear()
+
+
+def assert_pairs_are_signed(window):
+    """Over QQ plus is mult(k) times the lcm of its denominators, with int
+    entries, and minus is -plus; mod p plus is mult(k) and minus is its
+    negation mod p."""
+    p = window.field.characteristic
+    for k in range(window.lo, window.hi):
+        table = window.mult(k)
+        plus, minus = window.signed(k)
+        if p:
+            assert plus == table
+            assert minus == tuple(tuple((w, -x % p) for w, x in col)
+                                  for col in table)
+            continue
+        assert all(type(x) is int for col in plus for _, x in col)
+        den = math.lcm(*[x.denominator for col in table for _, x in col])
+        assert plus == tuple(tuple((w, x * den) for w, x in col)
+                             for col in table)
+        assert minus == tuple(tuple((w, -x) for w, x in col)
+                              for col in plus)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([QQ, GF(11)]))
+def test_signed_pairs_scale_or_negate_the_tables(d, seed, field):
+    rng = random.Random(seed)
+    window = scene_window(seeded_series(d, rng), 0, -1, 2, field)
+    assert_pairs_are_signed(window)
+    # the oracle divides the pairs' constant out again
+    for q in range(-1, 2):
+        for p in range(d + 3):
+            assert koszul_differential(window, p, q).entries == \
+                reference_differential(window, p, q)
+    sub = [tuple(field.normalize(Fraction(rng.randrange(-3, 4),
+                                          rng.choice((1, 5, 7))))
+                 for _ in range(d + 1)) for _ in range(rng.randint(1, d + 1))]
+    assert_pairs_are_signed(
+        scene_window(P1Series(d), 0, -1, 2, field, subspace=sub))
+    assert_pairs_are_signed(pointset_ideal_window(GENERAL_SEVEN, 1, 3, field))
 
 
 def test_no_rank_is_kept_between_calls(monkeypatch):
