@@ -441,10 +441,15 @@ def projective_rank(p: int, vec):
 
 def normalize_projective(field, vec):
     """Scale so the first nonzero coordinate is 1.  None for the zero
-    vector."""
-    vec = [field.normalize(x) for x in vec]
+    vector.  Mod p the entries are canonical after the first pass, so
+    the scaled ones need only `% p`."""
+    normalize = field.normalize
+    vec = [normalize(x) for x in vec]
     for x in vec:
         if x:
             inv = field.inv(x)
-            return tuple(field.normalize(inv * y) for y in vec)
+            p = field.characteristic
+            if p:
+                return tuple([inv * y % p for y in vec])
+            return tuple([normalize(inv * y) for y in vec])
     return None

@@ -39,7 +39,10 @@ scroll) where the generators vanish, with V's functional and, when
 there are generators, their smoothness.  Every value at a point comes
 from one evaluator, `_evaluator`, which computes each coordinate's
 powers once; the generators are evaluated once per run of candidates
-that differ only in the last coordinate, as polynomials in it.
+that differ only in the last coordinate, as polynomials in it.  Every
+kind keeps its enumeration per prime, so the image X(F_p) is found once
+per scene however many bundles and callers compare against it; a
+refused prime keeps nothing and is refused again on every call.
 """
 
 from __future__ import annotations
@@ -291,10 +294,12 @@ class SectionRing:
         for prefix in projective_reps(p, n - 1):
             yield prefix, range(p)
 
+    @kept
     def enumerate_points(self, p):
         """The candidate points where every generator vanishes, each with
         the functional of V there.  When there are generators, a point is
-        smooth when their Jacobian has rank len(generators) there."""
+        smooth when their Jacobian has rank len(generators) there.  Kept
+        per prime."""
         field = GF(p)
         ring = self.ring(field)
         monomials = self.section_space(self.label_A(), field).monomials
@@ -554,6 +559,7 @@ class MonomialVariety(IntegerLabels, SectionRing):
         raise UnsupportedScene(
             "cohomology is not modelled for monomial scenes")
 
+    @kept
     def enumerate_points(self, p):
         """Image points of P^m(F_p), deduplicated by evaluation vector in
         the order they are first seen."""
@@ -831,7 +837,10 @@ class PointSet(IntegerLabels):
             cols = [_cleared(col)[1] for col in cols]
         return _minors_nonzero(cols, field.characteristic)
 
+    @kept
     def enumerate_points(self, p):
+        """The reduced points over F_p, labelled by their index.  Kept
+        per prime, as every kind's enumeration is."""
         field = GF(p)
         pts = self.reduced_points(field)
         records = tuple(

@@ -174,10 +174,12 @@ def _compare_prime(scene, field, build):
     """Validate, scan, and compare the unstable set with the image.
 
     build(field) gives the presentation over GF(p); the image is the set
-    of the scene's enumerated points.  A BadPrime or NotGeneralPosition
-    while reducing at p gives a BAD_PRIME comparison instead of ending the
-    run.  Returns the comparison, the presentation and the enumeration,
-    the last two None unless the scan ran.
+    of the scene's enumerated points, which the scene keeps per prime, so
+    every B compared on one scene object reads one enumeration.  A
+    BadPrime or NotGeneralPosition while reducing at p gives a BAD_PRIME
+    comparison instead of ending the run.  Returns the comparison, the
+    presentation and the enumeration, the last two None unless the scan
+    ran.
     """
     p = field.characteristic
     try:

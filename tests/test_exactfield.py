@@ -500,6 +500,42 @@ def test_normalize_projective():
     assert normalize_projective(fld, (0, 0, 0)) is None
 
 
+def _generic_normalize_projective(field, vec):
+    """Every entry, and every scaled entry, through `field.normalize`."""
+    vec = [field.normalize(x) for x in vec]
+    for x in vec:
+        if x:
+            inv = field.inv(x)
+            return tuple(field.normalize(inv * y) for y in vec)
+    return None
+
+
+@given(p=st.sampled_from([2, 3, 5, 13, 101]), data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_normalize_projective_mod_p_matches_generic_scaling(p, data):
+    """Mod p the scaled entries are reduced by `% p` alone; the result is
+    the generic one for ints of either sign, Fractions whose denominator
+    is prime to p, and the zero vector.  A denominator divisible by p is
+    still a BadPrime."""
+    fld = GF(p)
+    ints = st.integers(-3 * p, 3 * p)
+    prime_to_p = ints.filter(lambda d: d % p)
+    entry = st.one_of(ints, st.builds(Fraction, ints, prime_to_p),
+                      st.just(0))
+    vec = data.draw(st.lists(entry, min_size=1, max_size=6))
+    got = normalize_projective(fld, vec)
+    assert got == _generic_normalize_projective(fld, vec)
+    if got is None:
+        assert not any(map(fld.normalize, vec))
+    else:
+        assert all(type(x) is int and 0 <= x < p for x in got)
+    assert normalize_projective(fld, [0] * len(vec)) is None
+    bad = data.draw(st.integers(0, len(vec) - 1))
+    vec[bad] = Fraction(1, p * data.draw(prime_to_p))
+    with pytest.raises(BadPrime):
+        normalize_projective(fld, vec)
+
+
 # ---- values kept per instance -------------------------------------------
 
 

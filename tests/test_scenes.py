@@ -195,6 +195,17 @@ class TestP1Series:
                 sc.multiplication_map(1, 2, GF(5))
             with pytest.raises(BadPrime):
                 sc.action_columns(1, GF(5))
+        # the other kinds refuse a prime through their reduced points or
+        # their ring, which keep nothing either
+        clash = PointSet(1, [(1, 2), (1, 7)])
+        vanishing = CompleteIntersection(2, [(1, (5, 10, 15))])
+        for _ in range(2):
+            with pytest.raises(BadPrime):
+                clash.enumerate_points(5)
+            with pytest.raises(BadPrime):
+                vanishing.enumerate_points(5)
+        assert clash.enumerate_points(7) is clash.enumerate_points(7)
+        assert len(vanishing.enumerate_points(7).records) == 8
         assert sc.series_dim(GF(7)) == 2
         assert sc.multiplication_map(1, 2, GF(7)).ncols == 4
         # the table restricted to the series is kept per labels and field

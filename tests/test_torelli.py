@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from steinertorelli.cli import main
+from steinertorelli.cli import emit, main
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
                                    UnsupportedLabel, UnsupportedScene,
                                    ZeroEvaluation)
@@ -185,6 +185,62 @@ def test_recover_embedding_complete_intersection():
     rep = recover_embedding_check(diagonal_ci(), 2, 5)
     assert len(rep.rows) == 16
     assert rep.all_match
+
+
+# (scene file, two B labels, primes)
+KEPT_IMAGE_RUNS = [("twisted_cubic", (5, 4), (5, 7, 11)),
+                   ("conic_monomials", (4, 3), (5, 7)),
+                   ("diagonal_ci", (3, 2), (5, 7)),
+                   ("scroll_member_a", ((2, 1), (1, 1)), (5, 7)),
+                   ("scroll_member_b", ((2, 1), (1, 1)), (5, 7))]
+
+
+@pytest.mark.parametrize("stem,labels,primes", KEPT_IMAGE_RUNS,
+                         ids=[run[0] for run in KEPT_IMAGE_RUNS])
+def test_one_enumeration_per_scene_and_prime(monkeypatch, stem, labels,
+                                             primes):
+    """The image X(F_p) is enumerated once per scene and prime, however
+    many bundles and callers compare against it."""
+    scene = load_scene(SCENEDIR / f"{stem}.json")
+    candidates = type(scene)._candidates
+    calls = []
+
+    def counting(self, p):
+        calls.append(p)
+        return candidates(self, p)
+
+    monkeypatch.setattr(type(scene), "_candidates", counting)
+    first, second = labels
+    torelli_check(scene, first, primes)
+    torelli_check(scene, second, primes)
+    recover_embedding_check(scene, first, primes[-1])
+    assert calls == list(primes)
+    assert scene.enumerate_points(primes[0]) is \
+        scene.enumerate_points(primes[0])
+    assert calls == list(primes)
+
+
+@pytest.mark.parametrize("stem,labels,primes", KEPT_IMAGE_RUNS,
+                         ids=[run[0] for run in KEPT_IMAGE_RUNS])
+def test_warm_scene_reports_what_a_cold_one_does(stem, labels, primes):
+    """Every report on a scene that has already enumerated its image,
+    for other bundles and other callers, is the bytes of the same report
+    on a freshly loaded scene."""
+    def fresh():
+        return load_scene(SCENEDIR / f"{stem}.json")
+
+    def torelli(scene, b_label):
+        return emit(torelli_check(scene, b_label, primes).to_json_dict(),
+                    "json")
+
+    def recover(scene, b_label):
+        return emit(recover_embedding_check(
+            scene, b_label, primes[-1]).to_json_dict(), "json")
+
+    warm = fresh()
+    for b_label in labels + labels[::-1]:
+        assert torelli(warm, b_label) == torelli(fresh(), b_label)
+        assert recover(warm, b_label) == recover(fresh(), b_label)
 
 
 # ---- scroll members ------------------------------------------------------------
