@@ -38,11 +38,14 @@ them that Koszul differentials read), `evaluation_functional` and
 scroll) where the generators vanish, with V's functional and, when
 there are generators, their smoothness.  Every value at a point comes
 from one evaluator, `_evaluator`, which computes each coordinate's
-powers once; the generators are evaluated once per run of candidates
-that differ only in the last coordinate, as polynomials in it.  Every
-kind keeps its enumeration per prime, so the image X(F_p) is found once
-per scene however many bundles and callers compare against it; a
-refused prime keeps nothing and is refused again on every call.
+powers once.  The points are found by one walk, `_walk`, that fixes the
+coordinates one at a time: the generators of each degree are first
+row-reduced mod p so that each reduced form names the last coordinate
+it involves, and there it filters that coordinate's values, as a
+polynomial in it, before any longer prefix is tried.  Every kind keeps
+its enumeration per prime, so the image X(F_p) is found once per scene
+however many bundles and callers compare against it; a refused prime
+keeps nothing and is refused again on every call.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
 from .exactfield import (GF, QQ, eliminate, kept, normalize_projective,
-                         projective_reps, span_reduction)
+                         span_reduction)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
                       monomial_basis, restrict_right, signed_columns,
                       space_dim)
@@ -140,7 +143,10 @@ def _monomial_terms(monomials):
 
 def _independent(field, rows):
     """Whether rows with entries in the field are linearly independent:
-    one rank-only elimination of copies of them."""
+    one rank-only elimination of copies of them, or for one row (the
+    Jacobian of a single generator), whether it is nonzero."""
+    if len(rows) == 1:
+        return any(rows[0])
     work = [list(row) for row in rows]
     return len(eliminate(work, len(work[0]) if work else 0,
                          field.characteristic, full=False)) == len(work)
@@ -232,8 +238,8 @@ class SectionRing:
     `ring(field)`, graded by the scene's labels.  A kind supplies the
     ring (an ambient basis and generators), its label check, for a
     proper series V the coordinate rows of V in the piece of A, and, when
-    they are not the points of P^N(F_p), its candidate points, in runs
-    that differ only in the last coordinate."""
+    they are not the points of P^N(F_p), the projective factors whose
+    product holds its candidate points."""
 
     def _series_rows(self, field):
         return None
@@ -286,20 +292,19 @@ class SectionRing:
         return _evaluator(field, _monomial_terms(
             self.section_space(label, field).monomials))
 
-    def _candidates(self, p):
-        """The points of P^N(F_p) in enumeration order, as runs that
-        share all but the last coordinate: (prefix, last coordinates)."""
-        n = self.ring(GF(p)).num_vars
-        yield (0,) * (n - 1), (1,)
-        for prefix in projective_reps(p, n - 1):
-            yield prefix, range(p)
+    def _factors(self, ring):
+        """The sizes of the projective spaces whose product holds the
+        candidate points: P^N(F_p), one space of the ring's variables."""
+        return (ring.num_vars,)
 
     @kept
     def enumerate_points(self, p):
         """The candidate points where every generator vanishes, each with
-        the functional of V there.  When there are generators, a point is
-        smooth when their Jacobian has rank len(generators) there.  Kept
-        per prime."""
+        the functional of V there, in the order of `_walk`, which finds
+        them from the generators of each degree row-reduced mod p
+        (`_triangular_forms`).  When there are generators, a point is
+        smooth when the Jacobian of the generators themselves has rank
+        len(generators) there.  Kept per prime."""
         field = GF(p)
         ring = self.ring(field)
         monomials = self.section_space(self.label_A(), field).monomials
@@ -308,38 +313,102 @@ class SectionRing:
                             else [tuple((m, c) for m, c in zip(monomials, row)
                                         if c) for row in rows])
         forms = [t for _, t in ring.generators]
-        last = ring.num_vars - 1
-
-        def by_last(form):
-            # the form as a polynomial in the last coordinate: one term
-            # list in the others per coefficient, from the top degree down
-            top = max(m[last] for m, _ in form)
-            return [[(m[:last], c) for m, c in form if m[last] == e]
-                    for e in range(top, -1, -1)]
-
-        splits = [_evaluator(field, by_last(form)) for form in forms]
         jacobian = [_evaluator(field, _partials(field, form, ring.num_vars))
                     for form in forms]
         records = []
-        # each generator is evaluated once per prefix and then, by Horner,
-        # at every last coordinate still in play: most fail the first
-        for prefix, lasts in self._candidates(p):
-            for split in splits:
-                if not lasts:
-                    break
-                values = [0] * len(lasts)
-                for c in split(prefix):
-                    values = [(y * t + c) % p for y, t in zip(values, lasts)]
-                lasts = [t for t, y in zip(lasts, values) if not y]
-            for t in lasts:
-                params = prefix + (t,)
-                smooth = None
-                if forms:
-                    jac = [row(params) for row in jacobian]
-                    smooth = _independent(field, jac)
-                phi = _normalized_phi(field, series(params), params)
-                records.append(PointRecord(p, params, phi, smooth))
+        for params in _walk(p, self._factors(ring), _triangular_forms(ring)):
+            smooth = None
+            if forms:
+                smooth = _independent(field, [row(params) for row in jacobian])
+            phi = _normalized_phi(field, series(params), params)
+            records.append(PointRecord(p, params, phi, smooth))
         return PointEnumeration(p, tuple(records), bool(forms))
+
+
+def _triangular_forms(ring):
+    """The generators of each degree row-reduced mod p, one `eliminate`
+    per degree that has more than one, as (k, term list) pairs, x_k the
+    last coordinate of the form.  The columns, the monomials the forms
+    involve, run in reverse lexicographic order, so a reduced form's pivot
+    monomial names its last coordinate.  Forms of one degree combined
+    invertibly keep their common zeros; a form dependent on the others mod
+    p drops out.  Diagonal forms reduce to a triangle; dense ones all keep
+    x_N."""
+    degrees = {}
+    for degree, terms in ring.generators:
+        degrees.setdefault(degree, []).append(terms)
+    out = []
+    for forms in degrees.values():
+        if len(forms) > 1:
+            cols = sorted({m for form in forms for m, _ in form},
+                          key=lambda m: m[::-1], reverse=True)
+            work = [[row.get(m, 0) for m in cols]
+                    for row in map(dict, forms)]
+            rank = len(eliminate(work, len(cols), ring.field.characteristic))
+            forms = [[(m, x) for m, x in zip(cols, row) if x]
+                     for row in work[:rank]]
+        for form in forms:
+            out.append((max(k for m, _ in form for k, e in enumerate(m) if e),
+                         form))
+    return out
+
+
+def _walk(p, factors, forms):
+    """The points over F_p of the product of the projective spaces with
+    n coordinates, n in `factors`, where every form vanishes, each form a
+    (k, term list) pair, x_k its last coordinate.  A point is a tuple of
+    canonical representatives (`projective_reps`), one per factor, and
+    the points come in lexicographic order.  The coordinates are fixed one
+    at a time, and the forms whose last coordinate is x_k filter its
+    values: each is evaluated once per prefix as a polynomial in x_k, and
+    its nonzero coefficients there times a table of powers of x_k give its
+    value at every x_k still in play, so a prefix on which a form fails is
+    never extended."""
+    last = sum(factors) - 1
+    checks = [[] for _ in range(last + 1)]
+    powers = {}
+    for k, form in forms:
+        # the form as a polynomial in x_k: its constant term and its
+        # positive exponents of x_k, each coefficient a term list in the
+        # earlier coordinates, evaluated as plain ints and reduced mod p
+        # only in the sum
+        exps = sorted({m[k] for m, _ in form} - {0})
+        checks[k].append((exps, _evaluator(None, [
+            [(m[:k], c) for m, c in form if m[k] == e] for e in [0] + exps])))
+        for e in exps:
+            if e not in powers:
+                powers[e] = [pow(t, e, p) for t in range(p)]
+    closes = [False] * (last + 1)
+    for end in itertools.accumulate(factors):
+        closes[end - 1] = True
+    # the values of x_k after a prefix whose coordinates in x_k's factor
+    # are all 0: then 0 or 1, and only 1 when x_k closes the factor
+    firsts = [(1,) if end else (0, 1) for end in closes]
+    every = range(p)
+    out = []
+
+    def extend(prefix, zero):
+        k = len(prefix)
+        values = firsts[k] if zero else every
+        for exps, check in checks[k]:
+            if not values:
+                break
+            c, *rest = check(prefix)
+            ys = [c] * len(values)
+            for e, c in zip(exps, rest):
+                if c:
+                    row = powers[e]
+                    ys = [y + c * row[t] for y, t in zip(ys, values)]
+            values = [t for t, y in zip(values, ys) if not y % p]
+        if k == last:
+            for t in values:
+                out.append(prefix + (t,))
+        else:
+            for t in values:
+                extend(prefix + (t,), closes[k] or (zero and not t))
+
+    extend((), True)
+    return out
 
 
 # ---- P^1 with a series of binary forms -----------------------------------
@@ -694,12 +763,9 @@ class ScrollCurve(SectionRing):
 
     # -- points --
 
-    def _candidates(self, p):
-        """The points of P^1 x P^1 as (s, t) + (u, v), in runs of equal
-        (s, t, u)."""
-        for st in projective_reps(p, 2):
-            yield st + (0,), (1,)
-            yield st + (1,), range(p)
+    def _factors(self, ring):
+        """P^1 x P^1, the points (s, t) + (u, v)."""
+        return (2, 2)
 
     def to_json_dict(self):
         return {"kind": self.kind, "name": self.name, "a": self.a,

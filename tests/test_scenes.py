@@ -1011,7 +1011,9 @@ def _plain_enumeration(sc, p):
         candidates = _plain_reps(p, sc.N + 1)
         forms = [tuple(zip(monomial_basis(sc.N + 1, d), coeffs))
                  for d, coeffs in sc.generators]
-        series = [((m, 1),) for m in monomial_basis(sc.N + 1, 1)]
+        # V = H0(O_X(1)): every coordinate, less those a linear generator
+        # eliminates
+        series = [((m, 1),) for m in sc.section_space(1, GF(p)).monomials]
     elif sc.kind == "p1_series":
         candidates, forms = _plain_reps(p, 2), []
         rows = sc.basis or [[int(i == j) for j in range(sc.a + 1)]
@@ -1068,11 +1070,103 @@ def _double_plane_section():
     return CompleteIntersection(3, [(2, quadric), (2, square)])
 
 
-@pytest.mark.parametrize("p", [5, 7])
-@pytest.mark.parametrize("stem", POINT_SCENES + ("nodal", "double"))
+# every point scene at p = 5 and 7, and the scroll members also at the
+# smallest primes, where (s, t) and (u, v) each have few canonical values
+ENUMERATION_CASES = [(stem, p) for stem in POINT_SCENES + ("nodal", "double")
+                     for p in (5, 7)] + \
+    [(stem, p) for stem in ("scroll_member_a", "scroll_member_b")
+     for p in (2, 3)]
+
+
+@pytest.mark.parametrize("stem,p", ENUMERATION_CASES)
 def test_enumeration_matches_plain_powers(stem, p):
     sc = {"nodal": _nodal_cubic, "double": _double_plane_section}.get(
         stem, lambda: load_scene(SCENEDIR / f"{stem}.json"))()
+    assert _enumeration(sc, p) == _plain_enumeration(sc, p)
+
+
+def test_reduced_forms_name_their_last_coordinates():
+    """The generators of each degree row-reduced mod p: diagonal_ci's
+    three diagonal quadrics become a triangle ending at x4, x3 and x2;
+    a dense form keeps x_N; forms of other degrees do not combine."""
+    def lasts(sc, p):
+        return [k for k, _ in scenes._triangular_forms(sc.ring(GF(p)))]
+
+    assert lasts(diagonal_ci(), 7) == [4, 3, 2]
+    dense = CompleteIntersection(3, [(2, [1] * 10), (3, [1] * 20)])
+    assert lasts(dense, 5) == [3, 3]
+    # x0 + x1 and x0^2 + x0 x1: of different degrees, both stay
+    assert lasts(CompleteIntersection(3, [(1, [1, 1, 0, 0]),
+                                          (2, [1, 1] + [0] * 8)]), 5) \
+        == [1, 1]
+    # two quadrics equal mod 5 leave one form
+    q = [1, 0, 0, 0, 2, 0, 0, 0, 0, 1]
+    assert lasts(CompleteIntersection(3, [(2, q), (2, [c + 5 for c in q])]),
+                 5) == [3]
+
+
+CI_PLANTS = ("sparse", "diagonal", "free of the last", "linear",
+             "dependent mod p")
+
+
+@st.composite
+def planted_complete_intersections(draw):
+    """(N, p, generators) with N <= 4, 1 <= c <= N - 1 forms of degree
+    1 to 3 and p in 2, 3, 5, 7, 13, each form planted as one of
+    CI_PLANTS: a few random terms; a diagonal form sum a_i x_i^d, so that
+    several of them reduce to a triangle; a form free of the last one or
+    two coordinates; a linear form; or an earlier form of its degree
+    times a plus p times a random form, dependent on it mod p but not
+    over QQ.  Degrees are drawn per form, so mixed degrees come up and
+    only forms of one degree combine.  The plain sweep visits p^(N+1)
+    candidates, so p^(N+1) stays at most 5^5."""
+    N = draw(st.integers(2, 4))
+    p = draw(st.sampled_from([p for p in (2, 3, 5, 7, 13)
+                              if p ** (N + 1) <= 5 ** 5]))
+    coeff = st.integers(-3, 3)
+    gens = []
+    for _ in range(draw(st.integers(1, N - 1))):
+        plant = draw(st.sampled_from(CI_PLANTS))
+        earlier = gens[0] if plant == "dependent mod p" and gens else None
+        if earlier:
+            d = earlier[0]
+        else:
+            d = 1 if plant == "linear" else draw(st.integers(1, 3))
+        basis = monomial_basis(N + 1, d)
+        support = range(len(basis))
+        if plant == "free of the last":
+            drop = draw(st.integers(1, 2))
+            support = [j for j, m in enumerate(basis) if not any(m[-drop:])]
+        v = [0] * len(basis)
+        if plant == "diagonal":
+            for i in range(N + 1):
+                v[basis.index(tuple(d * (j == i) for j in range(N + 1)))] = \
+                    draw(coeff)
+        else:
+            for j in draw(st.lists(st.sampled_from(support), min_size=1,
+                                   max_size=4)):
+                v[j] = draw(coeff)
+        if earlier:
+            a = draw(st.integers(1, 3))
+            v = [a * x + p * y for x, y in zip(earlier[1], v)]
+        assume(any(v))
+        gens.append((d, v))
+    return N, p, gens
+
+
+@given(planted_complete_intersections())
+@settings(max_examples=80, deadline=None)
+def test_complete_intersection_walk_matches_plain_powers(case):
+    """The walk over P^N, with the generators row-reduced mod p, finds
+    the plain sweep's points, in its order, with the same functional and
+    the same smoothness verdict read from the generators themselves.  A
+    form that vanishes mod p is a BadPrime."""
+    N, p, gens = case
+    sc = CompleteIntersection(N, gens)
+    if any(all(c % p == 0 for c in v) for _, v in gens):
+        with pytest.raises(BadPrime):
+            sc.enumerate_points(p)
+        return
     assert _enumeration(sc, p) == _plain_enumeration(sc, p)
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from steinertorelli import scenes
 from steinertorelli.cli import emit, main
 from steinertorelli.errors import (ClassMismatch, NotGeneralPosition,
                                    UnsupportedLabel, UnsupportedScene,
@@ -202,14 +203,14 @@ def test_one_enumeration_per_scene_and_prime(monkeypatch, stem, labels,
     """The image X(F_p) is enumerated once per scene and prime, however
     many bundles and callers compare against it."""
     scene = load_scene(SCENEDIR / f"{stem}.json")
-    candidates = type(scene)._candidates
+    walk = scenes._walk
     calls = []
 
-    def counting(self, p):
+    def counting(p, factors, forms):
         calls.append(p)
-        return candidates(self, p)
+        return walk(p, factors, forms)
 
-    monkeypatch.setattr(type(scene), "_candidates", counting)
+    monkeypatch.setattr(scenes, "_walk", counting)
     first, second = labels
     torelli_check(scene, first, primes)
     torelli_check(scene, second, primes)
