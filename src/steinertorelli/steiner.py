@@ -61,20 +61,21 @@ the case B' = I.  It ends at B' = I or at a wide B' with D = 0, where
 the nullity at every t is the excess of columns over rows plus the
 nullity of the transposed pencil, whose B' is I.
 
-When B has full column rank and n >= 3, the lines through q are decided
-a plane at a time, by pencils in s along the lines y = (y'', s)
-(`_plane_pencils`), and the line decision runs only on the lines they
-flag; a plane's pencils give only their roots (`_line_roots`), with no
-eigenspace taken.  The points found on the lines are sorted into
-enumeration order, one run of lines with the same y_0 ... y_(l-1) at a
-time; when q = e_last that is one line at a time.
+When B has full column rank and n >= 3, [M(y); D(y)] is linear in y,
+and the chain of its common kernels gives families in y (`_levels`)
+whose deficient points are the only lines where W can be nonzero: those
+points are found by the walk itself, one recursive walk per family, and
+the line decision runs only on them.  The points found on the lines are
+sorted into enumeration order, one run of lines with the same y_0 ...
+y_(l-1) at a time; when q = e_last that is one line at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
+from heapq import merge
+from itertools import groupby, islice
 from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
@@ -178,38 +179,42 @@ def _rank_one_scan(rows, a, m, p, over_u1):
     `rows` are sequences of a*m residues mod p, entry i*m + j the
     coefficient of u1_i (x) v_j.  The walk is over the canonical points
     x of P(U1) when `over_u1`, else of P(V), and the contracted matrix
-    N(x) is y |-> row(x (x) y) (resp. row(y (x) x)), one row per tensor.
-    For each x in enumeration order where N(x) has a kernel, yield x, the
-    dimension of that kernel and a callable that gives its reduced
-    echelon basis.
-
-    Every point but the vertex q is y + t*q with y_l = 0, l the lead of
-    q, and N(y + t*q) = A(y) + t*B with B = N(q) and A(y) = N(y).
-    `_reference` reduces [B | A(e_j) ...] once, so the reduced rows of
-    A(y) are linear in y and an odometer in y keeps them as running sums;
-    `_line_shifts` reads the deficient t of each line off them, on each
-    line that `_flagged_lines` hands on: when B has full column rank,
-    only the lines that the pencils of their plane flag.  q is
-    e_last when N(e_last) has full column rank.  Otherwise e_last is
-    yielded first, and the line through it and e_(n-2), the next points
-    in enumeration order, is decided with B = N(e_last) and its deficient
-    points yielded; q is its first point of full rank, or e_last when it
-    has none, and the walk through q skips that line.  On a line whose B
-    has full column rank the callable hands back the kernel that the
-    decision found; otherwise it eliminates N(x), which it builds from x,
-    so a caller that reads only the dimension pays for no kernel.  The
-    points found past the first line are sorted into enumeration order
-    and yielded whenever y[:l] changes.
+    N(x) is y |-> row(x (x) y) (resp. row(y (x) x)), one row per tensor:
+    `_walk` of the family of the N(x).
     """
     # images[t]: the rows contracted by the t-th basis vector, row-major;
     # the contraction by x is the sum of x_t images[t]
     if over_u1:
-        n, width = a, m
-        images = [[y for row in rows for y in row[t * m:t * m + m]]
-                  for t in range(a)]
-    else:
-        n, width = m, a
-        images = [[y for row in rows for y in row[t::m]] for t in range(m)]
+        return _walk([[y for row in rows for y in row[t * m:t * m + m]]
+                      for t in range(a)], m, p)
+    return _walk([[y for row in rows for y in row[t::m]] for t in range(m)],
+                 a, p)
+
+
+def _walk(images, width, p):
+    """The points x of P^(n-1)(F_p), n = len(images), where the member
+    N(x), the sum of the x_t images[t] (row-major, `width` columns), has
+    a kernel: for each x in enumeration order, x, the dimension of that
+    kernel and a callable that gives its reduced echelon basis.
+
+    Every point but the vertex q is y + t*q with y_l = 0, l the lead of
+    q, and N(y + t*q) = A(y) + t*B with B = N(q) and A(y) = N(y).
+    `_reference` reduces [B | A(e_j) ...] once, so the reduced rows of
+    A(y) are linear in y, and `_line_shifts` reads the deficient t of
+    each line off them, on each line that `_flagged_lines` hands on.  q
+    is e_last when N(e_last) has full column rank.  Otherwise e_last is
+    yielded first, and the line through it and e_(n-2), the next points
+    in enumeration order, is decided with B = N(e_last) and its deficient
+    points yielded; on P^1 that line is the rest of the walk.  q is its
+    first point of full rank, or e_last when it has none, and the walk
+    through q skips that line.  On a line whose B has full column rank
+    the callable hands back the kernel that the decision found;
+    otherwise it eliminates N(x), which it builds from x, so a caller
+    that reads only the dimension pays for no kernel.  The points found
+    past the first line are sorted into enumeration order and yielded
+    whenever y[:l] changes.
+    """
+    n = len(images)
     if not n or not width:
         return
     q = (0,) * (n - 1) + (1,)
@@ -226,6 +231,8 @@ def _rank_one_scan(rows, a, m, p, over_u1):
             x = q[:-2] + (1, t)
             deficient.add(t)
             yield x, dim, partial(_point_kernel, images, x, width, p)
+        if n == 2:
+            return
         t0 = next((t for t in range(p) if t not in deficient), None)
         if t0 is not None:
             q = q[:-2] + (1, t0)
@@ -292,10 +299,10 @@ def _point_kernel(images, x, width, p):
 
 
 def _odometer(points, steps, p):
-    """Each point x with the sum of x_i steps[i] mod p.  The points run
-    like an odometer, so the sum is updated only at the coordinates that
-    moved."""
-    cur, prev = [0] * len(steps[0]) if steps else [], (0,) * len(steps)
+    """Each point x with the sum of x_i steps[i] mod p, updated from the
+    point before only at the coordinates that moved: few, when the points
+    run like an odometer."""
+    cur, prev = [0] * len(steps[0]), (0,) * len(steps)
     for x in points:
         for i, d in enumerate(map(sub, x, prev)):
             if d:
@@ -307,52 +314,44 @@ def _odometer(points, steps, p):
 def _flagged_lines(steps, full, width, p, skip):
     """Each line y of the walk through q, in enumeration order, with the
     reduced rows of A(y) when it may hold a deficient point: the first
-    line y = e_last unless `skip`, then the planes y = (y'', s), s in F_p.
+    line y = e_last unless `skip`, then the others.
 
-    When B has full column rank (`full`), each plane is decided at once:
-    along it [M(y); D(y)] is the pencil cur'' + s steps[-1], and
-    `_plane_pencils` gives the pencils in s whose deficient s are the only
-    lines of the plane where W can be nonzero.  Otherwise, or when it
+    When B has full column rank (`full`), [M(y); D(y)] is linear in y, and
+    `_levels` gives families in y whose deficient points are the only
+    lines where W can be nonzero: the lines handed on are the points of
+    their walks, merged in enumeration order.  Otherwise, or when it
     gives none, every line is handed on.
     """
     n = len(steps)
     if n and not skip:
         yield (0,) * (n - 1) + (1,), steps[-1]
-    pencils = _plane_pencils(steps, width, p) if full and n > 1 else None
-    if pencils is None:
-        yield from islice(_odometer(projective_reps(p, n), steps, p), 1, None)
+    if n < 2:
         return
-    last, size = steps[-1], len(steps[-1])
-    # one odometer over y'' carries the plane's A(y'', 0) and the
-    # constant terms of its pencils
-    bounds, joined = [], [list(step) for step in steps[:-1]]
-    for ref, pencil_steps, w in pencils:
-        lo = len(joined[0])
-        bounds.append((ref, w, lo, lo + len(pencil_steps[0])))
-        for row, step in zip(joined, pencil_steps):
-            row += step
-    for plane, cur in _odometer(projective_reps(p, n - 1), joined, p):
-        flagged = set()
-        for ref, w, lo, hi in bounds:
-            flagged.update(_line_roots(cur[lo:hi], ref, w, p))
-        base = cur[:size]
-        for s in sorted(flagged):
-            yield plane + (s,), [(u + s * v) % p for u, v in zip(base, last)]
+    levels = _levels(steps, width, p) if full else None
+    if levels is None:
+        rest = islice(projective_reps(p, n), 1, None)
+    else:
+        walks = [(y for y, _, _ in _walk(images, w, p))
+                 for images, w in levels]
+        # a line that two levels flag is handed on once, and e_last, the
+        # first line, is no level's to hand on
+        rest = (y for y, _ in groupby(merge(*walks)) if any(y[:-1]))
+    yield from _odometer(rest, steps, p)
 
 
-def _plane_pencils(steps, width, p):
-    """The pencils in s that decide the planes of the walk, when B = I: a
-    list of (reference, steps, width) as `_reference` gives them, or None
-    when some line of every plane may hold a deficient point.
+def _levels(steps, width, p):
+    """The families in y that decide the lines of the walk, when B = I: a
+    list of (images, width), one image per coordinate of y as `_walk`
+    takes them, or None when a level would flag every line.
 
     With N_j = [M_j; D_j] the steps, C_0 is the common kernel of the D_j
     and C_(i+1) that of the parts of the M_j C_i outside C_i, down to
-    C_k = 0.  Each level's pencil is that map out of C_i (D itself for
-    i = -1, C_(-1) = V) restricted to a complement of C_(i+1).  At an s
-    where every pencil has full column rank, ker D(y) = C_0 and W lies
+    C_k = 0.  Each level's family is that map out of C_i (D itself for
+    i = -1, C_(-1) = V) restricted to a complement of C_(i+1).  At a y
+    where every level has full column rank, ker D(y) = C_0 and W lies
     in C_(i+1) whenever it lies in C_i, so W = 0 and the line holds no
     deficient point.  When some C_i is invariant under every M_j, it lies
-    in W on every line, and when a pencil is wide it flags every line:
+    in W on every line, and when a level is wide it flags every line:
     None.
     """
     mats = [[step[i:i + width] for i in range(0, len(step), width)]
@@ -362,8 +361,7 @@ def _plane_pencils(steps, width, p):
     blocks = [mat[width:] for mat in mats]
     basis = [[int(i == j) for j in range(width)] for i in range(width)]
     leads = range(width)
-    q = (0,) * (len(steps) - 1) + (1,)
-    pencils = []
+    levels = []
     while True:
         work = [list(row) for block in blocks for row in block]
         pivots = eliminate(work, len(basis), p)
@@ -371,19 +369,17 @@ def _plane_pencils(steps, width, p):
             return None
         w = len(pivots)
         if len(blocks[0]) < w:
-            # a pencil with fewer rows than columns has a kernel at every s
+            # a family with fewer rows than columns has a kernel everywhere
             return None
-        ref, pencil_steps = _reference(
-            [[row[c] for row in block for c in pivots] for block in blocks],
-            q, w, p)
-        pencils.append((ref, pencil_steps, w))
+        levels.append(([[row[c] for row in block for c in pivots]
+                        for block in blocks], w))
         # the canonical kernel basis is 1 at its free columns, and 0 at
         # the others
         leads = [lead for c, lead in enumerate(leads) if c not in pivots]
         basis = [[sum(map(mul, c, col)) % p for col in zip(*basis)]
                  for c in kernel_basis(work, pivots, len(basis), GF(p))]
         if not basis:
-            return pencils
+            return levels
         # M_j y less its part in C_i, read off the coordinates other than
         # the leads of the basis; D_j y = 0
         rest = [r for r in range(width) if r not in leads]
@@ -405,7 +401,7 @@ def _line_shifts(flat, ref, width, p):
     with the dimension of that kernel and, when ref is I, its reduced
     echelon basis (else None).  `_pencil_end` reduces the pencil; with
     ref = I each root has its eigenspace, one elimination of at most
-    dim W rows.
+    dim W rows, or none when W is a line.
     """
     end = _pencil_end(flat, ref, width, p)
     if end is None:
@@ -420,20 +416,6 @@ def _line_shifts(flat, ref, width, p):
     if not extra:
         return [(t, dim, None) for t, dim in dims.items()]
     return [(t, extra + dims.get(t, 0), None) for t in range(p)]
-
-
-def _line_roots(flat, ref, width, p):
-    """The t in F_p where the pencil [A + t*ref; D] has a kernel, as
-    `_line_shifts` finds them but with no kernel taken: the plane
-    pencils read only where their lines lie."""
-    end = _pencil_end(flat, ref, width, p)
-    if end is None:
-        return ()
-    smaller, eigen = end
-    if eigen:
-        return [-mu % p for mu in eigen[0]]
-    pencil, extra = smaller
-    return range(p) if extra else _line_roots(*pencil, p)
 
 
 def _pencil_end(flat, ref, width, p):
@@ -533,9 +515,12 @@ def _eigenspace(restricted, ys, mu, p):
 
     The eigenspace is the combinations sum c_i ys_i with c (restricted -
     mu I) = 0, and a basis of such c in reduced echelon form gives one of
-    the combinations, because ys is in reduced echelon form.
+    the combinations, because ys is in reduced echelon form.  When W is a
+    line, M acts on it by mu, and the eigenspace is W.
     """
     k = len(ys)
+    if k == 1:
+        return (tuple(ys[0]),)
     cs = _reduced_kernel([(restricted[i][j] - mu * (i == j)) % p
                           for j in range(k) for i in range(k)], k, p)
     return tuple(tuple(sum(map(mul, c, col)) % p for col in zip(*ys))

@@ -27,8 +27,8 @@ from steinertorelli.exactfield import (GF, QQ, Matrix, eliminate,
                                        rank, rank_kernel, rref)
 from steinertorelli.scenes import P1Series, PointSet, load_scene
 from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
-                                    VallesReport, _charpoly, _line_roots,
-                                    _line_shifts, _rank_one_scan,
+                                    VallesReport, _charpoly, _line_shifts,
+                                    _rank_one_scan,
                                     recover_section_point, unstable_test,
                                     unstable_test_dual,
                                     validate_presentation, valles_locus)
@@ -932,8 +932,6 @@ def test_line_shifts_match_a_brute_force(p, width, nres, plant, data):
     flat = [x for row in rows for x in row]
     brute = brute_shifts(flat, width, p)
     assert line_shifts(flat, width, p) == brute
-    eye = [[int(i == j) for j in range(width)] for i in range(width)]
-    assert sorted(_line_roots(flat, eye, width, p)) == [t for t, _ in brute]
 
 
 # ---- the staircase on singular pencils --------------------------------------
@@ -1025,7 +1023,6 @@ def test_line_decision_on_kronecker_pencils(p, blocks, data):
         if nullity:
             brute[t] = nullity
     assert got == brute
-    assert sorted(_line_roots(steps[0], ref, width, p)) == sorted(brute)
 
 
 def moving_kernel_family(p, n, k, extra, draw):
@@ -1124,14 +1121,15 @@ def test_engine_matches_reference_at_larger_primes(p, shape, seed):
     assert_engine_matches_reference(low_rank_tensor(p, a, m, b, r, seed))
 
 
-# ---- the plane walk ---------------------------------------------------------
+# ---- the level walks ---------------------------------------------------------
 #
-# With a vertex of full rank and n >= 3, the lines y = (y'', s) through it
-# are decided a plane y'' at a time, from pencils in s, and the line
-# decision runs only on the lines they flag.  The families below plant what
-# makes that hard: a vertex in ker D(y) on every line (symmetric tensors),
-# common kernels at two levels of the chain, and planes whose pencils are
-# singular.
+# With a vertex of full rank and n >= 3, the lines y through it that may
+# hold a deficient point are the deficient points of the level families in
+# y, found by walks of those families, and the line decision runs only on
+# them.  The families below plant what makes that hard: a vertex in ker D(y)
+# on every line (symmetric tensors), common kernels at two and three levels
+# of the chain, levels that recurse and levels whose e_last is deficient, and
+# planes on which a level is singular.
 
 
 PLANE_PRIMES = st.sampled_from([2, 3, 5, 7, 13])
@@ -1174,14 +1172,14 @@ def assert_walks_match_reference(mats, width, p):
         len(rows)))
 
 
-def plane_pencils(mats, width, p):
-    """The pencils of the plane walk through e_last, whose member is the
+def levels(mats, width, p):
+    """The level families of the walk through e_last, whose member is the
     last."""
     images = [[x for row in mat for x in row] for mat in mats]
     q = (0,) * (len(mats) - 1) + (1,)
     ref, steps = steiner._reference(images, q, width, p)
     assert len(ref) == width
-    return steiner._plane_pencils(steps, width, p)
+    return steiner._levels(steps, width, p)
 
 
 @given(PLANE_PRIMES, st.data())
@@ -1190,7 +1188,7 @@ def test_engine_matches_reference_with_kernels_planted_at_two_levels(p,
                                                                     data):
     """Members [M_j; D_j] over B = [I; 0] with C_0 >= span(e_0 .. e_k0-1)
     (the D_j vanish there) and C_1 >= span(e_0 .. e_k1-1) (the M_j keep it
-    inside C_0), conjugated: the chain has pencils for C_(-1), C_0 and
+    inside C_0), conjugated: the chain has levels for C_(-1), C_0 and
     C_1 at least, of widths that add up to dim V, or the walk goes line
     by line, and either way it matches the reference."""
     n = data.draw(st.integers(3, 4 if p < 13 else 3))
@@ -1208,9 +1206,9 @@ def test_engine_matches_reference_with_kernels_planted_at_two_levels(p,
         mats.append(top + bottom)
     mats.append(identity_over(width, nres))
     mats = conjugated(mats, p, lambda lo, hi: data.draw(st.integers(lo, hi)))
-    pencils = plane_pencils(mats, width, p)
-    assert pencils is None or (
-        len(pencils) >= 3 and sum(w for _, _, w in pencils) == width)
+    found = levels(mats, width, p)
+    assert found is None or (
+        len(found) >= 3 and sum(w for _, w in found) == width)
     assert_walks_match_reference(mats, width, p)
 
 
@@ -1219,8 +1217,8 @@ def test_engine_matches_reference_with_kernels_planted_at_two_levels(p,
 def test_engine_matches_reference_on_singular_planes(p, n, deep, data):
     """A vector c with D_j c = 0 and M_j c = lambda_j c for the members j of
     a set S that holds the one along s: on the planes y'' inside S, c lies
-    in W on every line, so a pencil of the plane is singular and flags all
-    of it.  With `deep`, c is in every ker D_j, so the singular pencil is
+    in W on every line, so a level family is deficient on all of the
+    plane.  With `deep`, c is in every ker D_j, so the deficient family is
     the one on C_0."""
     assume(p < 13 or n == 3)
     width = data.draw(st.integers(1, 4))
@@ -1246,6 +1244,71 @@ def test_engine_matches_reference_on_singular_planes(p, n, deep, data):
     assert_walks_match_reference(mats, width, p)
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.booleans(), st.data())
+@settings(max_examples=20, deadline=None)
+def test_engine_matches_reference_with_chains_planted_at_three_levels(
+        p, first_line, data):
+    """Walks over P^4, whose level families, over P^3, have level
+    families of their own where they have rows to spare, as the first
+    level, D, has: twice as many rows as the columns outside C_0.
+    Members [M_j; D_j] over B = [I; 0] with C_0 >= span(e_0 .. e_k0-1),
+    C_1 >= span(e_0 .. e_k1-1) and C_2 >= span(e_0 .. e_k2-1), k0 > k1 >
+    k2 (the M_j take each span into the one before), conjugated: the
+    chain has four levels at least, or the walk goes line by line.  With
+    `first_line`, the member of the first level along e_last, D_3, loses
+    a column outside C_0, so that level's walk decides its first line
+    with a deficient reference."""
+    width = data.draw(st.integers(4, 5))
+    k2, k1, k0 = sorted(data.draw(st.lists(st.integers(1, width - 1),
+                                           min_size=3, max_size=3,
+                                           unique=True)))
+    nres = data.draw(st.integers(2 * (width - k0), 2 * (width - k0) + 1))
+    entries = st.integers(0, p - 1)
+    mats = []
+    for _ in range(4):
+        top = [[0 if (j < k1 and i >= k0) or (j < k2 and i >= k1) else
+                data.draw(entries) for j in range(width)]
+               for i in range(width)]
+        bottom = [[0 if j < k0 else data.draw(entries) for j in range(width)]
+                  for _ in range(nres)]
+        mats.append(top + bottom)
+    if first_line:
+        col = data.draw(st.integers(k0, width - 1))
+        for row in mats[-1][width:]:
+            row[col] = 0
+    mats.append(identity_over(width, nres))
+    mats = conjugated(mats, p, lambda lo, hi: data.draw(st.integers(lo, hi)))
+    found = levels(mats, width, p)
+    assert found is None or (
+        len(found) >= 4 and sum(w for _, w in found) == width)
+    assert_scan_matches_reference(mats, width, p)
+
+
+def test_a_walk_over_p1_ends_with_its_first_line(monkeypatch):
+    """On P^1 with e_last deficient, the first line is every other point:
+    the walk decides it with the reference of e_last and reduces no
+    second one."""
+    p, width = 7, 3
+    # e_last = diag(1, 1, 0); N(1, t) = diag(2 + t, 1 + t, 1) is
+    # deficient at t = 5 and t = 6
+    mats = [[[2, 0, 0], [0, 1, 0], [0, 0, 1]],
+            [[1, 0, 0], [0, 1, 0], [0, 0, 0]]]
+    reductions = []
+    reference = steiner._reference
+
+    def counting(*args):
+        reductions.append(args[1])
+        return reference(*args)
+
+    monkeypatch.setattr(steiner, "_reference", counting)
+    images = [[x for row in mat for x in row] for mat in mats]
+    got = [(x, kernel()) for x, _, kernel in steiner._walk(images, width, p)]
+    assert reductions == [(0, 1)]
+    assert [x for x, _ in got] == [(0, 1), (1, 5), (1, 6)]
+    rows, a, m = pencil_rows(mats, width, False)
+    assert got == reference_scan(rows, a, m, p, False)
+
+
 def test_pencil_leaves_cut_the_eliminations(monkeypatch):
     """diagonal_ci with K+A at p = 7 (a = m = 5): validation and the
     Valles scan together use fewer than half of the 2 |P^4(F_7)|
@@ -1266,22 +1329,22 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
 
 
 def test_no_false_candidates(monkeypatch):
-    """diagonal_ci with K+A at p = 7: each scan reduces one reference,
-    e_last, of full rank, and one pencil in s per level of the chain
-    [1, 0] of its planes; no member of a line is eliminated, the one
-    kernel elimination per point found past the vertex within a line's
-    decision is of M on W at an eigenvalue (square, of the size of a
-    characteristic polynomial taken), the plane pencils take no kernel, and
-    both scans together, over their 800 lines, take fewer than 20
-    characteristic polynomials in line decisions (the pencil leaves took
-    one per line) and fewer than 20 in the 228 decisions of their plane
-    pencils."""
+    """diagonal_ci with K+A at p = 7: the top walk reduces one reference,
+    e_last, of full rank, and each level walk one of fewer members; no
+    member of a line is eliminated, the one kernel elimination per point
+    found within the top walk's line decisions is of M on W at an
+    eigenvalue (square, of the size of a characteristic polynomial
+    taken), and both scans together, over their 800 lines, take fewer
+    than 20 characteristic polynomials in the top walk's line decisions
+    (the pencil leaves took one per line) and fewer than 30 in their
+    level walks."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
-    calls = {"_reference": [], "_reduced_kernel": [], "_charpoly": []}
+    calls = {"_reference": [], "_reduced_kernel": [], "_charpoly": [],
+             "_point_kernel": []}
     # per running line shifts, outermost first: whether they decide a line
-    # of the walk, whose reference the first reduction gives, or a plane
+    # of the top walk, whose reference the first reduction gives
     deciding = []
 
     def counting(name):
@@ -1313,72 +1376,83 @@ def test_no_false_candidates(monkeypatch):
             calls[name].clear()
         report = scan(pres)
         assert len(getattr(report, "unstable", ())) == unstable
-        # the walk goes through e_last, which has full rank, and each
-        # level's pencil in s is reduced once
-        assert [q for _, _, q, _, _, _ in calls["_reference"]] == \
-            [(0, 0, 0, 0, 1)] + [(0, 0, 0, 1)] * 2
-        dims_w = {len(mat) for _, mat, _ in calls["_charpoly"]}
-        # every kernel elimination is a line decision's, one per point
-        # found: the plane pencils take none
-        assert len(calls["_reduced_kernel"]) == unstable
-        assert sum(line for line, _, _, _ in calls["_reduced_kernel"]) == \
-            unstable
+        # the top walk goes through e_last, which has full rank, and every
+        # later reduction is a level walk's, over fewer coordinates
+        (_, images, q, width, _, ref), *levels = calls["_reference"]
+        assert q == (0, 0, 0, 0, 1) and len(ref) == width == len(images)
+        assert levels and all(len(level[1]) < len(images)
+                              for level in levels)
+        dims_w = {len(mat) for line, mat, _ in calls["_charpoly"] if line}
+        # every kernel elimination of the top walk is a line decision's,
+        # one per point found, and no member is eliminated
+        kernels = [call for call in calls["_reduced_kernel"] if call[0]]
+        assert len(kernels) == unstable
         assert all(len(flat) == width * width and width in dims_w
-                   for _, flat, width, _ in calls["_reduced_kernel"])
+                   for _, flat, width, _ in kernels)
+        assert not calls["_point_kernel"]
         taken += calls["_charpoly"]
     # recovery reads the kernels the scan handed out
     assert len(pres._phis) == 16
-    # over both scans: those taken in line decisions, then those of the
-    # plane pencils, 57 planes of two levels per scan
+    # over both scans: those taken in the top walk's line decisions, then
+    # those of the level walks
     assert len([call for call in taken if call[0]]) < 20
-    assert len([call for call in taken if not call[0]]) < 20
+    assert len([call for call in taken if not call[0]]) < 30
 
 
 def test_planes_replace_line_decisions(monkeypatch):
-    """diagonal_ci with K+A at p = 7 (a = m = 5): each scan decides the
-    57 planes of lines through the vertex, one pencil in s per level of
-    the chain [1, 0], and runs the line decision only on the line through
-    e_last and the lines that the planes flag: 5 and 9 lines, where a
-    walk line by line decided all 400.  The pencils' roots are found with
-    no eigenspace taken."""
+    """diagonal_ci with K+A at p = 7 (a = m = 5): the chain of the walk
+    through the vertex has two levels, families in y of widths 4 and 1,
+    and the line decision runs only on the line through e_last and the
+    lines that their walks flag: 5 and 9 lines, where a walk line by line
+    decided all 400.  The level families are walked by the engine itself,
+    with fewer decisions than the 57 planes of lines through the
+    vertex."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
-    decisions, depth, lines = [], [0], []
-    flagged_lines = steiner._flagged_lines
+    decisions, depth, walks, families = [], [0], [], []
+    flagged_lines, chain = steiner._flagged_lines, steiner._levels
+    line_shifts = steiner._line_shifts
 
-    def counting(name):
-        func = getattr(steiner, name)
-
-        def wrapped(flat, ref, width, p):
-            if not depth[0]:
-                decisions.append((name, width))
-            depth[0] += 1
-            try:
-                return func(flat, ref, width, p)
-            finally:
-                depth[0] -= 1
-        monkeypatch.setattr(steiner, name, wrapped)
+    def counting(flat, ref, width, p):
+        if not depth[0]:
+            decisions.append(width)
+        depth[0] += 1
+        try:
+            return line_shifts(flat, ref, width, p)
+        finally:
+            depth[0] -= 1
 
     def recording(*args):
+        # the lines each walk hands on, the top walk's first
+        lines = []
+        walks.append(lines)
         for y, cur in flagged_lines(*args):
             lines.append(y)
             yield y, cur
 
-    counting("_line_shifts")
-    counting("_line_roots")
+    def leveling(steps, width, p):
+        out = chain(steps, width, p)
+        families.append(out and [w for _, w in out])
+        return out
+
+    monkeypatch.setattr(steiner, "_line_shifts", counting)
     monkeypatch.setattr(steiner, "_flagged_lines", recording)
+    monkeypatch.setattr(steiner, "_levels", leveling)
     planes = projective_count(7, 3)
     assert planes == 57 and projective_count(7, 4) == 400
     for scan, decided in ((validate_presentation, 5), (valles_locus, 9)):
-        decisions.clear()
-        lines.clear()
+        for log in (decisions, walks, families):
+            log.clear()
         scan(pres)
+        lines = walks[0]
         assert len(lines) == len(set(lines)) == decided
-        # two pencils per plane, of widths 4 and 1, whose roots alone are
-        # found, then one decision of width 5 per line handed on
-        assert sorted(decisions) == [("_line_roots", 1)] * planes + \
-            [("_line_roots", 4)] * planes + [("_line_shifts", 5)] * decided
+        assert families[0] == [4, 1]
+        # one decision of width 5 per line handed on; the level walks'
+        # are narrower
+        assert decisions.count(5) == decided
+        assert all(width < 5 for width in decisions if width != 5)
+        assert 0 < len(decisions) - decided < planes
 
 
 def plant_rank_one(rows, a, m, u, v, p):
