@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring
 
 from .errors import (SchemaError, SteinerTorelliError, UsageError,
                      WindowTooSmall)
@@ -377,11 +378,47 @@ def build_arg_parser():
 
 def emit(report, fmt):
     if fmt == "json":
-        text = json.dumps(report, indent=1, ensure_ascii=False)
-        return (text + "\n").encode("utf-8")
+        return (_json_text(report) + "\n").encode("utf-8")
     if fmt == "text":
         return ("\n".join(_text_lines(report)) + "\n").encode("utf-8")
     raise UsageError(f"unknown format {fmt!r}")
+
+
+def _json_text(v, nl="\n"):
+    """The text of json.dumps(v, indent=1, ensure_ascii=False), whose
+    indenting encoder is pure Python: strings go through json's own
+    escaper, a list of plain ints is joined in one call, and any other
+    scalar is json.dumps(v), which raises TypeError where json does.  nl
+    is the newline and indent of v's own line."""
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        inner = nl + " "
+        if {*map(type, v)} == {int}:
+            items = map(int.__repr__, v)
+        else:
+            items = [_json_text(x, inner) for x in v]
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = nl + " "
+        # a key that is not a string is written as json writes it
+        return "{" + inner + ("," + inner).join([
+            (encode_basestring(k) if isinstance(k, str)
+             else json.dumps({k: None})[1:-7]) + ": " + _json_text(x, inner)
+            for k, x in v.items()]) + nl + "}"
+    if isinstance(v, str):
+        return encode_basestring(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if type(v) is int:
+        return int.__repr__(v)
+    return json.dumps(v)
 
 
 def _scalar_text(v):
@@ -442,10 +479,12 @@ def _write_atomic(path, data):
 
 
 def _deliver(report, args):
-    if args.out:
-        _write_atomic(args.out, emit(report, "json"))
     fmt = args.format or ("text" if args.out else "json")
-    sys.stdout.buffer.write(emit(report, fmt))
+    data = emit(report, fmt)
+    if args.out:
+        _write_atomic(args.out,
+                      data if fmt == "json" else emit(report, "json"))
+    sys.stdout.buffer.write(data)
     sys.stdout.flush()
 
 

@@ -37,12 +37,13 @@ them that Koszul differentials read), `evaluation_functional` and
 `enumerate_points`: the candidate points (P^N(F_p), or P^1 x P^1 for a
 scroll) where the generators vanish, with V's functional and, when
 there are generators, their smoothness.  Every value at a point comes
-from one evaluator, `_evaluator`, which computes each coordinate's
-powers once.  The points are found by one walk, `_walk`, that fixes the
-coordinates one at a time: the generators of each degree are first
-row-reduced mod p so that each reduced form names the last coordinate
-it involves, and there it filters that coordinate's values, as a
-polynomial in it, before any longer prefix is tried.  Every kind keeps
+from one evaluator, `_evaluator`, and the evaluators of one enumeration
+share one table of powers, `_Powers`, which computes each coordinate
+value's powers once.  The points are found by one walk, `_walk`, that
+fixes the coordinates one at a time: the generators of each degree are
+first row-reduced mod p so that each reduced form names the last
+coordinate it involves, and there it filters that coordinate's values,
+as a polynomial in it, before any longer prefix is tried.  Every kind keeps
 its enumeration per prime, so the image X(F_p) is found once per scene
 however many bundles and callers compare against it; a refused prime
 keeps nothing and is refused again on every call.
@@ -98,32 +99,44 @@ class PointEnumeration:
         return {r.phi for r in self.records}
 
 
-def _evaluator(field, term_lists):
+class _Powers(dict):
+    """Coordinate value x -> [1, x, ..., x^top] over the field, plain
+    ints with field None, top the largest exponent in the term lists;
+    each row is computed on first use.  One enumeration's evaluators
+    share one table, so each value's powers are computed once per
+    enumeration."""
+
+    def __init__(self, field, term_lists):
+        self.one, self.normalize = (field.one, field.normalize) if field \
+            else (1, int)
+        self.top = max((e for t in term_lists for m, _ in t for e in m),
+                       default=0)
+
+    def __missing__(self, x):
+        row = [self.one]
+        for _ in range(self.top):
+            row.append(self.normalize(row[-1] * x))
+        self[x] = row
+        return row
+
+
+def _evaluator(field, term_lists, powers=None):
     """The function taking a point to the values there of a list of term
     lists, (exponents, coefficient) pairs.  The powers of each coordinate
-    value, up to the largest exponent, are computed once and kept for
-    later points.  With field None the values are those of integer
-    coordinates and coefficients, as plain ints."""
+    value come from `powers`, a `_Powers` table reaching the largest
+    exponent, or from a table of the evaluator's own.  With field None
+    the values are those of integer coordinates and coefficients, as
+    plain ints."""
     # each term as its (variable, exponent) factors of positive exponent
     # and its coefficient
     terms = [[([(k, e) for k, e in enumerate(m) if e], c) for m, c in t]
              for t in term_lists]
-    top = max((e for t in term_lists for m, _ in t for e in m), default=0)
-    one, normalize = (field.one, field.normalize) if field else (1, int)
-    powers = {}
-
-    def power_row(x):
-        row = [one]
-        for _ in range(top):
-            row.append(normalize(row[-1] * x))
-        powers[x] = row
-        return row
+    if powers is None:
+        powers = _Powers(field, term_lists)
+    normalize = field.normalize if field else int
 
     def values(params):
-        try:            # the common case: every value seen before
-            rows = [powers[x] for x in params]
-        except KeyError:
-            rows = [powers.get(x) or power_row(x) for x in params]
+        rows = [powers[x] for x in params]
         out = []
         for t in terms:
             acc = 0
@@ -309,14 +322,20 @@ class SectionRing:
         ring = self.ring(field)
         monomials = self.section_space(self.label_A(), field).monomials
         rows = self._series_rows(field)
-        series = _evaluator(field, _monomial_terms(monomials) if rows is None
-                            else [tuple((m, c) for m, c in zip(monomials, row)
-                                        if c) for row in rows])
+        series_terms = _monomial_terms(monomials) if rows is None else \
+            [tuple((m, c) for m, c in zip(monomials, row) if c)
+             for row in rows]
         forms = [t for _, t in ring.generators]
-        jacobian = [_evaluator(field, _partials(field, form, ring.num_vars))
+        # the forms' exponents bound those of their partials and of the
+        # walk's checks
+        powers = _Powers(field, series_terms + forms)
+        series = _evaluator(field, series_terms, powers)
+        jacobian = [_evaluator(field, _partials(field, form, ring.num_vars),
+                               powers)
                     for form in forms]
         records = []
-        for params in _walk(p, self._factors(ring), _triangular_forms(ring)):
+        for params in _walk(p, self._factors(ring), _triangular_forms(ring),
+                            powers):
             smooth = None
             if forms:
                 smooth = _independent(field, [row(params) for row in jacobian])
@@ -353,7 +372,7 @@ def _triangular_forms(ring):
     return out
 
 
-def _walk(p, factors, forms):
+def _walk(p, factors, forms, powers):
     """The points over F_p of the product of the projective spaces with
     n coordinates, n in `factors`, where every form vanishes, each form a
     (k, term list) pair, x_k its last coordinate.  A point is a tuple of
@@ -363,21 +382,23 @@ def _walk(p, factors, forms):
     values: each is evaluated once per prefix as a polynomial in x_k, and
     its nonzero coefficients there times a table of powers of x_k give its
     value at every x_k still in play, so a prefix on which a form fails is
-    never extended."""
+    never extended.  The forms read the powers of the prefix coordinates
+    mod p from `powers`, the enumeration's `_Powers` table."""
     last = sum(factors) - 1
     checks = [[] for _ in range(last + 1)]
-    powers = {}
+    columns = {}
     for k, form in forms:
         # the form as a polynomial in x_k: its constant term and its
         # positive exponents of x_k, each coefficient a term list in the
-        # earlier coordinates, evaluated as plain ints and reduced mod p
-        # only in the sum
+        # earlier coordinates, evaluated as plain ints from the powers
+        # mod p and reduced only in the sum
         exps = sorted({m[k] for m, _ in form} - {0})
         checks[k].append((exps, _evaluator(None, [
-            [(m[:k], c) for m, c in form if m[k] == e] for e in [0] + exps])))
+            [(m[:k], c) for m, c in form if m[k] == e] for e in [0] + exps],
+            powers)))
         for e in exps:
-            if e not in powers:
-                powers[e] = [pow(t, e, p) for t in range(p)]
+            if e not in columns:
+                columns[e] = [pow(t, e, p) for t in range(p)]
     closes = [False] * (last + 1)
     for end in itertools.accumulate(factors):
         closes[end - 1] = True
@@ -397,7 +418,7 @@ def _walk(p, factors, forms):
             ys = [c] * len(values)
             for e, c in zip(exps, rest):
                 if c:
-                    row = powers[e]
+                    row = columns[e]
                     ys = [y + c * row[t] for y, t in zip(ys, values)]
             values = [t for t, y in zip(values, ys) if not y % p]
         if k == last:

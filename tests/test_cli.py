@@ -5,9 +5,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinertorelli import torelli
 from steinertorelli.cli import (build_arg_parser, default_b_label, emit,
@@ -26,6 +29,13 @@ SEVEN_FREE_PATH = str(SCENEDIR / "seven_general_f11.json")
 SCROLL_A_PATH = str(SCENEDIR / "scroll_member_a.json")
 SCROLL_B_PATH = str(SCENEDIR / "scroll_member_b.json")
 CONIC_PATH = str(SCENEDIR / "conic_monomials.json")
+FERMAT_PATH = str(SCENEDIR / "fermat_quartic.json")
+
+
+def json_oracle(report):
+    """A report's bytes as json's own indent-1 encoder writes them."""
+    return (json.dumps(report, indent=1, ensure_ascii=False)
+            + "\n").encode("utf-8")
 
 
 # ---- label grammar --------------------------------------------------------------
@@ -292,11 +302,15 @@ SINGLE_SCENE_VERBS = [
 @pytest.mark.parametrize("scene", sorted(p.name for p in
                                          SCENEDIR.glob("*.json")))
 @pytest.mark.parametrize("verb", SINGLE_SCENE_VERBS, ids=lambda v: v[0])
-def test_every_verb_on_every_scene_ends_in_a_report(capsys, verb, scene):
-    # a run either reports, refuses its arguments, or names its failure
+def test_every_verb_on_every_scene_ends_in_a_report(capsysbinary, verb,
+                                                   scene):
+    # a run either reports, refuses its arguments, or names its failure;
+    # a report's bytes are those of json's indent-1 encoder
     code = main([verb[0], str(SCENEDIR / scene), *verb[1:]])
     assert code in (0, 2, 5)
-    capsys.readouterr()
+    out = capsysbinary.readouterr().out
+    if code != 2:
+        assert out == json_oracle(json.loads(out))
 
 
 @pytest.mark.parametrize("argv", [
@@ -478,6 +492,72 @@ def test_text_format_is_tabular_not_json(capsys):
     assert "{" not in out
     assert "consensus" in out
     assert "EQUAL" in out
+
+
+@pytest.mark.parametrize("argv, want", [
+    (["torelli", FERMAT_PATH, "--B", "O(3)", "--primes", "13,17,19"], 0),
+    (["dk", "--N", "6", "--prime", "11", "--seed", "4"], 0),
+    (["scroll-invariance", SCROLL_A_PATH, SCROLL_B_PATH], 0),
+    (["koszul", TC_PATH, "--p", "1", "--q", "5"], 5),
+])
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]])
+def test_out_files_and_stdout_hold_the_json_encoder_bytes(
+        tmp_path, capsysbinary, argv, want, fmt):
+    """With --out the file holds json's indent-1 bytes, error reports
+    too, and so does stdout when it is JSON."""
+    out = tmp_path / "report.json"
+    assert main([*argv, "--out", str(out), *fmt]) == want
+    data = out.read_bytes()
+    assert data == json_oracle(json.loads(data))
+    stdout = capsysbinary.readouterr().out
+    assert stdout == (data if fmt else emit(json.loads(data), "text"))
+
+
+JSON_TEXT = st.text(st.one_of(
+    st.sampled_from('"\\/\x00\x08\x1f\x7f\u2028\u2029é∞\U0001d53d'),
+    st.characters()))
+JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(-10 ** 40, 10 ** 40), st.floats(), JSON_TEXT)
+# int lists with a bool or None among the ints stay json's
+INT_LISTS = st.tuples(
+    st.lists(st.integers(), min_size=1),
+    st.sampled_from([None, True, False, 0]),
+    st.integers(0, 10)).map(
+        lambda t: t[0][:t[2]] + [t[1]] + t[0][t[2]:])
+JSON_KEYS = st.one_of(JSON_TEXT, st.integers(), st.none(), st.booleans(),
+                      st.floats())
+
+
+def _nested(tree, depth):
+    for i in range(depth):
+        tree = [tree] if i % 2 else {"k": tree}
+    return tree
+
+
+JSON_TREES = st.recursive(
+    st.one_of(JSON_SCALARS, INT_LISTS, st.lists(st.integers())),
+    lambda children: st.one_of(
+        st.lists(children), st.lists(children).map(tuple),
+        st.dictionaries(JSON_KEYS, children)),
+    max_leaves=30)
+
+
+@given(tree=st.one_of(JSON_TREES, st.builds(_nested, JSON_TREES,
+                                            st.integers(6, 9))))
+@settings(max_examples=150, deadline=None)
+def test_json_reports_are_the_json_encoder_bytes(tree):
+    assert emit(tree, "json") == json_oracle(tree)
+
+
+@pytest.mark.parametrize("bad", [
+    Fraction(1, 2), {1, 2}, [1, Fraction(1, 2)], {"a": {"b": {3}}},
+    {(1, 2): 3}, [object()]])
+def test_json_reports_refuse_what_json_refuses(bad):
+    with pytest.raises(TypeError):
+        json.dumps(bad, indent=1, ensure_ascii=False)
+    with pytest.raises(TypeError):
+        emit(bad, "json")
 
 
 def test_empty_unstable_list_serializes_as_empty():

@@ -206,9 +206,9 @@ def test_one_enumeration_per_scene_and_prime(monkeypatch, stem, labels,
     walk = scenes._walk
     calls = []
 
-    def counting(p, factors, forms):
+    def counting(p, *rest):
         calls.append(p)
-        return walk(p, factors, forms)
+        return walk(p, *rest)
 
     monkeypatch.setattr(scenes, "_walk", counting)
     first, second = labels
