@@ -380,13 +380,13 @@ def _walk(p, factors, forms, powers):
     the points come in lexicographic order.  The coordinates are fixed one
     at a time, and the forms whose last coordinate is x_k filter its
     values: each is evaluated once per prefix as a polynomial in x_k, and
-    its nonzero coefficients there times a table of powers of x_k give its
-    value at every x_k still in play, so a prefix on which a form fails is
-    never extended.  The forms read the powers of the prefix coordinates
-    mod p from `powers`, the enumeration's `_Powers` table."""
+    its nonzero coefficients there times the powers of x_k give its value
+    at every x_k still in play, so a prefix on which a form fails is
+    never extended.  Every power mod p, of x_k and of the prefix
+    coordinates, is read from `powers`, the enumeration's `_Powers`
+    table."""
     last = sum(factors) - 1
     checks = [[] for _ in range(last + 1)]
-    columns = {}
     for k, form in forms:
         # the form as a polynomial in x_k: its constant term and its
         # positive exponents of x_k, each coefficient a term list in the
@@ -396,9 +396,6 @@ def _walk(p, factors, forms, powers):
         checks[k].append((exps, _evaluator(None, [
             [(m[:k], c) for m, c in form if m[k] == e] for e in [0] + exps],
             powers)))
-        for e in exps:
-            if e not in columns:
-                columns[e] = [pow(t, e, p) for t in range(p)]
     closes = [False] * (last + 1)
     for end in itertools.accumulate(factors):
         closes[end - 1] = True
@@ -406,6 +403,8 @@ def _walk(p, factors, forms, powers):
     # are all 0: then 0 or 1, and only 1 when x_k closes the factor
     firsts = [(1,) if end else (0, 1) for end in closes]
     every = range(p)
+    # the power rows of the values of x_k
+    rows = [powers[t] for t in every]
     out = []
 
     def extend(prefix, zero):
@@ -416,10 +415,10 @@ def _walk(p, factors, forms, powers):
                 break
             c, *rest = check(prefix)
             ys = [c] * len(values)
+            table = rows if values is every else [rows[t] for t in values]
             for e, c in zip(exps, rest):
                 if c:
-                    row = columns[e]
-                    ys = [y + c * row[t] for y, t in zip(ys, values)]
+                    ys = [y + c * row[e] for y, row in zip(ys, table)]
             values = [t for t, y in zip(values, ys) if not y % p]
         if k == last:
             for t in values:

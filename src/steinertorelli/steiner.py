@@ -42,24 +42,25 @@ the first line, through e_last and e_(n-2), is decided with B =
 N(e_last): q is its first point of full rank, and when it has none, as
 on the Fermat quartic where every hyperplane is unstable, q stays
 e_last.  Every other point is y + t q on a line through q, y a canonical
-point with y_l = 0, l the lead of q.  One elimination per scan takes
-[B | A(e_j) ...] to [B' | A'_j ...] over [0 | D_j ...], B' the reduced
-echelon rows of B, for each coordinate j != l, and along the walk A'(y)
-and D(y) are running sums.  N(y + t q) has the kernel of A'(y) + t B'
-inside ker D(y).  When B has full column rank, B' = I, and with M =
-A'(y) the point is deficient exactly when -t is an eigenvalue of M on W,
-the largest M-invariant subspace of ker D(y): ker D cut by ker D M^i
-until it stops shrinking.  Most such lines cost one elimination of
-D(y).  The characteristic polynomial of M on W (Hessenberg reduction,
+point with y_l = 0, l the lead of q.  One elimination per scan, `_split`,
+takes [B | A(e_j) ...] to [B' | A'_j ...] over [0 | D_j ...], B' the
+reduced echelon rows of B, for each coordinate j != l, and along the
+walk A'(y) and D(y) are running sums: N(y + t q) has the kernel of
+A'(y) + t B' inside ker D(y).  When B has full column rank, B' = I, and
+with M = A'(y) the point is deficient exactly when -t is an eigenvalue
+of M on W, the largest M-invariant subspace of ker D(y): ker D cut by
+ker D M^i until it stops shrinking.  Most such lines cost one elimination
+of D(y).  The characteristic polynomial of M on W (Hessenberg reduction,
 then Horner at every point of F_p) is taken only where W != 0, and each
 of its roots is a deficient point, so no candidate is verified; the
 kernel there is the eigenspace of M on W.  When B is deficient, the
 pencil on ker D(y) has fewer rows, and it is reduced and decided again:
 a step of the staircase algorithm for the Kronecker form of a pencil
 (Van Dooren, Linear Algebra Appl. 27, 1979), of which the W iteration is
-the case B' = I.  It ends at B' = I or at a wide B' with D = 0, where
-the nullity at every t is the excess of columns over rows plus the
-nullity of the transposed pencil, whose B' is I.
+the case B' = I.  It ends at B' = I or at a wide B' with D = 0, where the
+nullity at every t is the excess of columns over rows plus the nullity
+of the transposed pencil, whose B' is I.  Each step's reduction is again
+`_split`, the one reduction of a [B | A ...] block.
 
 When B has full column rank and n >= 3, [M(y); D(y)] is linear in y,
 and the chain of its common kernels gives families in y (`_levels`)
@@ -73,15 +74,15 @@ y_(l-1) at a time; when q = e_last that is one line at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from heapq import merge
 from itertools import groupby, islice
 from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
                      ZeroPoint)
-from .exactfield import (GF, Matrix, eliminate, kernel_basis, left_kernel,
-                         normalize_projective, projective_count,
+from .exactfield import (GF, Matrix, eliminate, kept, kernel_basis,
+                         left_kernel, normalize_projective, projective_count,
                          projective_rank, projective_reps, rank,
                          rank_kernel)
 
@@ -110,7 +111,7 @@ class SteinerPresentation:
     def bundle_rank(self):
         return self.dim_u0 - self.dim_u1
 
-    @cached_property
+    @kept
     def _elimination(self):
         """One elimination of [T | I_b] mod p, kept: (r, K, pivots, E)
         with r the rank of T, K its kernel basis as `rank_kernel` gives
@@ -261,26 +262,32 @@ def _walk(images, width, p):
 
 
 def _reference(images, q, width, p):
-    """The reduction of the walk through q: the reduced echelon rows of
-    B = N(q), and for each coordinate j other than the lead of q the rows
-    of A(e_j) reduced with B, row-major.
-
-    One elimination takes [B | A(e_j) ...] to P [B | A(e_j) ...] with P
-    invertible: the rows with a pivot in B are [B' | A'(e_j) ...], B' the
-    reduced echelon rows of B, and the rows with no pivot in B are
-    [0 | D(e_j) ...].  N(y + t q) has the kernel of [A'(y) + t B'; D(y)].
-    When B has full column rank, B' = I.
-    """
+    """The reduction of the walk through q: `_split` of B = N(q) and the
+    A(e_j) for each coordinate j other than the lead of q."""
     lead = q.index(1)
-    others = images[:lead] + images[lead + 1:]
-    big = _member(images, q, p)
+    return _split(_member(images, q, p), images[:lead] + images[lead + 1:],
+                  width, p)
+
+
+def _split(big, others, width, p):
+    """One step of the staircase: the reduced echelon rows B' of B = `big`,
+    and for each A in `others` its rows reduced with B, row-major, every
+    block with `width` columns and as many rows as B.
+
+    One elimination takes [B | A ...] to P [B | A ...] with P invertible:
+    the rows with a pivot in B are [B' | A' ...], and the nonzero rows
+    with no pivot in B are [0 | D ...].  B' is in reduced echelon form
+    with no zero row, and A + t B has the kernel of [A' + t B'; D] at
+    every t.  When B has full column rank, B' = I.
+    """
+    ncols = (len(others) + 1) * width
     block = [big[s:s + width] + [y for img in others for y in img[s:s + width]]
              for s in range(0, len(big), width)]
-    pivots = eliminate(block, len(images) * width, p)
+    pivots = eliminate(block, ncols, p)
     block = block[:len(pivots)]
     return [row[:width] for row, c in zip(block, pivots) if c < width], [
         [y for row in block for y in row[k:k + width]]
-        for k in range(width, len(images) * width, width)]
+        for k in range(width, ncols, width)]
 
 
 def _member(images, x, p):
@@ -399,90 +406,61 @@ def _levels(steps, width, p):
 def _line_shifts(flat, ref, width, p):
     """The t in F_p where the pencil [A + t*ref; D] has a kernel, each
     with the dimension of that kernel and, when ref is I, its reduced
-    echelon basis (else None).  `_pencil_end` reduces the pencil; with
-    ref = I each root has its eigenspace, one elimination of at most
-    dim W rows, or none when W is a line.
-    """
-    end = _pencil_end(flat, ref, width, p)
-    if end is None:
-        return ()
-    smaller, eigen = end
-    if eigen:
-        mus, restricted, ys = eigen
-        return [(-mu % p, len(kernel), kernel) for mu in mus
-                for kernel in [_eigenspace(restricted, ys, mu, p)]]
-    pencil, extra = smaller
-    dims = {t: dim for t, dim, _ in _line_shifts(*pencil, p)}
-    if not extra:
-        return [(t, dim, None) for t, dim in dims.items()]
-    return [(t, extra + dims.get(t, 0), None) for t in range(p)]
-
-
-def _pencil_end(flat, ref, width, p):
-    """The pencil [A + t*ref; D] reduced to where its deficient t can be
-    read: None when it has a kernel at no t; else (None, (mus, M on W,
-    basis of W)) when ref is I, the t being the -mus; else ((pencil,
-    extra), None), a smaller pencil as (flat, ref, width), whose
-    nullity at each t plus `extra` is this one's.
+    echelon basis (else None).
 
     `flat` is row-major with `width` columns: the rows of A, as many as
     `ref` has, then the rows of D.  `ref` is in reduced echelon form with
     no zero row.  A kernel vector at t lies in ker D, so with Y a basis
     of ker D it is Y c with (A Y + t ref Y) c = 0: a pencil with fewer
-    rows, which is reduced like [B | A] in `_reference` and decided
-    again.  That is a step of Van Dooren's staircase for the Kronecker
-    form of a pencil (Linear Algebra Appl. 27, 1979).  It stops at one of
-    two cases.
+    rows, which `_split` reduces and which is decided again.  That is a
+    step of Van Dooren's staircase for the Kronecker form of a pencil
+    (Linear Algebra Appl. 27, 1979).  It stops at one of two cases.
 
     ref = I, with D below it or not: the kernel at t is that of M + t*I,
     M = A, inside ker D, so the t are the -eigenvalues of M on W, the
     largest M-invariant subspace of ker D, and the kernels are their
-    eigenspaces.  W starts as ker D and is cut by ker D M^i, i = 1, 2,
-    ..., until it stops shrinking; only when W != 0 is the
+    eigenspaces, one elimination of at most dim W rows each, or none
+    when W is a line.  W starts as ker D and is cut by ker D M^i, i = 1,
+    2, ..., until it stops shrinking; only when W != 0 is the
     characteristic polynomial of M on W taken.
 
     ref wide and D = 0: the nullity at every t is the number of columns
-    less the rows, plus the nullity of the transposed pencil, whose
-    reference has full column rank.
+    less the rows, plus the nullity of the transposed pencil, which
+    `_split` reduces to a reference I.
     """
     if not width:
-        return None
-    split = len(ref) * width
+        return ()
+    k = len(ref)
+    split = k * width
     res = [flat[i:i + width] for i in range(split, len(flat), width)]
     pivots = eliminate(res, width, p)
     if len(pivots) == width:
-        return None
+        return ()
     res = res[:len(pivots)]
-    mat = [flat[i:i + width] for i in range(0, split, width)]
-    if len(ref) < width and not res:
-        # the transposed pencil: its rows at the pivots of ref are [I | M],
-        # and each other row c less its entries of ref times those rows
-        # leaves a row of D
-        lead = [row.index(1) for row in ref]
-        cols = [[row[c] for row in mat] for c in range(width)]
-        dual = [cols[c] for c in lead]
-        for c in range(width):
-            if c not in lead:
-                row = cols[c]
-                for r, top in zip(ref, dual):
-                    if r[c]:
-                        row = [u - r[c] * v for u, v in zip(row, top)]
-                dual.append([u % p for u in row])
-        eye = [[int(i == j) for j in range(len(ref))] for i in range(len(ref))]
-        return (([x for row in dual for x in row], eye, len(ref)),
-                width - len(ref)), None
+    if k < width and not res:
+        # the transposed pencil A^T + t ref^T, which has no column, and
+        # no kernel, when ref has no row
+        dims = {}
+        if ref:
+            # ref^T has full column rank, so its reduced rows are I
+            eye, (dual,) = _split(
+                [x for col in zip(*ref) for x in col],
+                [[x for c in range(width) for x in flat[c:split:width]]],
+                k, p)
+            dims = {t: dim for t, dim, _ in _line_shifts(dual, eye, k, p)}
+        return [(t, width - k + dims.get(t, 0), None) for t in range(p)]
     fld = GF(p)
     ys = zs = [list(v) for v in kernel_basis(res, pivots, width, fld)]
-    if len(ref) < width:
-        # the pencil on ker D in the basis ys, reduced
-        k = len(ys)
-        block = [[sum(map(mul, row, y)) % p for y in ys] +
-                 [sum(map(mul, top, y)) % p for y in ys]
-                 for row, top in zip(ref, mat)]
-        pivots = eliminate(block, 2 * k, p)
-        lower = [row[:k] for row, c in zip(block, pivots) if c < k]
-        return (([x for row in block[:len(pivots)] for x in row[k:]], lower,
-                 k), 0), None
+    mat = [flat[i:i + width] for i in range(0, split, width)]
+    if k < width:
+        # the pencil on ker D in the basis ys; its kernels are in that
+        # basis, so none is handed back
+        lower, (rest,) = _split(
+            [sum(map(mul, row, y)) % p for row in ref for y in ys],
+            [[sum(map(mul, row, y)) % p for row in mat for y in ys]],
+            len(ys), p)
+        return [(t, dim, None)
+                for t, dim, _ in _line_shifts(rest, lower, len(ys), p)]
     # ys: a basis of W so far, zs: M^i applied to it
     while res:
         zs = [[sum(map(mul, row, z)) % p for row in mat] for z in zs]
@@ -491,7 +469,7 @@ def _pencil_end(flat, ref, width, p):
         if not pivots:
             break
         if len(pivots) == len(ys):
-            return None
+            return ()
         coeffs = kernel_basis(cut, pivots, len(ys), fld)
         ys = [[sum(map(mul, c, col)) % p for col in zip(*ys)] for c in coeffs]
         zs = [[sum(map(mul, c, col)) % p for col in zip(*zs)] for c in coeffs]
@@ -504,8 +482,8 @@ def _pencil_end(flat, ref, width, p):
     values = [0] * p
     for coeff in _charpoly(restricted, p):
         values = [(v * mu + coeff) % p for v, mu in zip(values, mus)]
-    return None, ([mu for mu, v in zip(mus, values) if not v], restricted,
-                  ys)
+    return [(-mu % p, len(kernel), kernel) for mu, v in zip(mus, values)
+            if not v for kernel in [_eigenspace(restricted, ys, mu, p)]]
 
 
 def _eigenspace(restricted, ys, mu, p):
@@ -683,7 +661,7 @@ def recover_section_point(pres: SteinerPresentation, lam):
     walk found at lam, so N(lam) is solved only at a lam that no scan
     recorded: before any scan, or at a rescaled lam.
     """
-    r, kernel, pivots, rows = pres._elimination
+    r, kernel, pivots, rows = pres._elimination()
     p = pres.field.characteristic
     a, m, b = pres.dim_u1, pres.dim_v, pres.dim_u0
     lam = pres._coords(lam)
@@ -734,7 +712,7 @@ def valles_locus(pres: SteinerPresentation) -> VallesReport:
     `recover_section_point`."""
     p = _scan_prime(pres)
     a, m, b = pres.dim_u1, pres.dim_v, pres.dim_u0
-    r, kernel, _, _ = pres._elimination
+    r, kernel, _, _ = pres._elimination()
     if a < m and r == b:
         seen = {}
         for phi, _, lam_basis in _rank_one_scan(kernel, a, m, p,

@@ -596,13 +596,18 @@ def test_kept_seed_keeps_a_value_without_running_the_body():
 
 def _instance_dict_writes(tree):
     """Lines that keep values on an instance by hand: any use of
-    `__dict__`, a call on `vars(...)`, or a subscript store or
-    `setdefault`/`update` on an attribute of `self`.  `kept` itself
-    stores with object.__setattr__."""
+    `__dict__`, a call on `vars(...)`, a subscript store or
+    `setdefault`/`update` on an attribute of `self`, or a
+    `cached_property` decorator.  `kept` itself stores with
+    object.__setattr__."""
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and node.attr == "__dict__":
             lines.append(node.lineno)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            lines += [dec.lineno for dec in node.decorator_list
+                      if getattr(dec, "id", getattr(dec, "attr", None)) ==
+                      "cached_property"]
         elif isinstance(node, (ast.Attribute, ast.Subscript)) and \
                 isinstance(node.value, ast.Call) and \
                 isinstance(node.value.func, ast.Name) and \
@@ -629,3 +634,10 @@ def test_every_per_instance_cache_goes_through_kept():
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in _instance_dict_writes(ast.parse(path.read_text()))]
     assert found == []
+
+
+@pytest.mark.parametrize("decorator", ["cached_property",
+                                       "functools.cached_property"])
+def test_a_cached_property_is_a_hand_written_cache(decorator):
+    source = f"class C:\n    @{decorator}\n    def f(self):\n        pass\n"
+    assert _instance_dict_writes(ast.parse(source)) == [2]

@@ -937,6 +937,49 @@ def test_line_shifts_match_a_brute_force(p, width, nres, plant, data):
 # ---- the staircase on singular pencils --------------------------------------
 
 
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(1, 4), st.integers(0, 6),
+       st.integers(1, 3), st.data())
+@settings(max_examples=250, deadline=None)
+def test_split_keeps_every_kernel_of_the_pencil(p, width, nrows, nothers,
+                                                data):
+    """`_split` of B and blocks A_j, with B of any rank, zero rows mixed
+    in and no row at all included: B' is in reduced echelon form with no
+    zero row and the rank of B, and at every t the kernel of A_j + t B is
+    that of [A'_j + t B'; D_j]."""
+    def draw(lo, hi):
+        return data.draw(st.integers(lo, hi))
+
+    r = draw(0, min(nrows, width))
+    left = [[draw(0, p - 1) for _ in range(r)] for _ in range(nrows)]
+    right = [[draw(0, p - 1) for _ in range(width)] for _ in range(r)]
+    zeros = data.draw(st.lists(st.booleans(), min_size=nrows,
+                               max_size=nrows))
+    big = [[0 if zero else sum(x * y for x, y in zip(row, col)) % p
+            for col in zip(*right)] if r else [0] * width
+           for row, zero in zip(left, zeros)]
+    others = [[[draw(0, p - 1) for _ in range(width)] for _ in range(nrows)]
+              for _ in range(nothers)]
+    ref, steps = steiner._split([x for row in big for x in row],
+                                [[x for row in a for x in row]
+                                 for a in others], width, p)
+    assert len(ref) == width - len(kernel_of(big, width, p))
+    assert all(any(row) for row in ref)
+    leads = [next(c for c, x in enumerate(row) if x) for row in ref]
+    assert leads == sorted(set(leads))
+    assert all(row[c] == (i == j) for i, row in enumerate(ref)
+               for j, c in enumerate(leads))
+    assert len(steps) == nothers
+    for a, step in zip(others, steps):
+        rows = [step[i:i + width] for i in range(0, len(step), width)]
+        assert len(rows) >= len(ref)
+        for t in range(p):
+            member = [[(x + t * y) % p for x, y in zip(arow, brow)]
+                      for arow, brow in zip(a, big)]
+            reduced = [[(x + t * y) % p for x, y in zip(arow, brow)]
+                       for arow, brow in zip(rows, ref)] + rows[len(ref):]
+            assert kernel_of(reduced, width, p) == kernel_of(member, width, p)
+
+
 def invertible(n, p, draw):
     """A random invertible n x n matrix: unit lower triangular times
     upper triangular with a nonzero diagonal."""
@@ -1565,7 +1608,7 @@ def assert_recovery_matches_reference(pres, lams, unscaled):
     assert before[len(lams):] == [recovery_outcome(recover_section_point,
                                                    pres, lam)
                                   for lam in unscaled[:len(scaled)]]
-    r = pres._elimination[0]
+    r = pres._elimination()[0]
     for _ in range(2):
         report = valles_locus(pres)
         ones = {lam for lam, coker in report.unstable if coker == 1}
@@ -1577,7 +1620,7 @@ def assert_recovery_matches_reference(pres, lams, unscaled):
 def assert_kept_elimination(pres):
     """r and K as rank_kernel gives them, R_k = E_k T at the pivots, and
     the E_k with k >= r independent rows of the left kernel."""
-    r, kernel, pivots, rows = pres._elimination
+    r, kernel, pivots, rows = pres._elimination()
     kd = rank_kernel(pres.tensor)
     assert (r, kernel, tuple(pivots)) == (kd.rank, kd.kernel, kd.pivots)
     ech = rref(pres.tensor)
@@ -1644,7 +1687,7 @@ def test_recovery_reads_the_scan_on_a_direct_sum(degree, p):
     rows = [row + pad for row in tensor.entries] + \
         [pad + row for row in tensor.entries]
     pres = SteinerPresentation(matrix(GF(p), rows), 2 * a, m, 2 * b)
-    assert (2 * a < m) == (degree == 4) and pres._elimination[0] == 2 * b
+    assert (2 * a < m) == (degree == 4) and pres._elimination()[0] == 2 * b
     points = [rec.phi for rec in P1Series(degree).enumerate_points(p).records]
     outcomes = assert_recovery_matches_reference(
         pres, list(projective_reps(p, m)), points)
