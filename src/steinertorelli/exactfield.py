@@ -28,10 +28,8 @@ terms.
 from __future__ import annotations
 
 import functools
-import inspect
 import itertools
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import attrgetter, mul
@@ -143,19 +141,38 @@ def kept(method):
     running the body.  This is the package's one per-instance cache."""
     slot = sys.intern(f"_kept_{method.__qualname__}")
     nargs = method.__code__.co_argcount - 1
+    names = method.__code__.co_varnames[1:nargs + 1]
     defaults = method.__defaults__ or ()
+    optional = dict(zip(names[nargs - len(defaults):], defaults))
 
     def key(obj, args, kwargs):
         missing = nargs - len(args)
         if not kwargs and 0 <= missing <= len(defaults):
             return args + defaults[len(defaults) - missing:]
-        bound = inspect.signature(method).bind(obj, *args, **kwargs)
-        bound.apply_defaults()
-        return bound.args[1:]
+        # bound as Python binds the call: a surplus argument, an unknown
+        # or repeated keyword and a missing argument are TypeErrors
+        if missing < 0:
+            raise TypeError(f"{method.__qualname__}() takes {nargs} "
+                            f"arguments but {len(args)} were given")
+        given = dict(zip(names, args))
+        for name, value in kwargs.items():
+            if name not in names:
+                raise TypeError(f"{method.__qualname__}() got an unexpected "
+                                f"keyword argument {name!r}")
+            if name in given:
+                raise TypeError(f"{method.__qualname__}() got multiple "
+                                f"values for argument {name!r}")
+            given[name] = value
+        given = {**optional, **given}
+        if len(given) < nargs:
+            raise TypeError(f"{method.__qualname__}() is missing "
+                            f"{nargs - len(given)} argument(s)")
+        return tuple([given[name] for name in names])
 
     def values(obj):
-        # an attribute, set as frozen dataclasses allow: going through the
-        # instance's __dict__ would slow every other attribute read on it
+        # an attribute, set past the record's refusing __setattr__: going
+        # through the instance's __dict__ would slow every other attribute
+        # read on it
         got = getattr(obj, slot, None)
         if got is None:
             got = {}
@@ -179,14 +196,57 @@ def kept(method):
     return wrapper
 
 
-@dataclass(frozen=True)
-class Matrix:
+# a record's __init__ sets each field through object's own __setattr__,
+# since the record's refuses every assignment
+_set = object.__setattr__
+
+
+class Record:
+    """An immutable value record.  A subclass names its fields in
+    `_fields`, in the order of its __init__ (inherited fields first), and
+    sets each one there with `_set`.  Two records are equal when they are
+    of one class and their fields are equal, the hash is that of the field
+    tuple, the repr reads `Name(field=value, ...)`, and assigning or
+    deleting an attribute raises AttributeError, as for a frozen
+    dataclass."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Matrix(Record):
     """Immutable dense matrix; entries is a tuple of row tuples."""
 
-    field: object
-    nrows: int
-    ncols: int
-    entries: tuple
+    __slots__ = _fields = ("field", "nrows", "ncols", "entries")
+
+    def __init__(self, field, nrows, ncols, entries):
+        _set(self, "field", field)
+        _set(self, "nrows", nrows)
+        _set(self, "ncols", ncols)
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self):
         normalize = self.field.normalize
@@ -199,7 +259,7 @@ class Matrix:
                 raise ShapeMismatch(
                     f"expected {self.ncols} cols, got {len(row)}")
             norm.append(tuple(map(normalize, row)))
-        object.__setattr__(self, "entries", tuple(norm))
+        _set(self, "entries", tuple(norm))
 
     # -- basic operations ---------------------------------------------
 
@@ -313,12 +373,14 @@ def eliminate(work, ncols, p, full=True):
 
 
 # test oracle kept while benchmark/layertrace.py wraps it (ROADMAP item 1)
-@dataclass(frozen=True)
-class Echelon:
+class Echelon(Record):
     """Reduced row echelon data: `rows` are the rank many nonzero rows."""
 
-    rows: tuple
-    pivots: tuple
+    __slots__ = _fields = ("rows", "pivots")
+
+    def __init__(self, rows, pivots):
+        _set(self, "rows", rows)
+        _set(self, "pivots", pivots)
 
     @property
     def rank(self):
@@ -337,8 +399,7 @@ def rank(m: Matrix) -> int:
     return len(eliminate(work, m.ncols, m.field.characteristic, full=False))
 
 
-@dataclass(frozen=True)
-class KernelData:
+class KernelData(Record):
     """Pivots and canonical kernel basis of one row reduction.  Each
     kernel vector has entry 1 at its own free coordinate and 0 at every
     other free coordinate, so coordinates of any kernel element in this
@@ -346,8 +407,11 @@ class KernelData:
     maps ambient coordinates to coordinates of the quotient by the row
     span, and a vector lies in the span iff it maps to zero."""
 
-    kernel: tuple       # tuple of canonical kernel vectors (length ncols)
-    pivots: tuple
+    __slots__ = _fields = ("kernel", "pivots")
+
+    def __init__(self, kernel, pivots):
+        _set(self, "kernel", kernel)    # canonical kernel vectors, ncols long
+        _set(self, "pivots", pivots)
 
     @property
     def rank(self):

@@ -38,11 +38,10 @@ of a finite point set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dataclass_field
 from math import comb, gcd
 
 from .errors import UnsupportedScene, WindowTooSmall
-from .exactfield import Matrix, QQ, kept, span_reduction
+from .exactfield import Matrix, QQ, Record, _set, kept, span_reduction
 from .polyalg import (action_columns, monomial_basis, monomial_index,
                       products, restrict_right, signed_columns)
 
@@ -54,25 +53,29 @@ def exterior_dim(dim_u, p):
 # ---- windows ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GradedModuleWindow:
+class GradedModuleWindow(Record):
     """Graded pieces and action tables over a degree range.  An action
     table is a tuple of sparse columns, U-major: entry i * dim M_k + t
     lists the (w, x) pairs with x != 0 of u_i m_t = sum_w x m'_w in the
     basis m' of M_(k+1).  A scene window over the whole series takes the
     tables and signed pairs the scene keeps per label and field; a window
     over a subspace of the series, or of a point set's ideal, builds its
-    own tables and derives their pairs in `signed`."""
+    own tables and derives their pairs in `signed`.  It has an instance
+    __dict__, where `signed` keeps its pairs."""
 
-    field: object
-    dim_u: int
-    lo: int
-    hi: int
-    dims: tuple       # dims[k - lo] = dim M_k
-    mults: tuple      # mults[k - lo][i * dim M_k + t]: (w, x) pairs of u_i m_t
-    # the tables' signed pairs, when a scene keeps them; derived from
-    # mults, so not compared
-    pairs: tuple = dataclass_field(default=None, compare=False, repr=False)
+    # the tables' signed pairs, when a scene keeps them, are derived from
+    # mults, so they are not among the compared fields
+    _fields = ("field", "dim_u", "lo", "hi", "dims", "mults")
+
+    def __init__(self, field, dim_u, lo, hi, dims, mults, pairs=None):
+        _set(self, "field", field)
+        _set(self, "dim_u", dim_u)
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        _set(self, "dims", dims)        # dims[k - lo] = dim M_k
+        # mults[k - lo][i * dim M_k + t]: (w, x) pairs of u_i m_t
+        _set(self, "mults", mults)
+        _set(self, "pairs", pairs)
 
     def dim(self, k):
         if not self.lo <= k <= self.hi:
@@ -268,14 +271,16 @@ def _differential_rank(window: GradedModuleWindow, p, q):
     return len(pivots)
 
 
-@dataclass(frozen=True)
-class KoszulGroupDim:
-    p: int
-    q: int
-    dim: int
-    rank_in: int
-    rank_out: int
-    middle: int
+class KoszulGroupDim(Record):
+    __slots__ = _fields = ("p", "q", "dim", "rank_in", "rank_out", "middle")
+
+    def __init__(self, p, q, dim, rank_in, rank_out, middle):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "dim", dim)
+        _set(self, "rank_in", rank_in)
+        _set(self, "rank_out", rank_out)
+        _set(self, "middle", middle)
 
     def to_json_dict(self):
         return {"p": self.p, "q": self.q, "dim": self.dim,
@@ -294,15 +299,18 @@ def koszul_dim(window: GradedModuleWindow, p, q) -> KoszulGroupDim:
 # ---- duality, Green verdicts -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualityReport:
-    p: int
-    q: int
-    lhs_dim: int
-    rhs_dim: int
-    rhs_p: int
-    rhs_q: int
-    hypotheses_ok: bool
+class DualityReport(Record):
+    __slots__ = _fields = ("p", "q", "lhs_dim", "rhs_dim", "rhs_p", "rhs_q",
+                           "hypotheses_ok")
+
+    def __init__(self, p, q, lhs_dim, rhs_dim, rhs_p, rhs_q, hypotheses_ok):
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "lhs_dim", lhs_dim)
+        _set(self, "rhs_dim", rhs_dim)
+        _set(self, "rhs_p", rhs_p)
+        _set(self, "rhs_q", rhs_q)
+        _set(self, "hypotheses_ok", hypotheses_ok)
 
     @property
     def match(self):
@@ -348,13 +356,15 @@ def duality_check(scene, n_label, p, q, field=QQ) -> DualityReport:
     return DualityReport(p, q, lhs.dim, rhs.dim, rp, rq, hyp_ok)
 
 
-@dataclass(frozen=True)
-class GreenReport:
-    p: int
-    dim: int
-    degree: int
-    degree_bound_ok: bool
-    verdict: str
+class GreenReport(Record):
+    __slots__ = _fields = ("p", "dim", "degree", "degree_bound_ok", "verdict")
+
+    def __init__(self, p, dim, degree, degree_bound_ok, verdict):
+        _set(self, "p", p)
+        _set(self, "dim", dim)
+        _set(self, "degree", degree)
+        _set(self, "degree_bound_ok", degree_bound_ok)
+        _set(self, "verdict", verdict)
 
     def to_json_dict(self):
         return {"p": self.p, "dim": self.dim, "degree": self.degree,
@@ -386,13 +396,15 @@ def green_kp1(scene, field=QQ) -> GreenReport:
     return GreenReport(p, group.dim, deg, bound_ok, verdict)
 
 
-@dataclass(frozen=True)
-class GreenPointsReport:
-    count: int
-    r: int
-    dim: int
-    on_rnc: bool
-    ideal_dims: tuple
+class GreenPointsReport(Record):
+    __slots__ = _fields = ("count", "r", "dim", "on_rnc", "ideal_dims")
+
+    def __init__(self, count, r, dim, on_rnc, ideal_dims):
+        _set(self, "count", count)
+        _set(self, "r", r)
+        _set(self, "dim", dim)
+        _set(self, "on_rnc", on_rnc)
+        _set(self, "ideal_dims", ideal_dims)
 
     def to_json_dict(self):
         return {"count": self.count, "r": self.r, "dim": self.dim,

@@ -20,11 +20,11 @@ everything is linear algebra over an exact field.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import BadPrime, ShapeMismatch, ZeroSection
-from .exactfield import KernelData, Matrix, kept, span_reduction
+from .exactfield import (KernelData, Matrix, Record, _set, kept,
+                         span_reduction)
 
 
 @lru_cache(maxsize=None)
@@ -122,15 +122,18 @@ def _degree_sum(k, l, sign=1):
     return k + sign * l
 
 
-@dataclass(frozen=True)
-class QuotientPiece:
+class QuotientPiece(Record):
     """Degree-k piece of S/I: representative monomials plus the reduction
     of the ideal piece, whose kernel rows map ambient S_k coordinates to
     quotient coordinates."""
 
-    degree: object
-    monomials: tuple          # representative exponent tuples
-    reduction: KernelData     # pivots and kernel of the ideal piece's rows
+    __slots__ = _fields = ("degree", "monomials", "reduction")
+
+    def __init__(self, degree, monomials, reduction: KernelData):
+        _set(self, "degree", degree)
+        _set(self, "monomials", monomials)    # representative exponents
+        # pivots and kernel of the ideal piece's rows
+        _set(self, "reduction", reduction)
 
     @property
     def dim(self):

@@ -54,7 +54,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -63,8 +62,8 @@ from .errors import (BadClass, BadPrime, DependentBasis, DuplicatePoints,
                      BasepointedSeries, NotGeneralPosition, SchemaError,
                      ShapeMismatch, UnsupportedLabel, UnsupportedScene,
                      ZeroEvaluation, ZeroPoint, ZeroSection)
-from .exactfield import (GF, QQ, eliminate, kept, normalize_projective,
-                         span_reduction)
+from .exactfield import (GF, QQ, Record, _set, eliminate, kept,
+                         normalize_projective, span_reduction)
 from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
                       monomial_basis, restrict_right, signed_columns,
                       space_dim)
@@ -73,22 +72,27 @@ from .polyalg import (GradedQuotientRing, QuotientPiece, action_columns,
 # ---- shared small types --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(Record):
     """One enumerated F_p point: parameter coordinates upstairs and the
     normalized evaluation vector of the series at the point."""
 
-    prime: int
-    params: tuple
-    phi: tuple
-    smooth_ok: object = None   # True/False when a smoothness check ran
+    __slots__ = _fields = ("prime", "params", "phi", "smooth_ok")
+
+    def __init__(self, prime, params, phi, smooth_ok=None):
+        _set(self, "prime", prime)
+        _set(self, "params", params)
+        _set(self, "phi", phi)
+        # True/False when a smoothness check ran
+        _set(self, "smooth_ok", smooth_ok)
 
 
-@dataclass(frozen=True)
-class PointEnumeration:
-    prime: int
-    records: tuple
-    smooth_checked: bool
+class PointEnumeration(Record):
+    __slots__ = _fields = ("prime", "records", "smooth_checked")
+
+    def __init__(self, prime, records, smooth_checked):
+        _set(self, "prime", prime)
+        _set(self, "records", records)
+        _set(self, "smooth_checked", smooth_checked)
 
     @property
     def all_smooth(self):

@@ -73,7 +73,6 @@ y_(l-1) at a time; when q = e_last that is one line at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from heapq import merge
 from itertools import groupby, islice
@@ -81,10 +80,10 @@ from operator import mul, sub
 
 from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
                      ZeroPoint)
-from .exactfield import (GF, Matrix, eliminate, kept, kernel_basis,
-                         left_kernel, normalize_projective, projective_count,
-                         projective_rank, projective_reps, rank,
-                         rank_kernel)
+from .exactfield import (GF, Matrix, Record, _set, eliminate, kept,
+                         kernel_basis, left_kernel, normalize_projective,
+                         projective_count, projective_rank, projective_reps,
+                         rank, rank_kernel)
 
 
 class SteinerPresentation:
@@ -575,12 +574,15 @@ def _span_points(basis, p):
 # ---- validity --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    prime: int
-    valid: bool
-    fibers_scanned: int
-    witness: object        # (u, v) pair of coordinate tuples when invalid
+class ValidationReport(Record):
+    __slots__ = _fields = ("prime", "valid", "fibers_scanned", "witness")
+
+    def __init__(self, prime, valid, fibers_scanned, witness):
+        _set(self, "prime", prime)
+        _set(self, "valid", valid)
+        _set(self, "fibers_scanned", fibers_scanned)
+        # (u, v) pair of coordinate tuples when invalid
+        _set(self, "witness", witness)
 
     def to_json_dict(self):
         out = {"prime": self.prime, "valid": self.valid,
@@ -689,11 +691,14 @@ def recover_section_point(pres: SteinerPresentation, lam):
 # ---- the Valles locus -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VallesReport:
-    prime: int
-    scanned: int
-    unstable: tuple     # ordered pairs (lambda tuple, coker_dim)
+class VallesReport(Record):
+    __slots__ = _fields = ("prime", "scanned", "unstable")
+
+    def __init__(self, prime, scanned, unstable):
+        _set(self, "prime", prime)
+        _set(self, "scanned", scanned)
+        # ordered pairs (lambda tuple, coker_dim)
+        _set(self, "unstable", unstable)
 
     def unstable_set(self):
         return {lam for lam, _ in self.unstable}

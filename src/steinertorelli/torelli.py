@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass
 
 from .errors import (BadPrime, ClassMismatch, NonUniqueQuotient,
                      NotGeneralPosition, UnsupportedScene)
-from .exactfield import GF, QQ, Matrix, projective_count, projective_unrank
+from .exactfield import (GF, QQ, Matrix, Record, _set, projective_count,
+                         projective_unrank)
 from .koszul import green_points_test
 from .scenes import PointSet, _scalar_json
 from .steiner import (SteinerPresentation, recover_section_point,
@@ -86,12 +86,14 @@ def vanishing_check(scene, b_label, field=QQ):
 # ---- the Torelli comparison --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RecoveryRow:
-    params: tuple
-    expected: tuple
-    recovered: tuple | None
-    match: bool
+class RecoveryRow(Record):
+    __slots__ = _fields = ("params", "expected", "recovered", "match")
+
+    def __init__(self, params, expected, recovered: tuple | None, match):
+        _set(self, "params", params)
+        _set(self, "expected", expected)
+        _set(self, "recovered", recovered)
+        _set(self, "match", match)
 
     def to_json_dict(self):
         return {"params": _vec_json(self.params),
@@ -101,20 +103,25 @@ class RecoveryRow:
                 "match": self.match}
 
 
-@dataclass(frozen=True)
-class PrimeComparison:
+class PrimeComparison(Record):
     """The unstable set against the image at one prime, the part that
     torelli_check and dk_check share.  `error` names the exception of a
     BAD_PRIME row."""
 
-    prime: int
-    verdict: str
-    scanned: int = 0
-    unstable_count: int = 0
-    image_count: int = 0
-    extra: tuple = ()
-    missing: tuple = ()
-    error: str | None = None
+    __slots__ = _fields = ("prime", "verdict", "scanned", "unstable_count",
+                           "image_count", "extra", "missing", "error")
+
+    def __init__(self, prime, verdict, scanned=0, unstable_count=0,
+                 image_count=0, extra=(), missing=(),
+                 error: str | None = None):
+        _set(self, "prime", prime)
+        _set(self, "verdict", verdict)
+        _set(self, "scanned", scanned)
+        _set(self, "unstable_count", unstable_count)
+        _set(self, "image_count", image_count)
+        _set(self, "extra", extra)
+        _set(self, "missing", missing)
+        _set(self, "error", error)
 
     def _json(self, image_key, **tail):
         out = {"prime": self.prime, "verdict": self.verdict,
@@ -129,9 +136,16 @@ class PrimeComparison:
         return out
 
 
-@dataclass(frozen=True)
 class PrimeResult(PrimeComparison):
-    recovery: tuple = ()
+    __slots__ = ("recovery",)
+    _fields = PrimeComparison._fields + __slots__
+
+    def __init__(self, prime, verdict, scanned=0, unstable_count=0,
+                 image_count=0, extra=(), missing=(), error=None,
+                 recovery=()):
+        super().__init__(prime, verdict, scanned, unstable_count,
+                         image_count, extra, missing, error)
+        _set(self, "recovery", recovery)
 
     @property
     def recovery_ok(self):
@@ -143,14 +157,18 @@ class PrimeResult(PrimeComparison):
                           recovery_ok=self.recovery_ok)
 
 
-@dataclass(frozen=True)
-class TorelliReport:
-    scene: str
-    b_label: str
-    primes: tuple
-    results: tuple
-    consensus: str
-    bad_primes: tuple
+class TorelliReport(Record):
+    __slots__ = _fields = ("scene", "b_label", "primes", "results",
+                           "consensus", "bad_primes")
+
+    def __init__(self, scene, b_label, primes, results, consensus,
+                 bad_primes):
+        _set(self, "scene", scene)
+        _set(self, "b_label", b_label)
+        _set(self, "primes", primes)
+        _set(self, "results", results)
+        _set(self, "consensus", consensus)
+        _set(self, "bad_primes", bad_primes)
 
     def to_json_dict(self):
         return {"scene": self.scene, "B": self.b_label,
@@ -237,18 +255,23 @@ def torelli_check(scene, b_label, primes=PRIMES_DEFAULT) -> TorelliReport:
                 scene, b_label, field))
         rows = () if pres is None or comparison.missing else \
             _recovery_rows(scene, b_label, pres, enum.records)
-        results.append(PrimeResult(**vars(comparison), recovery=rows))
+        c = comparison
+        results.append(PrimeResult(
+            c.prime, c.verdict, c.scanned, c.unstable_count, c.image_count,
+            c.extra, c.missing, c.error, recovery=rows))
     consensus, bad = _consensus([(r.prime, r.verdict) for r in results])
     return TorelliReport(scene.name, scene.label_str(b_label),
                          tuple(primes), tuple(results), consensus, bad)
 
 
-@dataclass(frozen=True)
-class RecoveryReport:
-    scene: str
-    b_label: str
-    prime: int
-    rows: tuple
+class RecoveryReport(Record):
+    __slots__ = _fields = ("scene", "b_label", "prime", "rows")
+
+    def __init__(self, scene, b_label, prime, rows):
+        _set(self, "scene", scene)
+        _set(self, "b_label", b_label)
+        _set(self, "prime", prime)
+        _set(self, "rows", rows)
 
     @property
     def all_match(self):
@@ -331,23 +354,33 @@ def dk_presentation(points, field) -> SteinerPresentation:
     return SteinerPresentation(tensor, a, m, b, f"dk({points.name})")
 
 
-@dataclass(frozen=True)
 class DKPrimeResult(PrimeComparison):
-    rnc_flag: bool = False
-    implication_ok: bool = True
+    __slots__ = ("rnc_flag", "implication_ok")
+    _fields = PrimeComparison._fields + __slots__
+
+    def __init__(self, prime, verdict, scanned=0, unstable_count=0,
+                 image_count=0, extra=(), missing=(), error=None,
+                 rnc_flag=False, implication_ok=True):
+        super().__init__(prime, verdict, scanned, unstable_count,
+                         image_count, extra, missing, error)
+        _set(self, "rnc_flag", rnc_flag)
+        _set(self, "implication_ok", implication_ok)
 
     def to_json_dict(self):
         return self._json("point_count", rnc_flag=self.rnc_flag,
                           implication_ok=self.implication_ok)
 
 
-@dataclass(frozen=True)
-class DKReport:
-    points: str
-    primes: tuple
-    results: tuple
-    consensus: str
-    bad_primes: tuple
+class DKReport(Record):
+    __slots__ = _fields = ("points", "primes", "results", "consensus",
+                           "bad_primes")
+
+    def __init__(self, points, primes, results, consensus, bad_primes):
+        _set(self, "points", points)
+        _set(self, "primes", primes)
+        _set(self, "results", results)
+        _set(self, "consensus", consensus)
+        _set(self, "bad_primes", bad_primes)
 
     def to_json_dict(self):
         return {"points": self.points, "primes": list(self.primes),
@@ -369,9 +402,11 @@ def dk_check(points, primes=PRIMES_DEFAULT) -> DKReport:
         comparison, pres, _ = _compare_prime(
             points, field, lambda field: dk_presentation(points, field))
         rnc = pres is not None and green_points_test(points, field).on_rnc
+        c = comparison
         results.append(DKPrimeResult(
-            **vars(comparison), rnc_flag=rnc,
-            implication_ok=comparison.verdict != "SUPERSET" or rnc))
+            c.prime, c.verdict, c.scanned, c.unstable_count, c.image_count,
+            c.extra, c.missing, c.error, rnc_flag=rnc,
+            implication_ok=c.verdict != "SUPERSET" or rnc))
     consensus, bad = _consensus([(r.prime, r.verdict) for r in results])
     return DKReport(points.name, tuple(primes), tuple(results),
                     consensus, bad)

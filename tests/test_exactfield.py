@@ -1,5 +1,8 @@
 import ast
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
 from pathlib import Path
@@ -554,6 +557,12 @@ class Counted:
         return [k, field]
 
 
+class Unkept(Counted):
+    """`Counted.table` without `kept`, bound as Python binds it."""
+
+    table = Counted.table.__wrapped__
+
+
 def test_kept_returns_the_same_object():
     obj = Counted()
     first = obj.table(2, GF(5))
@@ -592,6 +601,24 @@ def test_kept_seed_keeps_a_value_without_running_the_body():
     Counted.table.seed(obj, 5, value="seeded")
     assert obj.table(5, QQ) == "seeded"
     assert obj.runs == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda obj: obj.table(1, shape=QQ),             # not a parameter
+    lambda obj: obj.table(1, k=2),                  # k given twice
+    lambda obj: obj.table(1, QQ, field=QQ),         # field given twice
+    lambda obj: obj.table(1, QQ, 3),                # one argument too many
+    lambda obj: obj.table(field=QQ),                # k missing
+])
+def test_kept_refuses_a_call_python_refuses(call):
+    obj, plain = Counted(), Unkept()
+    with pytest.raises(TypeError):
+        call(obj)
+    with pytest.raises(TypeError):
+        call(plain)
+    assert obj.runs == plain.runs == []
+    assert all(not table for table in vars(obj).values()
+               if isinstance(table, dict))
 
 
 def _instance_dict_writes(tree):
@@ -634,6 +661,35 @@ def test_every_per_instance_cache_goes_through_kept():
     found = [f"{path.name}:{line}" for path in sorted(package.glob("*.py"))
              for line in _instance_dict_writes(ast.parse(path.read_text()))]
     assert found == []
+
+
+def _imported_modules(tree):
+    """The top-level names of the modules an AST imports."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.append(node.module.split(".")[0])
+    return names
+
+
+def test_the_package_imports_neither_dataclasses_nor_inspect():
+    package = Path(__file__).resolve().parent.parent / "src" / "steinertorelli"
+    found = [f"{path.name}: {name}" for path in sorted(package.glob("*.py"))
+             for name in _imported_modules(ast.parse(path.read_text()))
+             if name in ("dataclasses", "inspect")]
+    assert found == []
+
+
+def test_importing_the_cli_leaves_dataclasses_and_inspect_unloaded():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, steinertorelli.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
 
 
 @pytest.mark.parametrize("decorator", ["cached_property",
