@@ -372,6 +372,62 @@ def eliminate(work, ncols, p, full=True):
     return pivots
 
 
+def roots(coeffs, p):
+    """The distinct roots in F_p, ascending, of the polynomial whose
+    coefficients mod p `coeffs` lists from the leading one down; every
+    point of F_p when it is zero.
+
+    Cost rule: degree 1 is one inverse, and degree 2 with p odd is one
+    Euler criterion on the discriminant and, when it is a nonzero square,
+    one square root: a single power when p = 3 mod 4, else Tonelli-Shanks
+    from the least non-residue.  Every other polynomial, of degree 3 or
+    more or over F_2, is evaluated at every point of F_p by Horner, p
+    steps per coefficient.
+    """
+    coeffs = [c % p for c in coeffs]
+    while coeffs and not coeffs[0]:
+        del coeffs[0]
+    if len(coeffs) < 2:
+        return [] if coeffs else list(range(p))
+    if len(coeffs) == 2:
+        return [-coeffs[1] * pow(coeffs[0], p - 2, p) % p]
+    if len(coeffs) == 3 and p > 2:
+        a, b, c = coeffs
+        disc = (b * b - 4 * a * c) % p
+        if disc and pow(disc, (p - 1) // 2, p) != 1:
+            return []
+        half = pow(2 * a, p - 2, p)
+        s = _sqrt(disc, p)
+        return sorted({(-b - s) * half % p, (s - b) * half % p})
+    points = range(p)
+    values = [0] * p
+    for c in coeffs:
+        values = [(v * t + c) % p for v, t in zip(values, points)]
+    return [t for t, v in enumerate(values) if not v]
+
+
+def _sqrt(a, p):
+    """A square root of the square a mod an odd prime p."""
+    if p % 4 == 3 or not a:
+        return pow(a, (p + 1) // 4, p)
+    # Tonelli-Shanks: p - 1 = q 2^s with q odd, z the least non-residue
+    q, s = p - 1, 0
+    while not q % 2:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, x, t = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while t != 1:
+        # x^2 = a t throughout; t has order 2^i, and multiplying x by b
+        # and t by b^2 leaves it an order below 2^i
+        i, u = 1, t * t % p
+        while u != 1:
+            i, u = i + 1, u * u % p
+        b = pow(c, 1 << (s - i - 1), p)
+        c = b * b % p
+        x, t, s = x * b % p, t * c % p, i
+    return x
+
+
 # test oracle kept while benchmark/layertrace.py wraps it (ROADMAP item 1)
 class Echelon(Record):
     """Reduced row echelon data: `rows` are the rank many nonzero rows."""

@@ -28,13 +28,14 @@ Over F_p both scans run on one rank-one engine, `_rank_one_scan`: it
 walks one projective factor, contracts a set of tensors by each point
 and hands back, at each point where the small matrix that results has a
 kernel, the dimension of that kernel and a callable that gives its
-reduced echelon basis.  Where the decision of the point's line has found
-that basis already, the callable hands it back; elsewhere it eliminates
-the point's matrix, which it builds from the point, so a caller that
-reads only the dimension pays for no kernel.  It walks the smaller
-factor.  When a < m, validation contracts T over P(U1) and the
-instability scan contracts K over P(U1*) (when r = b).  Otherwise both
-contract over P(V), the fibers of T and the maps lam |-> K (. (x) lam).
+reduced echelon basis.  Where the point's line was decided with a
+reference of full column rank, the callable finds that basis from what
+the decision kept; elsewhere it eliminates the point's matrix, which it
+builds from the point.  Either way a caller that reads only the
+dimension pays for no kernel.  It walks the smaller factor.  When a < m,
+validation contracts T over P(U1) and the instability scan contracts K
+over P(U1*) (when r = b).  Otherwise both contract over P(V), the fibers
+of T and the maps lam |-> K (. (x) lam).
 
 Every walk goes through one vertex q, along lines.  q is e_last
 when its contracted matrix B = N(q) has full column rank.  Otherwise
@@ -50,17 +51,18 @@ A'(y) + t B' inside ker D(y).  When B has full column rank, B' = I, and
 with M = A'(y) the point is deficient exactly when -t is an eigenvalue
 of M on W, the largest M-invariant subspace of ker D(y): ker D cut by
 ker D M^i until it stops shrinking.  Most such lines cost one elimination
-of D(y).  The characteristic polynomial of M on W (Hessenberg reduction,
-then Horner at every point of F_p) is taken only where W != 0, and each
-of its roots is a deficient point, so no candidate is verified; the
-kernel there is the eigenspace of M on W.  When B is deficient, the
-pencil on ker D(y) has fewer rows, and it is reduced and decided again:
-a step of the staircase algorithm for the Kronecker form of a pencil
-(Van Dooren, Linear Algebra Appl. 27, 1979), of which the W iteration is
-the case B' = I.  It ends at B' = I or at a wide B' with D = 0, where the
-nullity at every t is the excess of columns over rows plus the nullity
-of the transposed pencil, whose B' is I.  Each step's reduction is again
-`_split`, the one reduction of a [B | A ...] block.
+of D(y).  The characteristic polynomial of M on W is taken only where
+W != 0, and each of its roots mod p (`roots`, in closed form up to
+degree 2) is a deficient point, so no candidate is verified; the kernel
+there is the eigenspace of M on W, found only when it is read.  When B
+is deficient, the pencil on ker D(y) has fewer rows, and it is reduced
+and decided again: a step of the staircase algorithm for the Kronecker
+form of a pencil (Van Dooren, Linear Algebra Appl. 27, 1979), of which
+the W iteration is the case B' = I.  It ends at B' = I or at a wide B'
+with D = 0, where the nullity at every t is the excess of columns over
+rows plus the nullity of the transposed pencil, whose B' is I.  Each step's reduction is again
+`_split`, the one reduction of a [B | A ...] block, and the next step
+takes the D rows it leaves as reduced.
 
 When B has full column rank and n >= 3, [M(y); D(y)] is linear in y,
 and the chain of its common kernels gives families in y (`_levels`)
@@ -83,7 +85,7 @@ from .errors import (FieldMismatch, NonUniqueQuotient, ShapeMismatch,
 from .exactfield import (GF, Matrix, Record, _set, eliminate, kept,
                          kernel_basis, left_kernel, normalize_projective,
                          projective_count, projective_rank, projective_reps,
-                         rank, rank_kernel)
+                         rank, rank_kernel, roots)
 
 
 class SteinerPresentation:
@@ -208,11 +210,11 @@ def _walk(images, width, p):
     points yielded; on P^1 that line is the rest of the walk.  q is its
     first point of full rank, or e_last when it has none, and the walk
     through q skips that line.  On a line whose B has full column rank
-    the callable hands back the kernel that the decision found;
-    otherwise it eliminates N(x), which it builds from x, so a caller
-    that reads only the dimension pays for no kernel.  The points found
-    past the first line are sorted into enumeration order and yielded
-    whenever y[:l] changes.
+    the callable is the decision's, which finds the eigenspace of M on W;
+    otherwise it eliminates N(x), which it builds from x.  Either way a
+    caller that reads only the dimension pays for no kernel.  The points
+    found past the first line are sorted into enumeration order and
+    yielded whenever y[:l] changes.
     """
     n = len(images)
     if not n or not width:
@@ -254,9 +256,8 @@ def _walk(images, width, p):
             x = prefix + (t,)
             if lead < n - 1:
                 x += ((y[-1] + t * q[-1]) % p,)
-            # partial(tuple, k) hands k back
-            found.append((x, dim, partial(_point_kernel, images, x, width, p)
-                          if kernel is None else partial(tuple, kernel)))
+            found.append((x, dim, kernel or
+                          partial(_point_kernel, images, x, width, p)))
     yield from sorted(found)
 
 
@@ -404,38 +405,69 @@ def _levels(steps, width, p):
 
 def _line_shifts(flat, ref, width, p):
     """The t in F_p where the pencil [A + t*ref; D] has a kernel, each
-    with the dimension of that kernel and, when ref is I, its reduced
-    echelon basis (else None).
+    with the dimension of that kernel and, when ref is I, a callable that
+    gives its reduced echelon basis (else None).
 
     `flat` is row-major with `width` columns: the rows of A, as many as
     `ref` has, then the rows of D.  `ref` is in reduced echelon form with
-    no zero row.  A kernel vector at t lies in ker D, so with Y a basis
-    of ker D it is Y c with (A Y + t ref Y) c = 0: a pencil with fewer
-    rows, which `_split` reduces and which is decided again.  That is a
-    step of Van Dooren's staircase for the Kronecker form of a pencil
-    (Linear Algebra Appl. 27, 1979).  It stops at one of two cases.
+    no zero row.  D is eliminated from its last column to its first, so
+    that the canonical basis of ker D is in reduced echelon form, and the
+    pencil is decided by `_decide`.
+    """
+    if not width:
+        return ()
+    split = len(ref) * width
+    work = [flat[i:i + width][::-1] for i in range(split, len(flat), width)]
+    pivots = eliminate(work, width, p)
+    if len(pivots) == width:
+        return ()
+    res = [row[::-1] for row in work[:len(pivots)]]
+    return _decide(flat[:split], ref, res, [width - 1 - c for c in pivots],
+                   width, p, True)
+
+
+def _step_shifts(flat, ref, width, p):
+    """`_decide` of a pencil as `_split` leaves it: the rows of A' then
+    those of D, which are reduced already, so each leads with 1 at its
+    pivot.  A step of the staircase, whose kernels nobody reads."""
+    split = len(ref) * width
+    res = [flat[i:i + width] for i in range(split, len(flat), width)]
+    return _decide(flat[:split], ref, res, [row.index(1) for row in res],
+                   width, p, False)
+
+
+def _decide(top, ref, res, pivots, width, p, kernels):
+    """The shifts of the pencil [A + t*ref; D], A row-major in `top`, as
+    `_line_shifts` gives them, from the rows `res` of D reduced with the
+    `pivots`: each row is 1 at its pivot and 0 at the others', and there
+    is no zero row.  Kernels are handed back only with `kernels`.
+
+    A kernel vector at t lies in ker D, so with Y a basis of ker D it is
+    Y c with (A Y + t ref Y) c = 0: a pencil with fewer rows, which
+    `_split` reduces and which is decided again.  That is a step of Van
+    Dooren's staircase for the Kronecker form of a pencil (Linear Algebra
+    Appl. 27, 1979).  It stops at one of two cases.
 
     ref = I, with D below it or not: the kernel at t is that of M + t*I,
     M = A, inside ker D, so the t are the -eigenvalues of M on W, the
     largest M-invariant subspace of ker D, and the kernels are their
-    eigenspaces, one elimination of at most dim W rows each, or none
-    when W is a line.  W starts as ker D and is cut by ker D M^i, i = 1,
-    2, ..., until it stops shrinking; only when W != 0 is the
-    characteristic polynomial of M on W taken.
+    eigenspaces.  W starts as ker D and is cut by ker D M^i, i = 1, 2,
+    ..., until it stops shrinking; only when W != 0 is the characteristic
+    polynomial of M on W taken, and its roots found by `roots`.  M on W is
+    read off the products M Y of the first round, and the basis of W is
+    reduced again only when the rounds cut it.  On a W of dimension 1 or
+    2 the polynomial, the nullities and the eigenspaces are closed forms;
+    on a larger one each nullity is a rank and each eigenspace one
+    elimination.  An eigenspace is found only when its callable is
+    called.
 
     ref wide and D = 0: the nullity at every t is the number of columns
     less the rows, plus the nullity of the transposed pencil, which
     `_split` reduces to a reference I.
     """
-    if not width:
-        return ()
-    k = len(ref)
-    split = k * width
-    res = [flat[i:i + width] for i in range(split, len(flat), width)]
-    pivots = eliminate(res, width, p)
     if len(pivots) == width:
         return ()
-    res = res[:len(pivots)]
+    k = len(ref)
     if k < width and not res:
         # the transposed pencil A^T + t ref^T, which has no column, and
         # no kernel, when ref has no row
@@ -444,45 +476,67 @@ def _line_shifts(flat, ref, width, p):
             # ref^T has full column rank, so its reduced rows are I
             eye, (dual,) = _split(
                 [x for col in zip(*ref) for x in col],
-                [[x for c in range(width) for x in flat[c:split:width]]],
-                k, p)
-            dims = {t: dim for t, dim, _ in _line_shifts(dual, eye, k, p)}
+                [[x for c in range(width) for x in top[c::width]]], k, p)
+            dims = {t: dim for t, dim, _ in _step_shifts(dual, eye, k, p)}
         return [(t, width - k + dims.get(t, 0), None) for t in range(p)]
     fld = GF(p)
-    ys = zs = [list(v) for v in kernel_basis(res, pivots, width, fld)]
-    mat = [flat[i:i + width] for i in range(0, split, width)]
+    ys = kernel_basis(res, pivots, width, fld)
+    mat = [top[i:i + width] for i in range(0, len(top), width)]
     if k < width:
-        # the pencil on ker D in the basis ys; its kernels are in that
-        # basis, so none is handed back
+        # the pencil on ker D in the basis ys
         lower, (rest,) = _split(
             [sum(map(mul, row, y)) % p for row in ref for y in ys],
             [[sum(map(mul, row, y)) % p for row in mat for y in ys]],
             len(ys), p)
-        return [(t, dim, None)
-                for t, dim, _ in _line_shifts(rest, lower, len(ys), p)]
-    # ys: a basis of W so far, zs: M^i applied to it
+        return _step_shifts(rest, lower, len(ys), p)
+    # ys: a basis of W so far, zs: M^i applied to it, i >= 1, and mys:
+    # M ys until W is cut.  The canonical ys are 1 at their own free
+    # column and 0 at the others', so M y, when it lies in W, has its
+    # coordinates there
+    zs = mys = [[sum(map(mul, row, y)) % p for row in mat] for y in ys]
     while res:
-        zs = [[sum(map(mul, row, z)) % p for row in mat] for z in zs]
         cut = [[sum(map(mul, row, z)) % p for z in zs] for row in res]
-        pivots = eliminate(cut, len(ys), p)
-        if not pivots:
+        lost = eliminate(cut, len(ys), p)
+        if not lost:
             break
-        if len(pivots) == len(ys):
+        if len(lost) == len(ys):
             return ()
-        coeffs = kernel_basis(cut, pivots, len(ys), fld)
+        coeffs = kernel_basis(cut, lost, len(ys), fld)
         ys = [[sum(map(mul, c, col)) % p for col in zip(*ys)] for c in coeffs]
-        zs = [[sum(map(mul, c, col)) % p for col in zip(*zs)] for c in coeffs]
-    # with the ys in reduced echelon form, the entries of M y at their
-    # pivots are the coordinates of M y in the basis ys: the rows below
-    # make the transpose of M on W, with the same polynomial
-    pivots = eliminate(ys, width, p)
-    restricted = [[sum(map(mul, mat[c], y)) % p for c in pivots] for y in ys]
-    mus = range(p)
-    values = [0] * p
-    for coeff in _charpoly(restricted, p):
-        values = [(v * mu + coeff) % p for v, mu in zip(values, mus)]
-    return [(-mu % p, len(kernel), kernel) for mu, v in zip(mus, values)
-            if not v for kernel in [_eigenspace(restricted, ys, mu, p)]]
+        zs = [[sum(map(mul, row, z)) % p for row in mat]
+              for z in ([sum(map(mul, c, col)) % p for col in zip(*zs)]
+                        for c in coeffs)]
+        mys = None
+    if mys is None:
+        # with the ys in reduced echelon form, the entries of M y at their
+        # pivots are the coordinates of M y in the basis ys
+        leads = eliminate(ys, width, p)
+        restricted = [[sum(map(mul, mat[c], y)) % p for c in leads]
+                      for y in ys]
+    else:
+        free = [c for c in range(width) if c not in pivots]
+        restricted = [[z[c] for c in free] for z in mys]
+    # the rows of `restricted` make the transpose of M on W, with the
+    # same polynomial
+    return [(-mu % p, _nullity(restricted, mu, p),
+             partial(_eigenspace, restricted, ys, mu, p) if kernels else None)
+            for mu in roots(_charpoly(restricted, p), p)]
+
+
+def _nullity(restricted, mu, p):
+    """The dimension of the eigenspace at an eigenvalue mu of M on W, from
+    the transpose `restricted` of M on W: dim W less the rank of
+    restricted - mu I.  That rank is below dim W, so when W is a line or
+    a plane it is 0 only where restricted is mu I, and 1 elsewhere."""
+    k = len(restricted)
+    if k == 1:
+        return 1
+    if k == 2:
+        (a, b), (c, d) = restricted
+        return 2 if a == d == mu and not (b or c) else 1
+    shifted = [[(x - mu) % p if i == j else x for j, x in enumerate(row)]
+               for i, row in enumerate(restricted)]
+    return k - len(eliminate(shifted, k, p, full=False))
 
 
 def _eigenspace(restricted, ys, mu, p):
@@ -493,11 +547,23 @@ def _eigenspace(restricted, ys, mu, p):
     The eigenspace is the combinations sum c_i ys_i with c (restricted -
     mu I) = 0, and a basis of such c in reduced echelon form gives one of
     the combinations, because ys is in reduced echelon form.  When W is a
-    line, M acts on it by mu, and the eigenspace is W.
+    line, M acts on it by mu, and the eigenspace is W.  When W is a plane,
+    S = restricted - mu I is 0, and the eigenspace is W, or S has rank 1
+    and c is a nonzero row of its adjugate, since adj(S) S = det(S) I = 0.
     """
     k = len(ys)
     if k == 1:
         return (tuple(ys[0]),)
+    if k == 2:
+        (a, b), (c, d) = restricted
+        a, d = (a - mu) % p, (d - mu) % p
+        if not (a or b or c or d):
+            return tuple(map(tuple, ys))
+        u, v = (d, -b) if d or b else (-c, a)
+        if not u:
+            return (tuple(ys[1]),)
+        f = v * pow(u, p - 2, p) % p
+        return (tuple((x + f * y) % p for x, y in zip(*ys)),)
     cs = _reduced_kernel([(restricted[i][j] - mu * (i == j)) % p
                           for j in range(k) for i in range(k)], k, p)
     return tuple(tuple(sum(map(mul, c, col)) % p for col in zip(*ys))
@@ -512,9 +578,13 @@ def _charpoly(mat, p):
     the characteristic polynomials P_k of its leading k x k blocks then
     satisfy P_k = (x - h_kk) P_(k-1) - sum over i < k of h_ik times the
     subdiagonal entries h_(i+1)i ... h_k(k-1) times P_(i-1) (indices
-    from 1).
+    from 1).  A 2 x 2 matrix gives x^2 - (trace) x + det at once.
     """
     n = len(mat)
+    if n == 2:
+        # the trace and the determinant
+        (a, b), (c, d) = mat
+        return [1, -(a + d) % p, (a * d - b * c) % p]
     h = [list(row) for row in mat]
     for c in range(n - 2):
         piv = next((i for i in range(c + 1, n) if h[i][c]), None)

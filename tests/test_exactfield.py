@@ -19,7 +19,7 @@ from steinertorelli.exactfield import (GF, QQ, Matrix, _is_prime,
                                        normalize_projective,
                                        projective_count, projective_rank,
                                        projective_reps, projective_unrank,
-                                       rank, rank_kernel, rref,
+                                       rank, rank_kernel, roots, rref,
                                        span_reduction)
 
 PRIMES = [2, 3, 5, 7, 11, 13]
@@ -472,6 +472,114 @@ def test_gf_kernel_basis_matches_rank_kernel(p, nrows, ncols, data):
         assert v == tuple(want)
         assert all(type(x) is int and 0 <= x < p for x in v)
         assert mat_vec(m, v) == (0,) * nrows
+
+
+# ---- roots mod p ----------------------------------------------------------
+#
+# `roots` is checked against the sweep it replaced in the line decisions:
+# Horner at every point of F_p.  The primes cover p = 2, where every
+# polynomial is swept, p = 3 mod 4, where a square root is one power, and
+# p = 1 mod 4, where it is Tonelli-Shanks: 1009 - 1 = 63 * 2^4 and 257 - 1
+# = 2^8 take several of its rounds.
+
+ROOT_PRIMES = [2, 3, 5, 7, 13, 1009]
+
+
+def swept_roots(coeffs, p):
+    """The t in F_p, ascending, where the polynomial with these
+    coefficients, leading one first, vanishes: Horner at every t."""
+    out = []
+    for t in range(p):
+        value = 0
+        for c in coeffs:
+            value = (value * t + c) % p
+        if not value:
+            out.append(t)
+    return out
+
+
+def poly_mul(f, g, p):
+    """The product of two polynomials mod p, coefficients leading first."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, x in enumerate(f):
+        for j, y in enumerate(g):
+            out[i + j] = (out[i + j] + x * y) % p
+    return out
+
+
+def nonresidues(p):
+    return [n for n in range(1, p) if pow(n, (p - 1) // 2, p) == p - 1]
+
+
+def irreducible_quadratic(p, draw):
+    """A monic quadratic with no root in F_p: x^2 + x + 1 over F_2, and
+    (x - s)^2 - n for a non-residue n otherwise."""
+    if p == 2:
+        return [1, 1, 1]
+    n, s = draw(st.sampled_from(nonresidues(p))), draw(st.integers(0, p - 1))
+    return [1, -2 * s % p, (s * s - n) % p]
+
+
+@given(st.sampled_from(ROOT_PRIMES), st.integers(0, 8),
+       st.sampled_from(["random", "planted", "irreducible"]), st.data())
+@settings(max_examples=400, deadline=None)
+def test_roots_match_the_sweep(p, degree, kind, data):
+    """Degrees 0 to 8: coefficients at random; planted roots, repeated
+    ones among them, times a random cofactor; and an irreducible
+    quadratic times such factors.  Zero leading coefficients are put in
+    front at times, and residues outside [0, p)."""
+    def draw(strategy):
+        return data.draw(strategy)
+
+    entries = st.sampled_from([0, 0, 1, p - 1]) | st.integers(0, p - 1)
+    if kind == "random":
+        coeffs = [draw(entries) for _ in range(degree + 1)]
+    else:
+        coeffs = [draw(st.integers(1, p - 1))]
+        if kind == "irreducible" and degree >= 2:
+            coeffs = poly_mul(coeffs, irreducible_quadratic(p, draw), p)
+        planted = draw(st.lists(st.sampled_from(range(min(p, 3))) |
+                                st.integers(0, p - 1),
+                                max_size=degree + 1 - len(coeffs)))
+        for r in planted:
+            coeffs = poly_mul(coeffs, [1, -r % p], p)
+        rest = degree + 1 - len(coeffs)
+        if rest > 0:
+            coeffs = poly_mul(coeffs, [1] + [draw(entries)
+                                             for _ in range(rest)], p)
+        want = swept_roots(coeffs, p)
+        assert set(planted) <= set(want)
+        if kind == "irreducible" and degree == 2:
+            assert not want
+    coeffs = [0] * draw(st.integers(0, 2)) + coeffs
+    if draw(st.booleans()):
+        coeffs = [c + p * draw(st.integers(-2, 2)) for c in coeffs]
+    assert roots(coeffs, p) == swept_roots(coeffs, p)
+
+
+@pytest.mark.parametrize("p", ROOT_PRIMES)
+def test_roots_of_zero_and_of_every_linear_factor(p):
+    """The zero polynomial vanishes everywhere, a nonzero constant
+    nowhere, and the product of every x - a, x^p - x, everywhere."""
+    assert roots([], p) == roots([0], p) == roots([0, 0, 0], p) == \
+        list(range(p))
+    assert roots([3 % p or 1], p) == roots([0, 0, 1], p) == []
+    every = [1]
+    for a in range(p):
+        every = poly_mul(every, [1, -a % p], p)
+    assert every == [1] + [0] * (p - 2) + [p - 1, 0]
+    assert roots(every, p) == list(range(p))
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17, 257, 1009])
+def test_roots_of_every_monic_pure_quadratic(p):
+    """x^2 - a for every a: the square roots of a when it is a square,
+    none when it is not, and one double root at a = 0."""
+    squares = {}
+    for s in range(p):
+        squares.setdefault(s * s % p, set()).add(s)
+    for a in range(p):
+        assert roots([1, 0, -a % p], p) == sorted(squares.get(a, ()))
 
 
 # ---- projective enumeration ---------------------------------------------

@@ -34,7 +34,7 @@ from steinertorelli.steiner import (SteinerPresentation, ValidationReport,
                                     validate_presentation, valles_locus)
 from steinertorelli.torelli import dk_presentation, tautological_presentation
 
-from test_exactfield import mat_vec, matrix
+from test_exactfield import mat_vec, matrix, nonresidues
 from test_scenes import SCROLL_F1, SCROLL_F2, diagonal_ci, fermat_quartic, \
     scroll
 
@@ -864,14 +864,119 @@ def brute_shifts(flat, width, p):
 
 
 def line_shifts(flat, width, p):
-    """`_line_shifts` with the reference I, as (t, kernel) pairs; each
-    nullity it gives is the size of its kernel."""
+    """`_line_shifts` with the reference I, as (t, kernel) pairs, each
+    kernel read twice from its callable; each nullity it gives is the size
+    of its kernel."""
     eye = [[int(i == j) for j in range(width)] for i in range(width)]
     out = []
     for t, dim, kernel in _line_shifts(flat, eye, width, p):
-        assert dim == len(kernel)
-        out.append((t, kernel))
+        basis = kernel()
+        assert kernel() == basis and dim == len(basis)
+        out.append((t, basis))
     return sorted(out)
+
+
+def invertible(n, p, draw):
+    """A random invertible n x n matrix: unit lower triangular times
+    upper triangular with a nonzero diagonal."""
+    lower = [[1 if i == j else draw(0, p - 1) if j < i else 0
+              for j in range(n)] for i in range(n)]
+    upper = [[draw(1, p - 1) if i == j else draw(0, p - 1) if j > i else 0
+              for j in range(n)] for i in range(n)]
+    return [[sum(x * upper[k][j] for k, x in enumerate(row)) % p
+             for j in range(n)] for row in lower]
+
+
+def product(x, y, p):
+    return [[sum(u * y[k][j] for k, u in enumerate(row)) % p
+             for j in range(len(y[0]))] for row in x]
+
+
+def inverse(mat, p):
+    """The inverse mod p of an invertible square matrix, from one
+    elimination of [mat | I]."""
+    n = len(mat)
+    work = [list(row) + [int(i == j) for j in range(n)]
+            for i, row in enumerate(mat)]
+    assert len(eliminate(work, 2 * n, p)) == n
+    return [row[n:] for row in work]
+
+
+def small_block(kind, p, values):
+    """A block of one kind, 2 x 2 (1 x 1 for "line"), with its
+    eigenvalues in F_p, from `values` = (r, s, n): the two distinct roots
+    r and s, the scalar r I, a Jordan block at r, or no root (n a
+    non-residue).  Each is a companion matrix, so that no eigenvector lies
+    along an axis, except the scalar one."""
+    def companion(c1, c0):
+        # x^2 + c1 x + c0
+        return [[0, -c0 % p], [1, -c1 % p]]
+
+    r, s, n = values
+    if kind == "line":
+        return [[r]], [r]
+    if kind == "two_roots":
+        s = s if s != r else (r + 1) % p
+        return companion(-(r + s), r * s), sorted({r, s})
+    if kind == "scalar":
+        return [[r, 0], [0, r]], [r]
+    if kind == "jordan":
+        return companion(-2 * r, r * r), [r]
+    # irreducible: x^2 + x + 1 over F_2, else (x - r)^2 - n, n no square
+    if p == 2:
+        return companion(1, 1), []
+    return companion(-2 * r, r * r - n), []
+
+
+def small_w_residual(p, block, width, nres, cut, draw):
+    """[M; D], M width x width and D nres x width, such that W, the
+    largest M-invariant subspace of ker D, has the dimension k of the
+    square `block`, and M acts on it as `block` does on F_p^k.
+
+    In coordinates u = P x, P random and invertible, W is spanned by the
+    first k axes and ker D by the first k + cut; with `cut`, M takes axis
+    k out of ker D, so the W iteration cuts it once.  nres is raised to
+    the number of axes outside ker D, which D must see."""
+    k = len(block)
+    inside = k + cut
+    assert inside <= width and (not cut or inside < width)
+    nres = max(nres, width - inside)
+    m_u = [[block[i][j] % p if j < k and i < k else 0 if j < k else draw()
+            for j in range(width)] for i in range(width)]
+    if cut:
+        m_u[inside][k] = 1
+    d_u = [[int(j == i + inside) for j in range(width)]
+           for i in range(width - inside)]
+    d_u += [[0] * inside + [draw() for _ in range(width - inside)]
+            for _ in range(nres - len(d_u))]
+    right = invertible(width, p, lambda lo, hi: lo + draw() % (hi - lo + 1))
+    mat = product(product(inverse(right, p), m_u, p), right, p)
+    return mat + product(d_u, right, p)
+
+
+SMALL_KINDS = ["line", "two_roots", "scalar", "jordan", "irreducible"]
+
+
+def small_w_cases():
+    """RESIDUALS cases with W a line or a plane: every kind of
+    `small_block`, at p = 2, at p = 13 = 1 mod 4 and at p = 7 = 3 mod 4,
+    with no D (W everything), with D (W = ker D) and with a W cut out of
+    ker D, conjugated by a seeded P."""
+    cases = []
+    for p in (2, 13, 7):
+        values = (2 % p, 5 % p, nonresidues(p)[0])
+        for kind in SMALL_KINDS:
+            block, eigenvalues = small_block(kind, p, values)
+            k = len(block)
+            shifts = sorted(-mu % p for mu in eigenvalues)
+            for width, nres, cut in ((k, 0, False), (k + 1, 1, False),
+                                     (k + 2, 1, True)):
+                rng = random.Random(f"{p} {kind} {width}")
+                rows = small_w_residual(p, block, width, nres, cut,
+                                        lambda: rng.randrange(p))
+                cases.append((f"{kind}_w{k}_in_{width}_p{p}", p, width,
+                              rows, shifts, True))
+    return cases
 
 
 # (name, p, width, [M; D] rows, shifts, whether W != 0)
@@ -896,6 +1001,7 @@ RESIDUALS = [
     # W = ker D = span ((1, 6, 0), (0, 0, 1)) with the eigenvalues 1 and 3
     ("two_eigenvalues_on_w", 7, 3,
      [[1, 0, 0], [0, 1, 0], [0, 0, 3], [1, 1, 0]], [4, 6], True),
+    *small_w_cases(),
 ]
 
 
@@ -918,11 +1024,26 @@ def test_line_shifts_on_constructed_residuals(monkeypatch, name, p, width,
 
 
 @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 5),
-       st.integers(0, 7), st.booleans(), st.data())
-@settings(max_examples=200, deadline=None)
-def test_line_shifts_match_a_brute_force(p, width, nres, plant, data):
+       st.integers(0, 7), st.booleans(),
+       st.none() | st.sampled_from(SMALL_KINDS), st.data())
+@settings(max_examples=400, deadline=None)
+def test_line_shifts_match_a_brute_force(p, width, nres, plant, small, data):
+    """[M; D] at random, with an eigenvector of M planted in ker D, or
+    with a W of dimension 1 or 2 of each kind of `small_block`, cut out of
+    a larger ker D when `plant` is set and the width allows it."""
     entries = st.integers(0, p - 1)
-    if plant:
+    if small:
+        values = [data.draw(entries), data.draw(entries),
+                  data.draw(st.sampled_from(nonresidues(p)))]
+        block, eigenvalues = small_block(small, p, values)
+        width = max(width, len(block))
+        cut = width > len(block) + 1 and plant
+        rows = small_w_residual(p, block, width, nres, cut,
+                                lambda: data.draw(entries))
+        shifts = [t for t, _ in brute_shifts(
+            [x for row in rows for x in row], width, p)]
+        assert shifts == sorted(-mu % p for mu in eigenvalues)
+    elif plant:
         vec = [1] + [data.draw(entries) for _ in range(width - 1)]
         rows = planted(p, width, nres, data.draw(entries), vec,
                        lambda: data.draw(entries))
@@ -978,22 +1099,6 @@ def test_split_keeps_every_kernel_of_the_pencil(p, width, nrows, nothers,
             reduced = [[(x + t * y) % p for x, y in zip(arow, brow)]
                        for arow, brow in zip(rows, ref)] + rows[len(ref):]
             assert kernel_of(reduced, width, p) == kernel_of(member, width, p)
-
-
-def invertible(n, p, draw):
-    """A random invertible n x n matrix: unit lower triangular times
-    upper triangular with a nonzero diagonal."""
-    lower = [[1 if i == j else draw(0, p - 1) if j < i else 0
-              for j in range(n)] for i in range(n)]
-    upper = [[draw(1, p - 1) if i == j else draw(0, p - 1) if j > i else 0
-              for j in range(n)] for i in range(n)]
-    return [[sum(x * upper[k][j] for k, x in enumerate(row)) % p
-             for j in range(n)] for row in lower]
-
-
-def product(x, y, p):
-    return [[sum(u * y[k][j] for k, u in enumerate(row)) % p
-             for j in range(len(y[0]))] for row in x]
 
 
 def kronecker_block(kind, size, eigenvalue, p):
@@ -1374,18 +1479,20 @@ def test_pencil_leaves_cut_the_eliminations(monkeypatch):
 def test_no_false_candidates(monkeypatch):
     """diagonal_ci with K+A at p = 7: the top walk reduces one reference,
     e_last, of full rank, and each level walk one of fewer members; no
-    member of a line is eliminated, the one kernel elimination per point
-    found within the top walk's line decisions is of M on W at an
-    eigenvalue (square, of the size of a characteristic polynomial
-    taken), and both scans together, over their 800 lines, take fewer
-    than 20 characteristic polynomials in the top walk's line decisions
-    (the pencil leaves took one per line) and fewer than 30 in their
-    level walks."""
+    member of a line is eliminated, and no kernel is found during either
+    scan: each point found hands back its eigenspace of M on W as a
+    callable.  Reading the kernels that recovery keeps finds one
+    eigenspace per point found, of M on W at an eigenvalue (of the size
+    of a characteristic polynomial taken in the top walk's line
+    decisions), and both scans together, over their 800 lines, take
+    fewer than 20 characteristic polynomials in the top walk's line
+    decisions (the pencil leaves took one per line) and fewer than 30 in
+    their level walks."""
     scene = load_scene(str(SCENEDIR / "diagonal_ci.json"))
     pres = tautological_presentation(scene, resolve_label(scene, "K+A"),
                                      GF(7))
-    calls = {"_reference": [], "_reduced_kernel": [], "_charpoly": [],
-             "_point_kernel": []}
+    calls = {"_reference": [], "_reduced_kernel": [], "_eigenspace": [],
+             "_charpoly": [], "_point_kernel": []}
     # per running line shifts, outermost first: whether they decide a line
     # of the top walk, whose reference the first reduction gives
     deciding = []
@@ -1426,14 +1533,19 @@ def test_no_false_candidates(monkeypatch):
         assert levels and all(len(level[1]) < len(images)
                               for level in levels)
         dims_w = {len(mat) for line, mat, _ in calls["_charpoly"] if line}
-        # every kernel elimination of the top walk is a line decision's,
-        # one per point found, and no member is eliminated
-        kernels = [call for call in calls["_reduced_kernel"] if call[0]]
-        assert len(kernels) == unstable
-        assert all(len(flat) == width * width and width in dims_w
-                   for _, flat, width, _ in kernels)
+        # no kernel is found during the scan, and no member is eliminated
+        assert not calls["_reduced_kernel"] and not calls["_eigenspace"]
         assert not calls["_point_kernel"]
         taken += calls["_charpoly"]
+        # the kernels recovery keeps, read: one eigenspace of M on W per
+        # point found
+        for kernel in pres._phis.values():
+            kernel()
+        spaces = calls["_eigenspace"]
+        assert len(spaces) == unstable
+        assert all(len(mat) == len(ys) and len(mat) in dims_w
+                   for _, mat, ys, _, _ in spaces)
+        assert not calls["_point_kernel"]
     # recovery reads the kernels the scan handed out
     assert len(pres._phis) == 16
     # over both scans: those taken in the top walk's line decisions, then
